@@ -156,8 +156,8 @@ class ChangeFilter:
     Observations whose timestamp goes backwards relative to the series are
     dropped and counted in :attr:`regressions`; they never touch state.
 
-    Not thread safe: the pipeline shards series across workers so each
-    filter instance is only ever driven by one thread.
+    Not thread safe: the pipeline calls it only while holding its intake
+    lock.
     """
 
     def __init__(self, heartbeat: float = 3600.0):

@@ -1,12 +1,15 @@
 """Change-only persistence pipeline: dedup, batching, sink delivery.
 
 Producers submit validated points concurrently; each point passes an
-optional alert tap, then a key-partitioned change filter. Survivors are
-buffered as line-protocol records and flushed by a single writer task in
-size- or age-bounded batches. Transient sink failures retry with backoff
-and then return the batch to the buffer; permanent rejections quarantine
-to a dead-letter file. The buffer is bounded: under sustained overload
-the oldest points are shed and counted, producers are never blocked.
+optional alert tap, then the change filter and the record buffer, which
+share one intake lock. A single flusher thread writes the buffer as line
+protocol: a batch is written when the buffer holds ``batch_size`` points
+or its oldest point is ``batch_age_ms`` old, and at once when intake
+closes. Transient sink failures retry with backoff and then return
+the batch to the buffer; permanent rejections quarantine to a dead-letter
+file, and a failed quarantine write is counted and returns the batch too.
+The buffer is bounded: under sustained overload the oldest points are shed
+and counted, producers are never blocked.
 """
 
 from __future__ import annotations
@@ -206,24 +209,23 @@ class Pipeline:
         sink=None,
         heartbeat_s: float = 0.0,
         alert_engine=None,
-        shards: int = 8,
         clock_ns: Callable[[], int] = time.time_ns,
     ):
         self.config = config
         self.sink = sink if sink is not None else config.build_sink()
         self.alert_engine = alert_engine
         self.clock_ns = clock_ns
-        self._shards = [
-            (threading.Lock(), ChangeFilter(heartbeat=heartbeat_s)) for _ in range(shards)
-        ]
+        self._filter = ChangeFilter(heartbeat=heartbeat_s)
         self._buffer: deque[tuple[int, LineRecord]] = deque()
-        self._buf_lock = threading.Lock()
-        self._counter_lock = threading.Lock()
+        self._lock = threading.Lock()
+        self._cond = threading.Condition(self._lock)
+        self._in_flight = 0  # points taken by the flusher and not yet settled
         self.received = 0
         self.emitted = 0
         self.shed = 0
         self.delivered = 0
         self.dead_lettered = 0
+        self.dead_letter_errors = 0
         self.flush_failures = 0
         self.alert_errors = 0
         self.last_flush_status: int | str | None = None
@@ -231,7 +233,6 @@ class Pipeline:
         self._entities: dict[str, EntityCounts] = {}
         self._window_start_ns = clock_ns()
         self._intake_open = True
-        self._flushing = False
         self._stop = threading.Event()
         self._flusher: threading.Thread | None = None
 
@@ -244,13 +245,12 @@ class Pipeline:
             try:
                 self.alert_engine.observe(dp)
             except Exception:
-                with self._counter_lock:
+                with self._lock:
                     self.alert_errors += 1
-        key = (dp.entity_id, dp.parameter)
-        lock, filt = self._shards[hash(key) % len(self._shards)]
-        with lock:
-            emitted = filt.observe(dp)
-        with self._counter_lock:
+        with self._lock:
+            if not self._intake_open:
+                return False
+            emitted = self._filter.observe(dp)
             self.received += 1
             counts = self._entities.get(dp.entity_id)
             if counts is None:
@@ -258,12 +258,11 @@ class Pipeline:
                 counts = self._entities[dp.entity_id] = EntityCounts(kind)
             counts.received += 1
             counts.params.add(dp.parameter)
-            if emitted is not None:
-                self.emitted += 1
-                counts.emitted += 1
-        if emitted is None:
-            return True
-        return self._enqueue(self._record(emitted))
+            if emitted is None:
+                return True
+            self.emitted += 1
+            counts.emitted += 1
+            return self._enqueue(self._record(emitted))
 
     def submit_many(self, points: Iterable[DataPoint]) -> int:
         shed_before = self.shed
@@ -278,15 +277,17 @@ class Pipeline:
         return LineRecord(dp.parameter, tags, {"value": dp.value}, dp.timestamp)
 
     def _enqueue(self, rec: LineRecord) -> bool:
-        now = time.monotonic_ns()
-        with self._buf_lock:
-            shed = len(self._buffer) >= self.config.buffer_capacity
-            if shed:
-                self._buffer.popleft()
-            self._buffer.append((now, rec))
+        """Caller holds the lock."""
+        buf = self._buffer
+        shed = len(buf) >= self.config.buffer_capacity
         if shed:
-            with self._counter_lock:
-                self.shed += 1
+            buf.popleft()
+            self.shed += 1
+        buf.append((time.monotonic_ns(), rec))
+        # Only these two steps make a batch due before the flusher's own
+        # timeout. notify_all: drain() callers wait on the same condition.
+        if len(buf) == 1 or len(buf) == self.config.batch_size:
+            self._cond.notify_all()
         return not shed
 
     # -- flushing ---------------------------------------------------------
@@ -298,61 +299,56 @@ class Pipeline:
         return self
 
     def stop(self, drain_timeout_s: float = 5.0) -> bool:
-        self._intake_open = False
+        with self._lock:
+            self._intake_open = False
+            self._cond.notify_all()
         drained = self.drain(drain_timeout_s)
-        self._stop.set()
+        self._stop.set()  # ends sink retries; the flusher exits once empty
         if self._flusher is not None:
             self._flusher.join(timeout=5)
             self._flusher = None
         return drained
 
     def drain(self, timeout_s: float) -> bool:
-        deadline = time.monotonic() + timeout_s
-        while time.monotonic() < deadline:
-            with self._buf_lock:
-                empty = not self._buffer
-            if empty and not self._flushing:
-                return True
-            time.sleep(0.01)
-        return False
+        """True once the buffer is empty and no batch is in flight."""
+        with self._lock:
+            return self._cond.wait_for(lambda: not self._buffer and not self._in_flight, timeout_s)
 
     @property
     def buffer_depth(self) -> int:
-        with self._buf_lock:
+        with self._lock:
             return len(self._buffer)
 
     def _take_batch(self) -> list[LineRecord]:
+        """Block until a batch is due and take it: the buffer holds
+        batch_size points, its oldest point is batch_age_ms old, or intake
+        is closed. Returns [] once intake is closed and nothing is left."""
         age_ns = self.config.batch_age_ms * 1_000_000
-        with self._buf_lock:
-            if not self._buffer:
-                return []
-            full = len(self._buffer) >= self.config.batch_size
-            stale = time.monotonic_ns() - self._buffer[0][0] >= age_ns
-            if not (full or stale or self._stop.is_set() or not self._intake_open):
-                return []
-            n = min(len(self._buffer), self.config.batch_size)
-            return [self._buffer.popleft()[1] for _ in range(n)]
+        buf = self._buffer
+        with self._lock:
+            while self._intake_open and len(buf) < self.config.batch_size:
+                now = time.monotonic_ns()
+                if buf and now - buf[0][0] >= age_ns:
+                    break
+                self._cond.wait((buf[0][0] + age_ns - now) / 1e9 if buf else None)
+            n = min(len(buf), self.config.batch_size)
+            self._in_flight = n
+            return [buf.popleft()[1] for _ in range(n)]
 
     def _flush_loop(self) -> None:
-        poll_s = min(0.05, self.config.batch_age_ms / 2000.0)
-        while True:
-            batch = self._take_batch()
-            if not batch:
-                if self._stop.is_set():
-                    return
-                self._stop.wait(poll_s)
-                continue
-            self._flushing = True
+        while batch := self._take_batch():
             try:
                 settled = self._flush(batch)
             finally:
-                self._flushing = False
+                with self._lock:
+                    self._in_flight = 0
+                    self._cond.notify_all()
             if not settled and self._stop.is_set():
                 return  # sink is down and we are stopping; keep the rest buffered
 
     def _flush(self, batch: list[LineRecord]) -> bool:
         """True when the batch was delivered or quarantined; False when it
-        went back to the buffer after transient failures."""
+        went back to the buffer."""
         rendered = [to_line(rec) for rec in batch]
         backoff_s = self.config.retry_backoff_ms / 1000.0
         for attempt in range(self.config.retry_attempts):
@@ -363,29 +359,31 @@ class Pipeline:
             self.last_flush_status = status
             self.last_flush_ns = self.clock_ns()
             if isinstance(status, int) and 200 <= status < 300:
-                with self._counter_lock:
+                with self._lock:
                     self.delivered += len(batch)
                 return True
             if isinstance(status, int) and 400 <= status < 500:
-                self._dead_letter(rendered, status)
-                with self._counter_lock:
+                try:
+                    self._dead_letter(rendered, status)
+                except OSError:
+                    with self._lock:
+                        self.dead_letter_errors += 1
+                    break
+                with self._lock:
                     self.dead_lettered += len(batch)
                 return True
             if attempt + 1 < self.config.retry_attempts:
                 self._stop.wait(backoff_s)
                 backoff_s *= 2
-        # transient failure exhausted: give the points back, oldest first
-        with self._counter_lock:
-            self.flush_failures += 1
+        # not settled: give the points back, oldest first
         now = time.monotonic_ns()
-        with self._buf_lock:
+        with self._lock:
+            self.flush_failures += 1
             self._buffer.extendleft((now, rec) for rec in reversed(batch))
-            overflow = len(self._buffer) - self.config.buffer_capacity
-            for _ in range(max(0, overflow)):
+            overflow = max(0, len(self._buffer) - self.config.buffer_capacity)
+            for _ in range(overflow):
                 self._buffer.popleft()
-        if overflow > 0:
-            with self._counter_lock:
-                self.shed += overflow
+            self.shed += overflow
         self._stop.wait(backoff_s)
         return False
 
@@ -398,19 +396,20 @@ class Pipeline:
     # -- accounting --------------------------------------------------------
 
     def counters(self) -> dict[str, int]:
-        with self._counter_lock:
+        with self._lock:
             return {
                 "received": self.received,
                 "emitted": self.emitted,
                 "shed": self.shed,
                 "delivered": self.delivered,
                 "dead_lettered": self.dead_lettered,
+                "dead_letter_errors": self.dead_letter_errors,
                 "flush_failures": self.flush_failures,
-                "buffer_depth": self.buffer_depth,
+                "buffer_depth": len(self._buffer),  # not the property: the lock is held
             }
 
     def rate_stats(self) -> RateStats:
-        with self._counter_lock:
+        with self._lock:
             entities = {
                 e: EntityCounts(c.kind, set(c.params), c.received, c.emitted)
                 for e, c in self._entities.items()

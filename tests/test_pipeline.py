@@ -1,6 +1,8 @@
 """Pipeline behavior: dedup routing, shedding, flush retry, accounting."""
 
 import random
+import sys
+import threading
 import time
 
 import pytest
@@ -224,6 +226,61 @@ class TestFlushing:
         assert content.startswith("# quarantined batch: sink returned 400")
         assert "value=1" in content
 
+    def test_drain_waits_for_a_batch_in_flight(self, tmp_path):
+        class Held(Pipeline):
+            """Holds each batch between taking it and flushing it."""
+
+            def __init__(self, *a, **kw):
+                super().__init__(*a, **kw)
+                self.taken = threading.Event()
+                self.release = threading.Event()
+
+            def _take_batch(self):
+                batch = super()._take_batch()
+                if batch:
+                    self.taken.set()
+                    self.release.wait(5)
+                return batch
+
+        sink = ScriptedSink()
+        p = Held(fast_config(tmp_path), sink=sink).start()
+        p.submit(dp())
+        assert p.taken.wait(5)
+        threading.Timer(0.4, p.release.set).start()
+        assert p.stop(drain_timeout_s=0.2) is False  # the batch was still held
+        assert p.release.is_set()
+        assert len(sink.success_log) == 1
+
+    def test_failed_dead_letter_write_keeps_flusher_alive(self, tmp_path):
+        sink = ScriptedSink([400])
+        cfg = fast_config(tmp_path, dead_letter_path=str(tmp_path / "missing" / "dead.lp"))
+        p = Pipeline(cfg, sink=sink).start()
+        p.submit(dp(value=1.0, ts=1))
+        deadline = time.monotonic() + 5
+        while p.counters()["dead_letter_errors"] < 1 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert p.counters()["dead_letter_errors"] >= 1
+        assert p.dead_lettered == 0
+        assert p._flusher.is_alive()
+        sink.script = [204]
+        p.submit(dp(value=2.0, ts=2))
+        assert p.stop()
+        assert [parse_line(line)[2]["value"] for line in sink.success_log] == [1.0, 2.0]
+
+    def test_idle_flusher_does_not_poll(self, tmp_path):
+        class Counting(Pipeline):
+            entries = 0
+
+            def _take_batch(self):
+                self.entries += 1
+                return super()._take_batch()
+
+        p = Counting(fast_config(tmp_path), sink=ScriptedSink()).start()
+        time.sleep(0.3)
+        entries = p.entries
+        assert p.stop()
+        assert entries <= 1
+
     def test_file_sink_appends_parseable_lines(self, tmp_path):
         cfg = fast_config(tmp_path)
         p = Pipeline(cfg).start()  # real FileSink from config
@@ -236,6 +293,56 @@ class TestFlushing:
             measurement, tags, fields, _ = parse_line(line)
             assert measurement == "power"
             assert tags["device"] == "m-1"
+
+
+class TestConcurrentProducers:
+    def test_counts_and_delivery_stay_exact(self, tmp_path):
+        # Each round every producer submits every series, in its own order and
+        # twice over, all with the round's value: exactly one point per series
+        # and round is a change, whichever producer's point arrives first.
+        producers, series, rounds, repeats = 4, 40, 25, 2
+        sink = ScriptedSink()
+        cfg = fast_config(tmp_path, batch_size=100, buffer_capacity=10**5)
+        p = Pipeline(cfg, sink=sink).start()
+        barrier = threading.Barrier(producers)
+
+        def produce(seed):
+            rng = random.Random(seed)
+            for r in range(rounds):
+                order = list(range(series)) * repeats
+                rng.shuffle(order)
+                for s in order:
+                    p.submit(dp(f"d{s % 10}", f"p{s // 10}", float(r), ts=r, tags={"model": "m"}))
+                barrier.wait(10)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=produce, args=(i,)) for i in range(producers)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(30)
+            assert not any(t.is_alive() for t in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert p.stop()
+        submitted = producers * series * rounds * repeats
+        changes = series * rounds
+        c = p.counters()
+        assert (c["received"], c["emitted"], c["delivered"], c["shed"]) == (
+            submitted, changes, changes, 0)
+        got = sorted(
+            (tags["device"], m, fields["value"], ts)
+            for m, tags, fields, ts in map(parse_line, sink.success_log)
+        )
+        assert got == sorted(
+            (f"d{s % 10}", f"p{s // 10}", float(r), r) for s in range(series) for r in range(rounds)
+        )
+        entities = p.rate_stats().entities
+        assert sum(e.received for e in entities.values()) == submitted
+        assert sum(e.emitted for e in entities.values()) == changes
+        assert sum(len(e.params) for e in entities.values()) == series
 
 
 class TestConfigValidation:
