@@ -5,7 +5,8 @@ out-of-range value cannot hide by never changing). A rule fires only
 after its predicate has held continuously for ``for_duration`` seconds
 of stream time, re-fires no sooner than ``cooldown`` seconds after the
 last firing, and recovers only once the value clears the threshold by
-``clear_margin`` — the hysteresis that keeps a value hovering at the
+``clear_margin`` times its magnitude, on the safe side whatever the
+threshold's sign — the hysteresis that keeps a value hovering at the
 boundary from flapping. All timing uses point timestamps, so replaying
 a stream reproduces the exact event sequence.
 """
@@ -71,6 +72,8 @@ class AlertRule:
             raise ValueError("durations must be >= 0")
         if not 0.0 <= self.clear_margin < 1.0:
             raise ValueError("clear_margin must be in [0, 1)")
+        if self.clear_margin > 0 and self.threshold == 0:
+            raise ValueError("clear_margin is relative and needs a non-zero threshold")
 
     def selects(self, dp: DataPoint) -> bool:
         if dp.parameter != self.parameter:
@@ -108,10 +111,12 @@ class AlertRule:
         if self.predicate == FLAG_TRUE:
             return value.kind == "flag" and not value.raw
         v = self._numeric(value)
+        # Below zero the factors swap, so the band stays on the safe side.
+        m = self.clear_margin if self.threshold > 0 else -self.clear_margin
         if self.predicate == GT:
-            return v < self.threshold * (1.0 - self.clear_margin)
+            return v < self.threshold * (1.0 - m)
         if self.predicate == LT:
-            return v > self.threshold * (1.0 + self.clear_margin)
+            return v > self.threshold * (1.0 + m)
         return v != self.threshold
 
 

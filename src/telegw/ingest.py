@@ -14,11 +14,12 @@ import os
 import threading
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 from string import Formatter
 from typing import Callable, MutableMapping
 from urllib.parse import urlsplit
 
-from telegw.model import DataPoint, Value
+from telegw.model import FLAG, REAL, TEXT, DataPoint, Value
 from telegw.mqtt import protocol as mp
 from telegw.mqtt.client import AuthRejected, MqttClient
 
@@ -47,11 +48,6 @@ class HttpStatus(IngestError):
 
 class AuthFailure(IngestError):
     """Broker rejected the credentials; retrying cannot help."""
-
-
-REAL = "real"
-FLAG = "flag"
-TEXT = "text"
 
 
 @dataclass(frozen=True, slots=True)
@@ -135,6 +131,16 @@ class TopicBinding:
     def entity_for(self, topic: str) -> str:
         return self.entity_template.format(*topic.split("/"))
 
+    @cached_property
+    def consumed_keys(self) -> frozenset[str]:
+        """Top-level payload members the field map and the timestamp read."""
+        pointers = [*self.field_map, self.timestamp_pointer or ""]
+        return frozenset(
+            p.split("/")[1].replace("~1", "/").replace("~0", "~")
+            for p in pointers
+            if p.startswith("/")
+        )
+
 
 def _widen_timestamp(raw, unit: str) -> int:
     factor = _TS_FACTORS[unit]
@@ -210,12 +216,8 @@ def parse_payload(
         )
 
     if isinstance(doc, dict):
-        consumed = {p.split("/")[1] for p in binding.field_map if p.startswith("/")}
-        if binding.timestamp_pointer and binding.timestamp_pointer.startswith("/"):
-            consumed.add(binding.timestamp_pointer.split("/")[1])
-        unescaped = {c.replace("~1", "/").replace("~0", "~") for c in consumed}
-        ignored = sum(1 for k in doc if k not in unescaped)
-        _bump(stats, "ignored_fields", ignored)
+        consumed = binding.consumed_keys
+        _bump(stats, "ignored_fields", sum(1 for k in doc if k not in consumed))
     _bump(stats, "points", len(points))
     return points
 

@@ -1,15 +1,25 @@
 """Change-only persistence pipeline: dedup, batching, sink delivery.
 
-Producers submit validated points concurrently; each point passes an
-optional alert tap, then the change filter and the record buffer, which
-share one intake lock. A single flusher thread writes the buffer as line
-protocol: a batch is written when the buffer holds ``batch_size`` points
-or its oldest point is ``batch_age_ms`` old, and at once when intake
-closes. Transient sink failures retry with backoff and then return
-the batch to the buffer; permanent rejections quarantine to a dead-letter
-file, and a failed quarantine write is counted and returns the batch too.
-The buffer is bounded: under sustained overload the oldest points are shed
-and counted, producers are never blocked.
+Producers submit points concurrently. Each point is first checked against
+what line protocol can carry: a NaN or infinite real, or a tag, measurement
+or text value that cannot be rendered (a line break, an empty tag key), is
+rejected and counted, and touches no other state. An accepted point passes
+an optional alert tap, then the change filter; a point the filter emits is
+rendered to its final line at once and appended to the line buffer. The
+filter and the buffer share one intake lock. A single flusher thread only
+joins and writes lines: a batch is written when the buffer holds
+``batch_size`` lines or its oldest line is ``batch_age_ms`` old, and at once
+when intake closes. Transient sink failures retry with backoff and then
+return the batch to the buffer; permanent rejections quarantine to a
+dead-letter file, and a failed quarantine write is counted and returns the
+batch too. The buffer is bounded: under sustained overload the oldest lines
+are shed and counted, producers are never blocked.
+
+``counters()`` reports ``received`` (every point submitted while intake was
+open, rejected ones included), ``rejected_non_finite``,
+``rejected_unrenderable``, ``emitted``, ``shed``, ``delivered``,
+``dead_lettered``, ``dead_letter_errors``, ``flush_failures`` and
+``buffer_depth``.
 """
 
 from __future__ import annotations
@@ -22,8 +32,9 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
-from telegw.lineproto import LineRecord, to_line
-from telegw.model import ChangeFilter, DataPoint
+# Bound as to_line: the benchmark traces telegw.pipeline.to_line as the per-line render.
+from telegw.lineproto import check_point, render_point as to_line, tag_segment
+from telegw.model import ChangeFilter, DataPoint, NonFiniteValue
 
 
 class EmptyWindow(ValueError):
@@ -200,8 +211,8 @@ KIND_TAG = "model"
 
 
 class Pipeline:
-    """See module docstring. submit() returns True when no shedding was
-    needed to accept the point; shedding is also counted."""
+    """See module docstring. submit() returns True when the point was
+    accepted and no shedding was needed; rejects and sheds are counted."""
 
     def __init__(
         self,
@@ -216,11 +227,14 @@ class Pipeline:
         self.alert_engine = alert_engine
         self.clock_ns = clock_ns
         self._filter = ChangeFilter(heartbeat=heartbeat_s)
-        self._buffer: deque[tuple[int, LineRecord]] = deque()
+        self._buffer: deque[tuple[int, str]] = deque()  # (enqueued ns, line)
+        self._segments: dict[str, tuple[object, str]] = {}  # entity -> (tags, tag_segment)
         self._lock = threading.Lock()
         self._cond = threading.Condition(self._lock)
         self._in_flight = 0  # points taken by the flusher and not yet settled
         self.received = 0
+        self.rejected_non_finite = 0
+        self.rejected_unrenderable = 0
         self.emitted = 0
         self.shed = 0
         self.delivered = 0
@@ -241,6 +255,17 @@ class Pipeline:
     def submit(self, dp: DataPoint) -> bool:
         if not self._intake_open:
             return False
+        try:
+            check_point(dp.parameter, dp.value)
+            segment = self._segment(dp)
+        except ValueError as e:
+            with self._lock:
+                self.received += 1
+                if isinstance(e, NonFiniteValue):
+                    self.rejected_non_finite += 1
+                else:
+                    self.rejected_unrenderable += 1
+            return False
         if self.alert_engine is not None:
             try:
                 self.alert_engine.observe(dp)
@@ -260,9 +285,10 @@ class Pipeline:
             counts.params.add(dp.parameter)
             if emitted is None:
                 return True
+            line = to_line(emitted.parameter, segment, emitted.value, emitted.timestamp)
             self.emitted += 1
             counts.emitted += 1
-            return self._enqueue(self._record(emitted))
+            return self._enqueue(line)
 
     def submit_many(self, points: Iterable[DataPoint]) -> int:
         shed_before = self.shed
@@ -270,20 +296,25 @@ class Pipeline:
             self.submit(dp)
         return self.shed - shed_before
 
-    @staticmethod
-    def _record(dp: DataPoint) -> LineRecord:
-        tags = {"device": dp.entity_id}
-        tags.update(dp.tags)
-        return LineRecord(dp.parameter, tags, {"value": dp.value}, dp.timestamp)
+    def _segment(self, dp: DataPoint) -> str:
+        """The point's rendered tags, kept per entity: a device's points share
+        one tags object, and devices are far fewer than series. Runs outside
+        the lock; a race between producers only renders a segment twice."""
+        cached = self._segments.get(dp.entity_id)
+        if cached is not None and (cached[0] is dp.tags or cached[0] == dp.tags):
+            return cached[1]
+        segment = tag_segment(dp.tags, device=dp.entity_id)
+        self._segments[dp.entity_id] = (dp.tags, segment)
+        return segment
 
-    def _enqueue(self, rec: LineRecord) -> bool:
+    def _enqueue(self, line: str) -> bool:
         """Caller holds the lock."""
         buf = self._buffer
         shed = len(buf) >= self.config.buffer_capacity
         if shed:
             buf.popleft()
             self.shed += 1
-        buf.append((time.monotonic_ns(), rec))
+        buf.append((time.monotonic_ns(), line))
         # Only these two steps make a batch due before the flusher's own
         # timeout. notify_all: drain() callers wait on the same condition.
         if len(buf) == 1 or len(buf) == self.config.batch_size:
@@ -319,7 +350,7 @@ class Pipeline:
         with self._lock:
             return len(self._buffer)
 
-    def _take_batch(self) -> list[LineRecord]:
+    def _take_batch(self) -> list[str]:
         """Block until a batch is due and take it: the buffer holds
         batch_size points, its oldest point is batch_age_ms old, or intake
         is closed. Returns [] once intake is closed and nothing is left."""
@@ -346,14 +377,13 @@ class Pipeline:
             if not settled and self._stop.is_set():
                 return  # sink is down and we are stopping; keep the rest buffered
 
-    def _flush(self, batch: list[LineRecord]) -> bool:
+    def _flush(self, batch: list[str]) -> bool:
         """True when the batch was delivered or quarantined; False when it
         went back to the buffer."""
-        rendered = [to_line(rec) for rec in batch]
         backoff_s = self.config.retry_backoff_ms / 1000.0
         for attempt in range(self.config.retry_attempts):
             try:
-                status = self.sink.write(rendered)
+                status = self.sink.write(batch)
             except Exception as e:
                 status = f"error: {e}"
             self.last_flush_status = status
@@ -364,7 +394,7 @@ class Pipeline:
                 return True
             if isinstance(status, int) and 400 <= status < 500:
                 try:
-                    self._dead_letter(rendered, status)
+                    self._dead_letter(batch, status)
                 except OSError:
                     with self._lock:
                         self.dead_letter_errors += 1
@@ -379,7 +409,7 @@ class Pipeline:
         now = time.monotonic_ns()
         with self._lock:
             self.flush_failures += 1
-            self._buffer.extendleft((now, rec) for rec in reversed(batch))
+            self._buffer.extendleft((now, line) for line in reversed(batch))
             overflow = max(0, len(self._buffer) - self.config.buffer_capacity)
             for _ in range(overflow):
                 self._buffer.popleft()
@@ -387,9 +417,9 @@ class Pipeline:
         self._stop.wait(backoff_s)
         return False
 
-    def _dead_letter(self, rendered: list[str], status: int) -> None:
-        header = f"# quarantined batch: sink returned {status}, {len(rendered)} lines\n"
-        data = header + "\n".join(rendered) + "\n"
+    def _dead_letter(self, lines: list[str], status: int) -> None:
+        header = f"# quarantined batch: sink returned {status}, {len(lines)} lines\n"
+        data = header + "\n".join(lines) + "\n"
         with open(self.config.dead_letter_path, "a", encoding="utf-8") as f:
             f.write(data)
 
@@ -399,6 +429,8 @@ class Pipeline:
         with self._lock:
             return {
                 "received": self.received,
+                "rejected_non_finite": self.rejected_non_finite,
+                "rejected_unrenderable": self.rejected_unrenderable,
                 "emitted": self.emitted,
                 "shed": self.shed,
                 "delivered": self.delivered,

@@ -80,6 +80,17 @@ class TestPredicates:
         events = feed(engine, [20, 14, 16, 19], parameter="battery")
         assert events == [("fired", 14.0), ("recovered", 19.0)]
 
+    def test_hysteresis_below_zero(self):
+        # A freezer at -17/-18.1 around a gt -18 rule: the band reaches down
+        # to -18 * 1.1 = -19.8, so hovering at the boundary does not flap.
+        freezer = AlertRule("freezer-warm", "temp", "gt", -18.0, clear_margin=0.1)
+        events = feed(AlertEngine([freezer]), [-17, -18.1] * 5 + [-19.9], parameter="temp")
+        assert events == [("fired", -17.0), ("recovered", -19.9)]
+        # lt mirrors it: -30 * 0.9 = -27 must be passed to recover.
+        cold = AlertRule("too-cold", "temp", "lt", -30.0, clear_margin=0.1)
+        events = feed(AlertEngine([cold]), [-31, -29, -31, -26.9], parameter="temp")
+        assert events == [("fired", -31.0), ("recovered", -26.9)]
+
     def test_eq_predicate(self):
         rule = AlertRule("stuck", "state", "eq", 0.0)
         engine = AlertEngine([rule])
@@ -170,6 +181,12 @@ class TestValidation:
             AlertRule("x", "p", "gt", 1.0, clear_margin=1.0)
         with pytest.raises(ValueError):
             AlertRule("x", "p", "gt", 1.0, for_duration=-1)
+
+    def test_margin_needs_nonzero_threshold(self):
+        # A margin relative to 0 is an empty band.
+        with pytest.raises(ValueError):
+            AlertRule("x", "p", "gt", 0.0, clear_margin=0.1)
+        AlertRule("x", "p", "gt", 0.0)
 
     def test_duplicate_rule_ids(self):
         with pytest.raises(ValueError):

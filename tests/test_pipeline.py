@@ -1,12 +1,16 @@
 """Pipeline behavior: dedup routing, shedding, flush retry, accounting."""
 
+import math
 import random
 import sys
 import threading
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from telegw.lineproto import LineRecord, to_line
 from telegw.model import DataPoint, Value
 from telegw.pipeline import (
     EmptyWindow,
@@ -293,6 +297,86 @@ class TestFlushing:
             measurement, tags, fields, _ = parse_line(line)
             assert measurement == "power"
             assert tags["device"] == "m-1"
+
+
+class TestIntakeRejects:
+    def test_non_finite_reals_are_rejected(self, tmp_path):
+        sink = ScriptedSink()
+        p = Pipeline(fast_config(tmp_path), sink=sink)  # one batch: flusher starts last
+        for i, x in enumerate([math.nan, math.nan, 1.0, math.inf]):
+            p.submit(dp(value=x, ts=i))
+        p.submit(dp(entity="dev-2", value=5.0, ts=0))
+        p.start()
+        assert p.stop()
+        assert sink.calls == 1
+        assert [(parse_line(line)[1]["device"], parse_line(line)[2]["value"])
+                for line in sink.success_log] == [("dev-1", 1.0), ("dev-2", 5.0)]
+        c = p.counters()
+        assert c["rejected_non_finite"] == 3
+        assert (c["received"], c["emitted"], c["delivered"]) == (5, 2, 2)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            dp(entity="bad", tags={"room": "A\n1"}),
+            dp(entity="bad", param="state", value=Value.text("open\r\nclosed")),
+            dp(entity="bad", tags={"": "x"}),
+        ],
+        ids=["tag-line-break", "text-line-break", "empty-tag-key"],
+    )
+    def test_unrenderable_point_is_rejected_and_flusher_lives(self, tmp_path, bad):
+        sink = ScriptedSink()
+        p = Pipeline(fast_config(tmp_path), sink=sink).start()
+        assert p.submit(bad) is False
+        p.submit(dp(entity="good", ts=1))
+        deadline = time.monotonic() + 2
+        while not sink.success_log and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert p._flusher.is_alive()
+        assert p.stop()
+        assert [parse_line(line)[1]["device"] for line in sink.success_log] == ["good"]
+        c = p.counters()
+        assert (c["rejected_unrenderable"], c["received"], c["emitted"]) == (1, 2, 1)
+
+
+_lp_text = st.text(alphabet=st.sampled_from('ab1 ,=\\"é_'), max_size=6)
+_lp_name = st.text(alphabet=st.sampled_from('ab1 ,=\\"é_'), min_size=1, max_size=6)
+_lp_tags = st.dictionaries(st.one_of(st.just("device"), _lp_name), _lp_text, max_size=3)
+_lp_value = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(Value.real),
+    st.just(Value.real(618.0)),
+    st.booleans().map(Value.flag),
+    _lp_text.map(Value.text),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    tag_sets=st.lists(_lp_tags, min_size=1, max_size=3),
+    points=st.lists(
+        st.tuples(
+            st.sampled_from(["dev-1", "dev 2,=x"]), _lp_name, _lp_value,
+            st.integers(0, 2), st.booleans(),
+        ),
+        min_size=1,
+        max_size=12,
+    ),
+)
+def test_written_lines_match_reference_renderer(tmp_path_factory, tag_sets, points):
+    # One entity's tags object changes between points, sometimes to an equal
+    # copy, so both branches of the per-entity segment cache are taken.
+    sink = ScriptedSink()
+    p = Pipeline(fast_config(tmp_path_factory.mktemp("lp")), sink=sink)
+    want = []
+    for i, (entity, name, value, pick, copy) in enumerate(points):
+        tags = tag_sets[pick % len(tag_sets)]
+        tags = dict(tags) if copy else tags
+        measurement = f"{name}{i}"  # a series of its own: every point is emitted
+        p.submit(DataPoint(entity, measurement, value, "", i, tags))
+        want.append(to_line(LineRecord(measurement, {"device": entity, **tags}, {"value": value}, i)))
+    p.start()
+    assert p.stop()
+    assert sink.success_log == want
 
 
 class TestConcurrentProducers:
