@@ -322,8 +322,11 @@ class Subscriber:
                 continue
             self._client = client
             backoff = self.broker.backoff_initial_s
-            while not self._stop.is_set() and not self._disconnected.is_set():
-                self._disconnected.wait(0.2)
+            # stop() sets _stop, then _disconnected: either the check sees the
+            # first or the wait wakes on the second, even if stop() ran
+            # before the clear() above
+            if not self._stop.is_set():
+                self._disconnected.wait()
             self._client = None
             client.close()
             if not self._stop.is_set():
@@ -337,6 +340,7 @@ class Subscriber:
 
     def stop(self) -> None:
         self._stop.set()
+        self._disconnected.set()
         client = self._client
         if client is not None:
             client.close()

@@ -4,6 +4,17 @@ Publishes at QoS 0/1 and subscribes with a message callback. QoS 1
 publishes wait for the PUBACK; there is no in-flight retransmission, so
 a timed-out publish surfaces to the caller, who may republish (duplicate
 deliveries are expected to be absorbed downstream).
+
+TCP options: brokers commonly keep Nagle's algorithm on (Mosquitto's
+``set_tcp_nodelay`` defaults to false), so a broker holds a small segment
+while an earlier one is unacknowledged, and Linux holds the client's ACK
+for up to its 40 ms delayed-ACK minimum. Without help the first PUBLISH
+after SUBACK, and the first after every PINGRESP or PUBACK, can wait out
+that timer. So the client sets ``TCP_NODELAY`` on its socket, which keeps its
+own PUBACK, PINGREQ and PUBLISH from waiting behind the broker's delayed
+ACK, and sets ``TCP_QUICKACK`` right after it reads a reply to its own
+request (CONNACK, SUBACK, PUBACK, PINGRESP), so that ACK leaves at once.
+``TCP_QUICKACK`` is Linux-only and is skipped where ``socket`` lacks it.
 """
 
 from __future__ import annotations
@@ -13,6 +24,19 @@ import threading
 from typing import Callable
 
 from telegw.mqtt import protocol as mp
+
+_QUICKACK = getattr(socket, "TCP_QUICKACK", None)
+
+
+def _ack_now(sock: socket.socket) -> None:
+    """Send the ACK for what was just read now, not when the delayed-ACK
+    timer fires; the kernel clears the flag again by itself."""
+    if _QUICKACK is None:
+        return
+    try:
+        sock.setsockopt(socket.IPPROTO_TCP, _QUICKACK, 1)
+    except OSError:
+        pass
 
 
 class AuthRejected(mp.MqttError):
@@ -82,6 +106,7 @@ class MqttClient:
         sock = socket.create_connection((self.host, self.port), self.connect_timeout)
         sock.settimeout(self.connect_timeout)
         try:
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             sock.sendall(
                 mp.encode_connect(
                     self.client_id,
@@ -91,6 +116,7 @@ class MqttClient:
                 )
             )
             ptype, _, body = mp.read_packet(sock)
+            _ack_now(sock)
             if ptype != mp.CONNACK:
                 raise mp.ProtocolViolation(f"expected CONNACK, got type {ptype}")
             _, code = mp.decode_connack(body)
@@ -222,6 +248,7 @@ class MqttClient:
                         except Exception:
                             self.callback_errors += 1
                 elif ptype in (mp.PUBACK, mp.SUBACK):
+                    _ack_now(sock)
                     if ptype == mp.PUBACK:
                         pid, payload = mp.decode_packet_id(body), True
                     else:
@@ -232,7 +259,7 @@ class MqttClient:
                             self._ack_payload[key] = payload
                             self._acks[key].set()
                 elif ptype == mp.PINGRESP:
-                    pass
+                    _ack_now(sock)
                 else:
                     raise mp.ProtocolViolation(f"unexpected packet type {ptype}")
         except (ConnectionError, OSError, mp.MqttError):

@@ -2,7 +2,9 @@ import pathlib
 import textwrap
 
 import pytest
+import yaml
 
+from telegw import config
 from telegw.config import (
     GatewayConfig,
     InvariantViolation,
@@ -67,12 +69,39 @@ def test_load_is_pure_and_repeatable(tmp_path):
     assert load_config(path) == load_config(path)
 
 
+MALFORMED = "sink:\n  mode: file\n   path: [unclosed\n"
+
+
 def test_yaml_syntax_error_carries_line(tmp_path):
-    path = write(tmp_path, "sink:\n  mode: file\n   path: [unclosed\n")
+    path = write(tmp_path, MALFORMED)
     with pytest.raises(ParseError) as exc:
         load_config(path)
     assert exc.value.line is not None
     assert "line" in str(exc.value)
+
+
+def test_loader_is_libyaml_when_available():
+    assert config._LOADER is getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
+@pytest.mark.parametrize("name", ["gateway.yaml", "minimal.yaml"])
+def test_libyaml_and_pure_python_loaders_agree(name, monkeypatch):
+    monkeypatch.setenv("GATEWAY_CLOUD_TOKEN", "Bearer x")
+    path = str(CONFIGS / name)
+    chosen = load_config(path)
+    monkeypatch.setattr(config, "_LOADER", yaml.SafeLoader)
+    assert load_config(path) == chosen
+
+
+def test_syntax_error_line_is_the_same_under_both_loaders(tmp_path, monkeypatch):
+    path = write(tmp_path, MALFORMED)
+    lines = []
+    for loader in (config._LOADER, yaml.SafeLoader):
+        monkeypatch.setattr(config, "_LOADER", loader)
+        with pytest.raises(ParseError) as exc:
+            load_config(path)
+        lines.append(exc.value.line)
+    assert lines == [3, 3]
 
 
 def test_duplicate_device_id_names_both_entries(tmp_path):

@@ -370,6 +370,20 @@ class TestSubscriber:
             sub.stop()
             broker.stop()
 
+    def test_stop_of_connected_subscriber_is_prompt(self):
+        with MqttBroker() as broker:
+            sub = Subscriber(_fast_broker_cfg(broker), [aranet_binding()], lambda dp: None).start()
+            thread = sub._thread
+            try:
+                self._await_subscription(broker)
+                t0 = time.monotonic()
+                sub.stop()
+                elapsed = time.monotonic() - t0
+            finally:
+                sub.stop()
+            assert not thread.is_alive()
+            assert elapsed < 0.05
+
     def test_wrong_password_is_terminal(self, monkeypatch):
         monkeypatch.setenv("MQ_USER", "gw")
         monkeypatch.setenv("MQ_PASS", "wrong")

@@ -1,5 +1,7 @@
 """MQTT codec round-trips, wildcard matching, and client/broker behavior."""
 
+import socket
+import statistics
 import threading
 import time
 
@@ -7,9 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from telegw import ingest
+from telegw.ingest import BrokerConfig, Subscriber
 from telegw.mqtt import protocol as mp
 from telegw.mqtt.client import AckTimeout, AuthRejected, MqttClient
 from telegw.sim.broker import MqttBroker
+
+from ingest_fixtures import aranet_binding
 
 
 class TestCodec:
@@ -260,3 +266,101 @@ class TestClientBroker:
                 with MqttClient("127.0.0.1", broker.port, "p") as pub:
                     pub.publish("x", b"v", qos=1)
                 assert s1.wait_for(1) and s2.wait_for(1)
+
+
+class Ticker:
+    """Publishes one payload at QoS 0 every 0.5 ms from its own thread,
+    reconnecting whenever the broker goes away."""
+
+    def __init__(self, port, topic, payload=b"1"):
+        self.port, self.topic, self.payload = port, topic, payload
+        self._stop = threading.Event()
+        self._thread = threading.Thread(target=self._run, daemon=True)
+
+    def __enter__(self):
+        self._thread.start()
+        return self
+
+    def __exit__(self, *exc):
+        self._stop.set()
+        self._thread.join(timeout=5)
+        assert not self._thread.is_alive()
+
+    def _run(self):
+        while not self._stop.is_set():
+            try:
+                with MqttClient("127.0.0.1", self.port, "ticker") as pub:
+                    while not self._stop.wait(0.0005):
+                        pub.publish(self.topic, self.payload)
+            except (OSError, mp.MqttError):
+                self._stop.wait(0.001)
+
+
+def _first_after(times, t0, timeout=5.0):
+    """Delay from t0 to the first time in the growing list at or after it."""
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        later = [t for t in list(times) if t >= t0]
+        if later:
+            return later[0] - t0
+        time.sleep(0.0005)
+    raise AssertionError("nothing arrived after t0")
+
+
+needs_quickack = pytest.mark.skipif(
+    not hasattr(socket, "TCP_QUICKACK"), reason="TCP_QUICKACK is Linux-only"
+)
+
+
+class TestFirstMessageLatency:
+    """The in-tree broker keeps Nagle's algorithm on, as Mosquitto does by
+    default. Unless the client acknowledges SUBACK at once, the broker holds
+    the first PUBLISH for the client's 40 ms delayed-ACK timer."""
+
+    def test_client_socket_has_nodelay(self):
+        with MqttBroker() as broker, MqttClient("127.0.0.1", broker.port, "c") as c:
+            assert c._sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY) != 0
+
+    @needs_quickack
+    def test_first_message_after_subscribe_is_not_held(self):
+        delays = []
+        with MqttBroker() as broker, Ticker(broker.port, "t/x"):
+            for i in range(5):
+                arrivals = []
+                stamp = lambda topic, payload: arrivals.append(time.monotonic())
+                with MqttClient("127.0.0.1", broker.port, f"sub{i}", on_message=stamp) as sub:
+                    sub.subscribe(["t/#"], qos=1)
+                    delays.append(_first_after(arrivals, time.monotonic()))
+        assert statistics.median(delays) < 0.010, delays
+
+    @needs_quickack
+    def test_first_point_after_subscriber_reconnect_is_not_held(self, monkeypatch):
+        subscribed, arrivals = [], []
+
+        class TimedClient(MqttClient):
+            def subscribe(self, filters, qos=1):
+                codes = super().subscribe(filters, qos)
+                subscribed.append(time.monotonic())
+                return codes
+
+        monkeypatch.setattr(ingest, "MqttClient", TimedClient)
+        broker = MqttBroker().start()
+        cfg = BrokerConfig("127.0.0.1", broker.port, "sub", backoff_initial_s=0.05, backoff_max_s=0.2)
+        sub = Subscriber(cfg, [aranet_binding()], lambda dp: arrivals.append(time.monotonic()))
+        delays = []
+        try:
+            with Ticker(broker.port, "aranet/a/measurements", b'{"co2": 400}'):
+                sub.start()
+                _first_after(arrivals, 0.0)
+                for cycle in range(1, 6):
+                    broker.restart()
+                    deadline = time.monotonic() + 5
+                    while len(subscribed) <= cycle and time.monotonic() < deadline:
+                        time.sleep(0.001)
+                    assert len(subscribed) > cycle, "subscriber never resubscribed"
+                    delays.append(_first_after(arrivals, subscribed[cycle]))
+        finally:
+            sub.stop()
+            broker.stop()
+        assert sub.reconnects >= 5
+        assert statistics.median(delays) < 0.010, delays
