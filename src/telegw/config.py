@@ -218,12 +218,11 @@ class _Walker:
             return [self.env(v, f"{path}[{i}]") for i, v in enumerate(value)]
         return value
 
-    def env_ref(self, d: dict, key: str, path: str) -> str | None:
-        """A field that names an environment variable; it must be set now."""
-        name = self.get(d, key, path, str)
-        if name is not None and os.environ.get(name) is None:
-            self.fail(f"{path}.{key}: environment variable {name!r} is not set")
-        return name
+    def env_ref(self, name: str | None, path: str) -> None:
+        """A type-checked field that names an environment variable; when it
+        is a non-empty string, that variable must be set now."""
+        if name and os.environ.get(name) is None:
+            self.fail(f"{path}: environment variable {name!r} is not set")
 
     def tags(self, d: dict, path: str) -> dict:
         raw = self.get(d, "tags", path, dict, default={})
@@ -292,8 +291,7 @@ def _parse_sink(w: _Walker, raw) -> SinkConfig:
         v = w.get(d, key, "sink", typ)
         if v is not None:
             kwargs[key] = v
-    if kwargs.get("token_env"):
-        w.env_ref(d, "token_env", "sink")
+    w.env_ref(kwargs.get("token_env"), "sink.token_env")
     try:
         return SinkConfig(**kwargs)
     except ValueError as e:
@@ -339,8 +337,10 @@ def _parse_brokers(w: _Walker, raw) -> tuple[BrokerEntry, ...]:
                 "bindings",
             },
         )
-        username_env = d.get("username_env") and w.env_ref(d, "username_env", path)
-        password_env = d.get("password_env") and w.env_ref(d, "password_env", path)
+        username_env = w.get(d, "username_env", path, str)
+        password_env = w.get(d, "password_env", path, str)
+        w.env_ref(username_env, f"{path}.username_env")
+        w.env_ref(password_env, f"{path}.password_env")
         try:
             cfg = BrokerConfig(
                 host=w.get(d, "host", path, str, required=True, default="127.0.0.1"),
@@ -400,8 +400,8 @@ def _parse_http_polls(w: _Walker, raw) -> tuple[HttpPollSpec, ...]:
                 "tags",
             },
         )
-        if d.get("auth_value_env"):
-            w.env_ref(d, "auth_value_env", path)
+        auth_value_env = w.get(d, "auth_value_env", path, str)
+        w.env_ref(auth_value_env, f"{path}.auth_value_env")
         try:
             polls.append(
                 HttpPollSpec(
@@ -415,7 +415,7 @@ def _parse_http_polls(w: _Walker, raw) -> tuple[HttpPollSpec, ...]:
                         d, "entity_id_pointer", path, str, required=True, default="/id"
                     ),
                     auth_header=w.get(d, "auth_header", path, str),
-                    auth_value_env=w.get(d, "auth_value_env", path, str),
+                    auth_value_env=auth_value_env,
                     tags=w.tags(d, path),
                 )
             )

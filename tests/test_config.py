@@ -283,3 +283,50 @@ def test_empty_document_still_needs_sink(tmp_path):
     with pytest.raises(InvariantViolation) as exc:
         load_config(write(tmp_path, "\n"))
     assert "sink" in str(exc.value)
+
+
+BROKER_WITH_CREDENTIALS = """
+sink: {mode: file, path: out.lp}
+brokers:
+  - host: localhost
+    username_env: %s
+    password_env: %s
+    bindings:
+      - topic: a/+
+        entity: "{1}"
+        fields: {/v: {parameter: v}}
+"""
+
+
+@pytest.mark.parametrize(
+    "key, user, password",
+    [("username_env", "0", "GW_TEST_PASS"), ("password_env", "GW_TEST_USER", "false")],
+)
+def test_falsy_credential_env_name_is_a_type_error(tmp_path, monkeypatch, key, user, password):
+    # a falsy non-string used to skip the check and load as "no credentials"
+    monkeypatch.setenv("GW_TEST_USER", "gw")
+    monkeypatch.setenv("GW_TEST_PASS", "pw")
+    path = write(tmp_path, BROKER_WITH_CREDENTIALS % (user, password))
+    with pytest.raises(InvariantViolation) as exc:
+        load_config(path)
+    assert exc.value.problems == [f"brokers[0].{key} must be str"]
+
+
+def test_wrong_typed_auth_value_env_is_reported_once(tmp_path):
+    path = write(
+        tmp_path,
+        """
+        sink: {mode: file, path: out.lp}
+        http_polls:
+          - url: http://127.0.0.1:8900/v1
+            entity_array_pointer: /items
+            entity_id_pointer: /id
+            auth_header: Authorization
+            auth_value_env: 7
+            fields: {/v: {parameter: v}}
+        """,
+    )
+    with pytest.raises(InvariantViolation) as exc:
+        load_config(path)
+    problems = [str(p) for p in exc.value.problems]
+    assert problems.count("http_polls[0].auth_value_env must be str") == 1
