@@ -2,6 +2,16 @@
 alert, and the sink, plus an optional simulation section that can stand in
 for the real hardware.
 
+Each section is described once, by a table from YAML key to type (and to
+the attribute name where the two differ). The table gives the section's
+allowed keys, and the walker turns the keys present with the right type into
+keyword arguments for the dataclass the section builds. An absent key takes
+that dataclass's default; the only defaults kept here are those that belong
+to the config itself (a broker's ``client_id`` is ``gateway-<index>``, an
+HTTP poll runs every 300 s, a simulated fleet is one device every 60 s that
+always changes) and the placeholders that let the walk go on past a missing
+required key.
+
 Validation is exhaustive: the loader walks the whole document and reports
 every problem it finds in a single :class:`InvariantViolation` instead of
 stopping at the first. Secrets never appear inline; string values may use
@@ -150,6 +160,60 @@ class GatewayConfig:
         return [d.id for d in self.modbus_devices] + [d.id for d in self.bacnet_devices]
 
 
+def _table(**fields) -> dict:
+    """YAML key -> (type, attribute); a bare type keeps the key's name."""
+    return {k: v if isinstance(v, tuple) else (v, k) for k, v in fields.items()}
+
+
+# One table per section. An absent or wrong-typed key is left out of the
+# keyword arguments, so the dataclass default applies.
+_GATEWAY = _table(
+    heartbeat_s=float, jitter=float, health_host=str, health_port=int, stats_path=str,
+    drain_timeout_s=float,
+)
+_SINK = _table(
+    mode=str, url=str, token_env=str, path=str, batch_size=int, batch_age_ms=int,
+    retry_attempts=int, retry_backoff_ms=int, buffer_capacity=int, dead_letter_path=str,
+)
+_FIELD = _table(parameter=str, unit=str, kind=str, scale=float)
+_BROKER = _table(
+    host=str, port=int, client_id=str, username_env=str, password_env=str,
+    backoff_initial_s=float, backoff_max_s=float,
+)
+_BINDING = _table(
+    topic=(str, "topic_filter"), entity=(str, "entity_template"), timestamp_pointer=str,
+    timestamp_unit=str, tags=dict,
+)
+_HTTP_POLL = _table(
+    url=str, interval_s=float, entity_array_pointer=str, entity_id_pointer=str,
+    auth_header=str, auth_value_env=str, tags=dict,
+)
+_REGISTER = _table(
+    name=(str, "parameter"), fc=(str, "function"), addr=(int, "address"), unit=(str, "unit_label")
+)
+_CODEC = _table(dtype=(str, "datatype"), word_order=str, scale=float, offset=float)
+_MODBUS = _table(host=str, port=int, unit=int, interval_s=float, tags=dict)
+_POLICY = _table(
+    mode=str, connect_timeout_ms=int, io_timeout_ms=int, retries=(int, "request_retries")
+)
+_HISTORICAL = _table(
+    date_addr=(int, "date_address"), ready_addr=(int, "ready_address"), ready_value=int,
+    poll_interval_ms=int, max_polls=int,
+)
+_HISTORICAL_SPEC = _table(days_back=int)
+_BACNET = _table(
+    host=str, port=int, device_instance=int, interval_s=float, timeout_ms=int, retries=int,
+    discover=bool, tags=dict,
+)
+_RULE = _table(
+    id=str, parameter=str, predicate=str, threshold=float, entity=str, tags=dict,
+    for_duration_s=(float, "for_duration"), cooldown_s=(float, "cooldown"), clear_margin=float,
+)
+_NOTIFIER = _table(type=str, url=str, spool_dir=str)
+_SIMULATE = _table(compression=float, seed=int)
+_FLEET = _table(kind=str, count=int, interval_s=float, change_prob=float, topic_template=str)
+_PARAM = _table(name=str, lo=float, hi=float, step=float, quantum=float, decimals=int)
+
 class _Walker:
     """Accumulates problems while pulling typed values out of nested dicts."""
 
@@ -159,14 +223,19 @@ class _Walker:
     def fail(self, message: str) -> None:
         self.problems.append(message)
 
-    def section(self, raw, path: str, allowed: set[str]) -> dict:
+    def section(self, raw, path: str, *allowed) -> dict:
+        """``raw`` as a mapping whose keys all appear in one of ``allowed``
+        (tables, or tuples naming nested keys)."""
         if raw is None:
             return {}
         if not isinstance(raw, dict):
             self.fail(f"{path} must be a mapping, got {type(raw).__name__}")
             return {}
         for key in raw:
-            if key not in allowed:
+            for keys in allowed:
+                if key in keys:
+                    break
+            else:
                 self.problems.append(UnknownField(f"{path}.{key}"))
         return raw
 
@@ -178,27 +247,38 @@ class _Walker:
             return []
         return raw
 
-    def get(self, d: dict, key: str, path: str, types, default=None, required=False):
-        if key not in d or d[key] is None:
-            if required:
+    def read(self, d: dict, table: dict, path: str, required=(), defaults=()) -> dict:
+        """Keyword arguments for the keys of ``table`` that ``d`` holds with
+        the right type (null counts as absent; an int is a float; a dict
+        maps strings to strings). A key of ``required`` that is absent is
+        reported; one absent or wrong-typed takes the placeholder given
+        there, and one of ``defaults`` the value given there."""
+        out = {}
+        for key, (typ, attr) in table.items():
+            v = d.get(key)
+            if typ is float and type(v) is int:
+                v = float(v)
+            if isinstance(v, typ) and not (typ is int and type(v) is bool):
+                out[attr] = self._str_map(v, f"{path}.{key}") if typ is dict else v
+                continue
+            if v is not None:
+                self.fail(f"{path}.{key} must be {typ.__name__}")
+            elif key in required:
                 self.fail(f"{path}.{key} is required")
-            return default
-        v = d[key]
-        if types is float and isinstance(v, int) and not isinstance(v, bool):
-            v = float(v)
-        if types is int and isinstance(v, bool):
-            self.fail(f"{path}.{key} must be {self._tn(types)}")
-            return default
-        if not isinstance(v, types):
-            self.fail(f"{path}.{key} must be {self._tn(types)}")
-            return default
-        return v
+            if key in required:
+                out[attr] = required[key]
+            elif key in defaults:
+                out[attr] = defaults[key]
+        return out
 
-    @staticmethod
-    def _tn(types) -> str:
-        if isinstance(types, tuple):
-            return " or ".join(t.__name__ for t in types)
-        return types.__name__
+    def _str_map(self, raw: dict, path: str) -> dict:
+        out = {}
+        for k, v in raw.items():
+            if not isinstance(k, str) or not isinstance(v, str):
+                self.fail(f"{path} entries must map strings to strings")
+                continue
+            out[k] = v
+        return out
 
     def env(self, value, path: str):
         """Substitute ${VAR} in strings, recording unresolved names."""
@@ -224,79 +304,27 @@ class _Walker:
         if name and os.environ.get(name) is None:
             self.fail(f"{path}: environment variable {name!r} is not set")
 
-    def tags(self, d: dict, path: str) -> dict:
-        raw = self.get(d, "tags", path, dict, default={})
-        out = {}
-        for k, v in raw.items():
-            if not isinstance(k, str) or not isinstance(v, str):
-                self.fail(f"{path}.tags entries must map strings to strings")
-                continue
-            out[k] = v
-        return out
-
 
 def _parse_gateway(w: _Walker, raw) -> GatewaySettings:
-    d = w.section(
-        raw,
-        "gateway",
-        {"heartbeat_s", "jitter", "health_host", "health_port", "stats_path", "drain_timeout_s"},
-    )
-    jitter = w.get(d, "jitter", "gateway", float, default=0.05)
-    if jitter is not None and not 0.0 <= jitter < 1.0:
+    kw = w.read(w.section(raw, "gateway", _GATEWAY), _GATEWAY, "gateway")
+    if not 0.0 <= kw.get("jitter", 0.0) < 1.0:
         w.fail("gateway.jitter must be in [0, 1)")
-        jitter = 0.05
-    return GatewaySettings(
-        heartbeat_s=w.get(d, "heartbeat_s", "gateway", float, default=0.0),
-        jitter=jitter,
-        health_host=w.get(d, "health_host", "gateway", str, default="127.0.0.1"),
-        health_port=w.get(d, "health_port", "gateway", int, default=8080),
-        stats_path=w.get(d, "stats_path", "gateway", str),
-        drain_timeout_s=w.get(d, "drain_timeout_s", "gateway", float, default=5.0),
-    )
+        del kw["jitter"]
+    return GatewaySettings(**kw)
 
 
-def _parse_sink(w: _Walker, raw) -> SinkConfig:
-    d = w.section(
-        raw,
-        "sink",
-        {
-            "mode",
-            "url",
-            "token_env",
-            "path",
-            "batch_size",
-            "batch_age_ms",
-            "retry_attempts",
-            "retry_backoff_ms",
-            "buffer_capacity",
-            "dead_letter_path",
-        },
-    )
+def _parse_sink(w: _Walker, raw) -> SinkConfig | None:
+    d = w.section(raw, "sink", _SINK)
     if not d:
         w.fail("sink section is required")
-        return SinkConfig(mode="file", path="out.lp")
-    kwargs = {}
-    kwargs["mode"] = w.get(d, "mode", "sink", str, required=True, default="file")
-    for key, typ in (
-        ("url", str),
-        ("token_env", str),
-        ("path", str),
-        ("batch_size", int),
-        ("batch_age_ms", int),
-        ("retry_attempts", int),
-        ("retry_backoff_ms", int),
-        ("buffer_capacity", int),
-        ("dead_letter_path", str),
-    ):
-        v = w.get(d, key, "sink", typ)
-        if v is not None:
-            kwargs[key] = v
-    w.env_ref(kwargs.get("token_env"), "sink.token_env")
+        return None
+    kw = w.read(d, _SINK, "sink", required={"mode": "file"})
+    w.env_ref(kw.get("token_env"), "sink.token_env")
     try:
-        return SinkConfig(**kwargs)
+        return SinkConfig(**kw)
     except ValueError as e:
         w.fail(f"sink: {e}")
-        return SinkConfig(mode="file", path="out.lp")
+        return None
 
 
 def _parse_field_map(w: _Walker, raw, path: str) -> dict[str, FieldSpec]:
@@ -306,14 +334,9 @@ def _parse_field_map(w: _Walker, raw, path: str) -> dict[str, FieldSpec]:
     out = {}
     for pointer, spec in raw.items():
         p = f"{path}.fields[{pointer}]"
-        d = w.section(spec, p, {"parameter", "unit", "kind", "scale"})
+        d = w.section(spec, p, _FIELD)
         try:
-            out[pointer] = FieldSpec(
-                parameter=w.get(d, "parameter", p, str, required=True, default="x"),
-                unit=w.get(d, "unit", p, str, default=""),
-                kind=w.get(d, "kind", p, str, default="real"),
-                scale=w.get(d, "scale", p, float),
-            )
+            out[pointer] = FieldSpec(**w.read(d, _FIELD, p, required={"parameter": "x"}))
         except ValueError as e:
             w.fail(f"{p}: {e}")
     return out or {"/x": FieldSpec("x")}
@@ -323,55 +346,25 @@ def _parse_brokers(w: _Walker, raw) -> tuple[BrokerEntry, ...]:
     entries = []
     for i, item in enumerate(w.items(raw, "brokers")):
         path = f"brokers[{i}]"
-        d = w.section(
-            item,
-            path,
-            {
-                "host",
-                "port",
-                "client_id",
-                "username_env",
-                "password_env",
-                "backoff_initial_s",
-                "backoff_max_s",
-                "bindings",
-            },
+        d = w.section(item, path, _BROKER, ("bindings",))
+        kw = w.read(
+            d, _BROKER, path, required={"host": "127.0.0.1"}, defaults={"client_id": f"gateway-{i}"}
         )
-        username_env = w.get(d, "username_env", path, str)
-        password_env = w.get(d, "password_env", path, str)
-        w.env_ref(username_env, f"{path}.username_env")
-        w.env_ref(password_env, f"{path}.password_env")
+        w.env_ref(kw.get("username_env"), f"{path}.username_env")
+        w.env_ref(kw.get("password_env"), f"{path}.password_env")
         try:
-            cfg = BrokerConfig(
-                host=w.get(d, "host", path, str, required=True, default="127.0.0.1"),
-                port=w.get(d, "port", path, int, default=1883),
-                client_id=w.get(d, "client_id", path, str, default=f"gateway-{i}"),
-                username_env=username_env,
-                password_env=password_env,
-                backoff_initial_s=w.get(d, "backoff_initial_s", path, float, default=0.5),
-                backoff_max_s=w.get(d, "backoff_max_s", path, float, default=30.0),
-            )
+            cfg = BrokerConfig(**kw)
         except ValueError as e:
             w.fail(f"{path}: {e}")
             continue
         bindings = []
         for j, b in enumerate(w.items(d.get("bindings"), f"{path}.bindings")):
             bp = f"{path}.bindings[{j}]"
-            bd = w.section(
-                b,
-                bp,
-                {"topic", "entity", "fields", "timestamp_pointer", "timestamp_unit", "tags"},
-            )
+            bd = w.section(b, bp, _BINDING, ("fields",))
+            kw = w.read(bd, _BINDING, bp, required={"topic": "#", "entity": "{0}"})
             try:
                 bindings.append(
-                    TopicBinding(
-                        topic_filter=w.get(bd, "topic", bp, str, required=True, default="#"),
-                        entity_template=w.get(bd, "entity", bp, str, required=True, default="{0}"),
-                        field_map=_parse_field_map(w, bd.get("fields"), bp),
-                        timestamp_pointer=w.get(bd, "timestamp_pointer", bp, str),
-                        timestamp_unit=w.get(bd, "timestamp_unit", bp, str, default="s"),
-                        tags=w.tags(bd, bp),
-                    )
+                    TopicBinding(field_map=_parse_field_map(w, bd.get("fields"), bp), **kw)
                 )
             except ValueError as e:
                 w.fail(f"{bp}: {e}")
@@ -386,39 +379,19 @@ def _parse_http_polls(w: _Walker, raw) -> tuple[HttpPollSpec, ...]:
     polls = []
     for i, item in enumerate(w.items(raw, "http_polls")):
         path = f"http_polls[{i}]"
-        d = w.section(
-            item,
+        d = w.section(item, path, _HTTP_POLL, ("fields",))
+        kw = w.read(
+            d,
+            _HTTP_POLL,
             path,
-            {
-                "url",
-                "interval_s",
-                "fields",
-                "entity_array_pointer",
-                "entity_id_pointer",
-                "auth_header",
-                "auth_value_env",
-                "tags",
+            required={
+                "url": "http://invalid", "entity_array_pointer": "/x", "entity_id_pointer": "/id"
             },
+            defaults={"interval_s": 300.0},
         )
-        auth_value_env = w.get(d, "auth_value_env", path, str)
-        w.env_ref(auth_value_env, f"{path}.auth_value_env")
+        w.env_ref(kw.get("auth_value_env"), f"{path}.auth_value_env")
         try:
-            polls.append(
-                HttpPollSpec(
-                    url=w.get(d, "url", path, str, required=True, default="http://invalid"),
-                    interval_s=w.get(d, "interval_s", path, float, default=300.0),
-                    field_map=_parse_field_map(w, d.get("fields"), path),
-                    entity_array_pointer=w.get(
-                        d, "entity_array_pointer", path, str, required=True, default="/x"
-                    ),
-                    entity_id_pointer=w.get(
-                        d, "entity_id_pointer", path, str, required=True, default="/id"
-                    ),
-                    auth_header=w.get(d, "auth_header", path, str),
-                    auth_value_env=auth_value_env,
-                    tags=w.tags(d, path),
-                )
-            )
+            polls.append(HttpPollSpec(field_map=_parse_field_map(w, d.get("fields"), path), **kw))
         except ValueError as e:
             w.fail(f"{path}: {e}")
     return tuple(polls)
@@ -428,32 +401,18 @@ def _parse_registers(w: _Walker, raw, path: str) -> tuple[RegisterBinding, ...]:
     out = []
     for i, item in enumerate(w.items(raw, path)):
         p = f"{path}[{i}]"
-        d = w.section(
-            item, p, {"name", "fc", "addr", "dtype", "word_order", "scale", "offset", "unit"}
+        d = w.section(item, p, _REGISTER, _CODEC)
+        kw = w.read(
+            d, _REGISTER, p, required={"name": f"reg{i}", "addr": 0}, defaults={"fc": "holding"}
         )
-        fc = w.get(d, "fc", p, str, default="holding")
-        if fc not in ("holding", "input"):
+        if kw["function"] not in ("holding", "input"):
             w.fail(f"{p}.fc must be 'holding' or 'input'")
-            fc = "holding"
         try:
-            codec = RegisterCodec(
-                datatype=w.get(d, "dtype", p, str, required=True, default="u16"),
-                word_order=w.get(d, "word_order", p, str, default="big"),
-                scale=w.get(d, "scale", p, float, default=1.0),
-                offset=w.get(d, "offset", p, float, default=0.0),
-            )
+            codec = RegisterCodec(**w.read(d, _CODEC, p, required={"dtype": "u16"}))
         except ValueError as e:
             w.fail(f"{p}: {e}")
             codec = RegisterCodec("u16")
-        out.append(
-            RegisterBinding(
-                parameter=w.get(d, "name", p, str, required=True, default=f"reg{i}"),
-                function=fc,
-                address=w.get(d, "addr", p, int, required=True, default=0),
-                codec=codec,
-                unit_label=w.get(d, "unit", p, str, default=""),
-            )
-        )
+        out.append(RegisterBinding(codec=codec, **kw))
     return tuple(out)
 
 
@@ -479,32 +438,10 @@ def _parse_devices(
             positions[dev_id] = i
         protocol = item.get("protocol")
         if protocol == "modbus":
-            d = w.section(
-                item,
-                path,
-                {
-                    "id",
-                    "protocol",
-                    "host",
-                    "port",
-                    "unit",
-                    "interval_s",
-                    "mode",
-                    "connect_timeout_ms",
-                    "io_timeout_ms",
-                    "retries",
-                    "tags",
-                    "registers",
-                    "historical",
-                },
-            )
+            nested = ("id", "protocol", "registers", "historical")
+            d = w.section(item, path, _MODBUS, _POLICY, nested)
             try:
-                policy = ConnectionPolicy(
-                    mode=w.get(d, "mode", path, str, default="per_request_close"),
-                    connect_timeout_ms=w.get(d, "connect_timeout_ms", path, int, default=2000),
-                    io_timeout_ms=w.get(d, "io_timeout_ms", path, int, default=2000),
-                    request_retries=w.get(d, "retries", path, int, default=1),
-                )
+                policy = ConnectionPolicy(**w.read(d, _POLICY, path))
             except ValueError as e:
                 w.fail(f"{path}: {e}")
                 policy = ConnectionPolicy()
@@ -512,87 +449,36 @@ def _parse_devices(
             historical = None
             if "historical" in d:
                 hp = f"{path}.historical"
-                hd = w.section(
-                    d["historical"],
-                    hp,
-                    {
-                        "date_addr",
-                        "ready_addr",
-                        "ready_value",
-                        "poll_interval_ms",
-                        "max_polls",
-                        "days_back",
-                        "registers",
-                    },
-                )
+                hd = w.section(d["historical"], hp, _HISTORICAL, _HISTORICAL_SPEC, ("registers",))
                 hist_regs = _parse_registers(w, hd.get("registers"), f"{hp}.registers")
                 if not hist_regs:
                     w.fail(f"{hp}.registers is required")
                 historical = HistoricalSpec(
-                    config=HistoricalReadConfig(
-                        date_address=w.get(hd, "date_addr", hp, int, default=0x1000),
-                        ready_address=w.get(hd, "ready_addr", hp, int, default=0x1003),
-                        ready_value=w.get(hd, "ready_value", hp, int, default=1),
-                        poll_interval_ms=w.get(hd, "poll_interval_ms", hp, int, default=500),
-                        max_polls=w.get(hd, "max_polls", hp, int, default=20),
-                    ),
+                    config=HistoricalReadConfig(**w.read(hd, _HISTORICAL, hp)),
                     bindings=hist_regs,
-                    days_back=w.get(hd, "days_back", hp, int, default=1),
+                    **w.read(hd, _HISTORICAL_SPEC, hp),
                 )
             if not registers and historical is None:
                 w.fail(f"{path}: needs registers or a historical block")
             modbus.append(
                 ModbusDeviceSpec(
                     id=dev_id,
-                    host=w.get(d, "host", path, str, required=True, default="127.0.0.1"),
-                    port=w.get(d, "port", path, int, default=502),
-                    unit=w.get(d, "unit", path, int, default=1),
-                    interval_s=w.get(d, "interval_s", path, float, default=60.0),
                     policy=policy,
-                    tags=w.tags(d, path),
                     bindings=registers,
                     historical=historical,
+                    **w.read(d, _MODBUS, path, required={"host": "127.0.0.1"}),
                 )
             )
         elif protocol == "bacnet":
-            d = w.section(
-                item,
-                path,
-                {
-                    "id",
-                    "protocol",
-                    "host",
-                    "port",
-                    "device_instance",
-                    "interval_s",
-                    "timeout_ms",
-                    "retries",
-                    "discover",
-                    "names",
-                    "tags",
-                },
-            )
+            d = w.section(item, path, _BACNET, ("id", "protocol", "names"))
             names_raw = w.items(d.get("names"), f"{path}.names")
             names = tuple(n for n in names_raw if isinstance(n, str))
             if len(names) != len(names_raw):
                 w.fail(f"{path}.names must all be strings")
-            discover = w.get(d, "discover", path, bool, default=False)
-            if not names and not discover:
+            kw = w.read(d, _BACNET, path, required={"host": "127.0.0.1"})
+            if not names and not kw.get("discover"):
                 w.fail(f"{path}: needs names or discover: true")
-            bacnet.append(
-                BacnetDeviceSpec(
-                    id=dev_id,
-                    host=w.get(d, "host", path, str, required=True, default="127.0.0.1"),
-                    port=w.get(d, "port", path, int, default=0xBAC0),
-                    device_instance=w.get(d, "device_instance", path, int, default=0),
-                    interval_s=w.get(d, "interval_s", path, float, default=60.0),
-                    timeout_ms=w.get(d, "timeout_ms", path, int, default=1000),
-                    retries=w.get(d, "retries", path, int, default=3),
-                    discover=discover,
-                    names=names,
-                    tags=w.tags(d, path),
-                )
-            )
+            bacnet.append(BacnetDeviceSpec(id=dev_id, names=names, **kw))
         else:
             w.fail(f"{path}.protocol must be 'modbus' or 'bacnet', got {protocol!r}")
     return tuple(modbus), tuple(bacnet)
@@ -601,38 +487,15 @@ def _parse_devices(
 def _parse_alerts(
     w: _Walker, raw
 ) -> tuple[tuple[AlertRule, ...], tuple[NotifierSpec, ...]]:
-    d = w.section(raw, "alerts", {"rules", "notifiers"})
+    d = w.section(raw, "alerts", ("rules", "notifiers"))
     rules = []
     seen_ids: set[str] = set()
     for i, item in enumerate(w.items(d.get("rules"), "alerts.rules")):
         path = f"alerts.rules[{i}]"
-        rd = w.section(
-            item,
-            path,
-            {
-                "id",
-                "parameter",
-                "predicate",
-                "threshold",
-                "entity",
-                "tags",
-                "for_duration_s",
-                "cooldown_s",
-                "clear_margin",
-            },
-        )
+        rd = w.section(item, path, _RULE)
+        required = {"id": f"rule-{i}", "parameter": "x", "predicate": "gt"}
         try:
-            rule = AlertRule(
-                id=w.get(rd, "id", path, str, required=True, default=f"rule-{i}"),
-                parameter=w.get(rd, "parameter", path, str, required=True, default="x"),
-                predicate=w.get(rd, "predicate", path, str, required=True, default="gt"),
-                threshold=w.get(rd, "threshold", path, float),
-                entity=w.get(rd, "entity", path, str, default="*"),
-                tags=w.tags(rd, path),
-                for_duration=w.get(rd, "for_duration_s", path, float, default=0.0),
-                cooldown=w.get(rd, "cooldown_s", path, float, default=0.0),
-                clear_margin=w.get(rd, "clear_margin", path, float, default=0.0),
-            )
+            rule = AlertRule(**w.read(rd, _RULE, path, required=required))
         except ValueError as e:
             w.fail(f"{path}: {e}")
             continue
@@ -643,70 +506,47 @@ def _parse_alerts(
     notifiers = []
     for i, item in enumerate(w.items(d.get("notifiers"), "alerts.notifiers")):
         path = f"alerts.notifiers[{i}]"
-        nd = w.section(item, path, {"type", "url", "spool_dir"})
-        typ = w.get(nd, "type", path, str, required=True, default="log")
-        if typ not in ("log", "webhook", "smtp_spool"):
+        kw = w.read(w.section(item, path, _NOTIFIER), _NOTIFIER, path, required={"type": "log"})
+        if kw["type"] not in ("log", "webhook", "smtp_spool"):
             w.fail(f"{path}.type must be log, webhook, or smtp_spool")
             continue
-        url = w.get(nd, "url", path, str)
-        spool = w.get(nd, "spool_dir", path, str)
-        if typ == "webhook" and not url:
+        if kw["type"] == "webhook" and not kw.get("url"):
             w.fail(f"{path}: webhook needs url")
-        if typ == "smtp_spool" and not spool:
+        if kw["type"] == "smtp_spool" and not kw.get("spool_dir"):
             w.fail(f"{path}: smtp_spool needs spool_dir")
-        notifiers.append(NotifierSpec(typ, url=url, spool_dir=spool))
+        notifiers.append(NotifierSpec(**kw))
     return tuple(rules), tuple(notifiers)
 
 
 def _parse_simulate(w: _Walker, raw) -> SimulateSpec | None:
     if raw is None:
         return None
-    d = w.section(raw, "simulate", {"compression", "seed", "fleets"})
+    d = w.section(raw, "simulate", _SIMULATE, ("fleets",))
     fleets = []
     for i, item in enumerate(w.items(d.get("fleets"), "simulate.fleets")):
         path = f"simulate.fleets[{i}]"
-        fd = w.section(
-            item,
-            path,
-            {"kind", "count", "interval_s", "change_prob", "topic_template", "parameters"},
-        )
+        fd = w.section(item, path, _FLEET, ("parameters",))
         params = []
         for j, p in enumerate(w.items(fd.get("parameters"), f"{path}.parameters")):
             pp = f"{path}.parameters[{j}]"
-            pd = w.section(p, pp, {"name", "lo", "hi", "step", "quantum", "decimals"})
+            required = {"name": f"p{j}", "lo": 0.0, "hi": 1.0, "step": 0.1}
             try:
-                params.append(
-                    ParamSpec(
-                        name=w.get(pd, "name", pp, str, required=True, default=f"p{j}"),
-                        lo=w.get(pd, "lo", pp, float, required=True, default=0.0),
-                        hi=w.get(pd, "hi", pp, float, required=True, default=1.0),
-                        step=w.get(pd, "step", pp, float, required=True, default=0.1),
-                        quantum=w.get(pd, "quantum", pp, float, default=1.0),
-                        decimals=w.get(pd, "decimals", pp, int, default=0),
-                    )
-                )
+                kw = w.read(w.section(p, pp, _PARAM), _PARAM, pp, required=required)
+                params.append(ParamSpec(**kw))
             except ValueError as e:
                 w.fail(f"{pp}: {e}")
+        kw = w.read(
+            fd,
+            _FLEET,
+            path,
+            required={"kind": f"fleet{i}"},
+            defaults={"count": 1, "interval_s": 60.0, "change_prob": 1.0},
+        )
         try:
-            fleets.append(
-                DeviceClass(
-                    kind=w.get(fd, "kind", path, str, required=True, default=f"fleet{i}"),
-                    count=w.get(fd, "count", path, int, default=1),
-                    interval_s=w.get(fd, "interval_s", path, float, default=60.0),
-                    change_prob=w.get(fd, "change_prob", path, float, default=1.0),
-                    parameters=tuple(params),
-                    topic_template=w.get(
-                        fd, "topic_template", path, str, default="{kind}/{device_id}/measurements"
-                    ),
-                )
-            )
+            fleets.append(DeviceClass(parameters=tuple(params), **kw))
         except ValueError as e:
             w.fail(f"{path}: {e}")
-    return SimulateSpec(
-        compression=w.get(d, "compression", "simulate", float, default=60.0),
-        seed=w.get(d, "seed", "simulate", int, default=0),
-        fleets=tuple(fleets),
-    )
+    return SimulateSpec(fleets=tuple(fleets), **w.read(d, _SIMULATE, "simulate"))
 
 
 _TOP_LEVEL = {"gateway", "sink", "brokers", "http_polls", "devices", "alerts", "simulate"}
