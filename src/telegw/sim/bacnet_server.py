@@ -26,6 +26,7 @@ from ..bacnet.encoding import (
     property_id,
     unit_id,
 )
+from .broker import shut
 
 _DEVICE = object_type_id("device")
 _ANALOG = {object_type_id(t) for t in ("analog-input", "analog-output", "analog-value")}
@@ -81,7 +82,6 @@ class BacnetSim:
     def start(self) -> "BacnetSim":
         self._sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
         self._sock.bind((self.host, self.port))
-        self._sock.settimeout(0.2)
         self.port = self._sock.getsockname()[1]
         self._thread = threading.Thread(target=self._loop, daemon=True)
         self._thread.start()
@@ -89,10 +89,10 @@ class BacnetSim:
 
     def stop(self) -> None:
         self._stop.set()
+        if self._sock is not None:
+            shut(self._sock)
         if self._thread is not None:
             self._thread.join(timeout=5)
-        if self._sock is not None:
-            self._sock.close()
 
     def __enter__(self) -> "BacnetSim":
         return self.start()
@@ -109,9 +109,9 @@ class BacnetSim:
         while not self._stop.is_set():
             try:
                 data, addr = self._sock.recvfrom(65535)
-            except socket.timeout:
-                continue
             except OSError:
+                return
+            if self._stop.is_set():
                 return
             if self._drop > 0:
                 self._drop -= 1

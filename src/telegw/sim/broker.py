@@ -15,6 +15,20 @@ import threading
 from telegw.mqtt import protocol as mp
 
 
+def shut(sock: socket.socket) -> None:
+    """Close ``sock``, first waking any thread blocked on it: close() alone
+    wakes neither accept() nor recv(), shutdown() wakes both. On a UDP
+    socket shutdown() raises ENOTCONN but still wakes recvfrom()."""
+    try:
+        sock.shutdown(socket.SHUT_RDWR)
+    except OSError:
+        pass
+    try:
+        sock.close()
+    except OSError:
+        pass
+
+
 class _Session:
     def __init__(self, sock: socket.socket, client_id: str):
         self.sock = sock
@@ -67,31 +81,23 @@ class MqttBroker:
         listener.bind((self.host, self.port))
         self.port = listener.getsockname()[1]
         listener.listen(32)
-        # closing a socket does not wake a thread blocked in accept(); poll
-        listener.settimeout(0.2)
         self._listener = listener
         self._running.set()
-        self._accept_thread = threading.Thread(target=self._accept_loop, daemon=True)
+        self._accept_thread = threading.Thread(
+            target=self._accept_loop, args=(listener,), daemon=True
+        )
         self._accept_thread.start()
         return self
 
     def stop(self) -> None:
         self._running.clear()
         if self._listener is not None:
-            self._listener.close()
+            shut(self._listener)
             self._listener = None
         with self._lock:
             sessions, self._sessions = self._sessions, []
         for s in sessions:
-            # shutdown (not just close) reliably wakes a blocked recv
-            try:
-                s.sock.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-            try:
-                s.sock.close()
-            except OSError:
-                pass
+            shut(s.sock)
         if self._accept_thread is not None:
             self._accept_thread.join(timeout=5)
             self._accept_thread = None
@@ -111,12 +117,10 @@ class MqttBroker:
         with self._lock:
             return len(self._sessions)
 
-    def _accept_loop(self) -> None:
+    def _accept_loop(self, listener: socket.socket) -> None:
         while self._running.is_set():
             try:
-                conn, _ = self._listener.accept()
-            except socket.timeout:
-                continue
+                conn, _ = listener.accept()
             except OSError:
                 return
             threading.Thread(target=self._serve, args=(conn,), daemon=True).start()

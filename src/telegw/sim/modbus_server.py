@@ -33,6 +33,7 @@ from ..modbus.protocol import (
     FC_WRITE_MULTIPLE,
     RegisterCodec,
 )
+from .broker import shut
 
 NONE = "none"
 SINGLE_CONNECTION = "single_connection_limit"
@@ -138,19 +139,14 @@ class ModbusSim:
         return self
 
     def stop(self) -> None:
-        self._stop.set()
-        if self._listener is not None:
-            try:
-                self._listener.close()
-            except OSError:
-                pass
+        # under the lock, so a single-connection loop cannot listen again
         with self._lock:
-            conns = list(self._conns)
-        for c in conns:
-            try:
-                c.close()
-            except OSError:
-                pass
+            self._stop.set()
+            socks = list(self._conns)
+            if self._listener is not None:
+                socks.append(self._listener)
+        for sock in socks:
+            shut(sock)
         if self._thread is not None:
             self._thread.join(timeout=5)
 
@@ -165,8 +161,6 @@ class ModbusSim:
         s.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         s.bind((self.host, self.port))
         s.listen(8)
-        # closing a socket does not wake a thread blocked in accept(); poll
-        s.settimeout(0.2)
         return s
 
     # -- accept loops -----------------------------------------------------
@@ -176,8 +170,6 @@ class ModbusSim:
             try:
                 conn, _ = self._listener.accept()
                 conn.settimeout(30)
-            except socket.timeout:
-                continue
             except OSError:
                 if self._stop.is_set():
                     return
@@ -192,12 +184,13 @@ class ModbusSim:
                 # device stops listening while a client is connected
                 self._listener.close()
                 self._serve(conn)
-                if self._stop.is_set():
-                    return
-                try:
-                    self._listener = self._make_listener()
-                except OSError:
-                    return
+                with self._lock:
+                    if self._stop.is_set():
+                        return
+                    try:
+                        self._listener = self._make_listener()
+                    except OSError:
+                        return
                 continue
             if self.fault.kind == REJECT_ALTERNATE:
                 self._serve(conn)
