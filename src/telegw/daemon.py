@@ -21,7 +21,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from telegw.alerts import AlertEngine, LogNotifier, SmtpStubNotifier, WebhookNotifier
 from telegw.bacnet import BacnetClient, BacnetEndpoint, BacnetError
 from telegw.config import BacnetDeviceSpec, GatewayConfig, ModbusDeviceSpec, NotifierSpec
-from telegw.ingest import AuthFailure, IngestError, Subscriber, poll_http
+from telegw.ingest import IngestError, Subscriber, poll_http
 from telegw.modbus import ModbusClient, ModbusError
 from telegw.pipeline import Pipeline, PollSchedule, Scheduler, report_rates, stats_to_doc
 
@@ -67,8 +67,6 @@ class Gateway:
         self.scheduler = Scheduler()
         self.health: dict[str, DeviceHealth] = {}
         self.subscribers: list[Subscriber] = []
-        self._sub_threads: list[threading.Thread] = []
-        self._sub_failures: dict[str, str] = {}
         self._bacnet_clients: dict[str, BacnetClient] = {}
         self._modbus_clients: dict[str, ModbusClient] = {}
         self._server: ThreadingHTTPServer | None = None
@@ -187,24 +185,12 @@ class Gateway:
         self.pipeline.start()
         for entry in self.config.brokers:
             sub = Subscriber(entry.config, list(entry.bindings), self.pipeline.submit)
-            self.subscribers.append(sub)
-            t = threading.Thread(target=self._run_subscriber, args=(sub,), daemon=True)
-            t.start()
-            self._sub_threads.append(t)
+            self.subscribers.append(sub.start())
         self.scheduler.start()
         self._start_health_server()
         for warning in self.config.warnings:
             log.warning("%s", warning)
         return self
-
-    def _run_subscriber(self, sub: Subscriber) -> None:
-        key = f"{sub.broker.host}:{sub.broker.port}"
-        try:
-            sub.run()
-        except AuthFailure as e:
-            with self._lock:
-                self._sub_failures[key] = str(e)
-            log.error("broker %s: %s", key, e)
 
     def stop(self) -> None:
         # phase 1: stop intake so nothing new lands in the buffer
@@ -245,13 +231,12 @@ class Gateway:
                 }
                 for name, h in self.health.items()
             }
-            sub_failures = dict(self._sub_failures)
         sink_status = self.pipeline.last_flush_status
         sink_ok = sink_status is None or (isinstance(sink_status, int) and 200 <= sink_status < 300)
         degraded = (
             any(d["consecutive_failures"] >= 3 for d in devices.values())
             or not sink_ok
-            or bool(sub_failures)
+            or any(s.auth_failure for s in self.subscribers)
         )
         return {
             "status": "degraded" if degraded else "ok",
@@ -262,7 +247,7 @@ class Gateway:
                     "points_out": s.points_out,
                     "parse_errors": s.parse_errors,
                     "reconnects": s.reconnects,
-                    "auth_failure": sub_failures.get(f"{s.broker.host}:{s.broker.port}"),
+                    "auth_failure": s.auth_failure,
                 }
                 for s in self.subscribers
             },

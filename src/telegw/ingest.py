@@ -10,6 +10,7 @@ placeholders, e.g. filter ``aranet/+/measurements`` with template
 from __future__ import annotations
 
 import json
+import logging
 import os
 import threading
 import time
@@ -22,6 +23,8 @@ from urllib.parse import urlsplit
 from telegw.model import FLAG, REAL, TEXT, DataPoint, Value
 from telegw.mqtt import protocol as mp
 from telegw.mqtt.client import AuthRejected, MqttClient
+
+log = logging.getLogger(__name__)
 
 
 class IngestError(Exception):
@@ -280,6 +283,8 @@ class Subscriber:
         self.parse_errors = 0
         self.reconnects = 0
         self.points_out = 0
+        # why the broker refused the login, once start()'s thread gave up
+        self.auth_failure: str | None = None
 
     def _on_message(self, topic: str, payload: bytes) -> None:
         for binding in self.bindings:
@@ -334,9 +339,16 @@ class Subscriber:
                 self._stop.wait(backoff)
 
     def start(self) -> "Subscriber":
-        self._thread = threading.Thread(target=self.run, daemon=True)
+        self._thread = threading.Thread(target=self._run_subscriber, daemon=True)
         self._thread.start()
         return self
+
+    def _run_subscriber(self) -> None:
+        try:
+            self.run()
+        except AuthFailure as e:
+            self.auth_failure = str(e)
+            log.error("broker %s:%s: %s", self.broker.host, self.broker.port, e)
 
     def stop(self) -> None:
         self._stop.set()

@@ -5,6 +5,7 @@ import socket
 import subprocess
 import sys
 import textwrap
+import threading
 import time
 
 import pytest
@@ -125,6 +126,51 @@ def test_gateway_end_to_end(tmp_path, meter_sim):
     text = (tmp_path / "out.lp").read_text()
     assert "voltage_l1,device=meter-1" in text
     assert "radon,device=radon-r1" in text
+
+
+def _subscriber_threads() -> list:
+    return [
+        t for t in threading.enumerate()
+        if getattr(getattr(t, "_target", None), "__name__", None) == "_run_subscriber"
+    ]
+
+
+def test_rejected_broker_login_degrades_health_and_stop_joins_subscribers(
+    tmp_path, monkeypatch
+):
+    monkeypatch.setenv("GW_TEST_MQ_USER", "gw")
+    monkeypatch.setenv("GW_TEST_MQ_PASS", "wrong")
+    binding = '{topic: radon/+/report, entity: "radon-{1}", fields: {/radon: {parameter: radon}}}'
+    with MqttBroker(auth={"gw": "right"}) as locked, MqttBroker() as open_broker:
+        path = write_config(
+            tmp_path,
+            f"""
+            gateway: {{health_port: 0, jitter: 0, drain_timeout_s: 1}}
+            sink: {{mode: file, path: {tmp_path}/out.lp}}
+            brokers:
+              - host: 127.0.0.1
+                port: {locked.port}
+                username_env: GW_TEST_MQ_USER
+                password_env: GW_TEST_MQ_PASS
+                bindings: [{binding}]
+              - host: 127.0.0.1
+                port: {open_broker.port}
+                bindings: [{binding}]
+            """,
+        )
+        gw = Gateway(load_config(path))
+        gw.start()
+        try:
+            key = f"127.0.0.1:{locked.port}"
+            assert wait_until(lambda: gw.health_snapshot()["brokers"][key]["auth_failure"], 5)
+            assert wait_until(lambda: open_broker.session_count == 1, 5)
+            snap = gw.health_snapshot()
+            assert snap["status"] == "degraded"
+            assert snap["brokers"][f"127.0.0.1:{open_broker.port}"]["auth_failure"] is None
+            assert len(_subscriber_threads()) == 1  # the open broker's
+        finally:
+            gw.stop()
+        assert _subscriber_threads() == []
 
 
 def test_health_endpoint_fast_while_device_stalls(tmp_path):
