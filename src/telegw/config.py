@@ -530,8 +530,8 @@ def _parse_simulate(w: _Walker, raw) -> SimulateSpec | None:
         for j, p in enumerate(w.items(fd.get("parameters"), f"{path}.parameters")):
             pp = f"{path}.parameters[{j}]"
             required = {"name": f"p{j}", "lo": 0.0, "hi": 1.0, "step": 0.1}
+            kw = w.read(w.section(p, pp, _PARAM), _PARAM, pp, required=required)
             try:
-                kw = w.read(w.section(p, pp, _PARAM), _PARAM, pp, required=required)
                 params.append(ParamSpec(**kw))
             except ValueError as e:
                 w.fail(f"{pp}: {e}")

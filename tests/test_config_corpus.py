@@ -134,7 +134,8 @@ FULL = {
                 "max_polls": 5,
                 "days_back": 2,
                 "registers": [
-                    {"name": "energy", "fc": "holding", "addr": 0x2010, "dtype": "f32", "unit": "kWh"}
+                    {"name": "energy", "fc": "holding", "addr": 0x2010, "dtype": "f32",
+                     "unit": "kWh"}
                 ],
             },
         },
@@ -211,41 +212,35 @@ def _mutant(path, value=_DELETE, add_unknown=False):
 
 
 def _paths(node, path=()):
-    """Every key and list element below ``node``, parents first."""
+    """(path, value) of every key and list element below ``node``, parents first."""
     items = node.items() if isinstance(node, dict) else enumerate(node)
     for key, child in items:
-        yield path + (key,)
+        yield path + (key,), child
         if isinstance(child, (dict, list)):
             yield from _paths(child, path + (key,))
-
-
-def _mappings(node, path=()):
-    if isinstance(node, dict):
-        yield path
-    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
-    for key, child in items:
-        yield from _mappings(child, path + (key,))
 
 
 def corpus():
     """(name, text) for every document, in a fixed order."""
     for name in ("gateway.yaml", "minimal.yaml"):
         yield f"configs/{name}", (CONFIGS / name).read_text(encoding="utf-8")
-    docs = [("full", FULL)]
-    for path in _paths(FULL):
+    docs = [("full", FULL), ("<top> + unknown key", _mutant((), add_unknown=True))]
+    for path, child in _paths(FULL):
+        label = _label(path)
         if isinstance(path[-1], str):
-            docs.append((f"{_label(path)} deleted", _mutant(path)))
+            docs.append((f"{label} deleted", _mutant(path)))
         for value in WRONG:
-            docs.append((f"{_label(path)} = {json.dumps(value)}", _mutant(path, value)))
-    for path in _mappings(FULL):
-        docs.append((f"{_label(path) or '<top>'} + unknown key", _mutant(path, add_unknown=True)))
+            docs.append((f"{label} = {json.dumps(value)}", _mutant(path, value)))
+        if isinstance(child, dict):
+            docs.append((f"{label} + unknown key", _mutant(path, add_unknown=True)))
     for name, doc in docs:
         yield name, json.dumps(doc)  # JSON is YAML, and much faster to write
 
 
 def _canon(obj):
     if dataclasses.is_dataclass(obj):
-        return [type(obj).__name__, {f.name: _canon(getattr(obj, f.name)) for f in dataclasses.fields(obj)}]
+        fields = dataclasses.fields(obj)
+        return [type(obj).__name__, {f.name: _canon(getattr(obj, f.name)) for f in fields}]
     if isinstance(obj, tuple):
         return [_canon(x) for x in obj]
     if isinstance(obj, list):
@@ -295,7 +290,9 @@ def test_corpus_outcomes_are_pinned(monkeypatch):
     assert got.keys() == expected.keys()
     assert expected["full"].startswith("ok ")
     differ = {k: (expected[k], got[k]) for k in got if got[k] != expected[k]}
-    assert not differ, "\n".join(f"{k}:\n  expected {e}\n  got      {g}" for k, (e, g) in differ.items())
+    assert not differ, "\n".join(
+        f"{k}:\n  expected {e}\n  got      {g}" for k, (e, g) in differ.items()
+    )
 
 
 if __name__ == "__main__":

@@ -49,7 +49,13 @@ def _bacnet_idle():
 
 @pytest.mark.parametrize(
     "make",
-    [_broker_idle, _broker_with_session, _modbus_idle, _modbus_single_connection_held, _bacnet_idle],
+    [
+        _broker_idle,
+        _broker_with_session,
+        _modbus_idle,
+        _modbus_single_connection_held,
+        _bacnet_idle,
+    ],
 )
 def test_stop_returns_promptly(make):
     sim, thread, peers = make()
