@@ -17,13 +17,12 @@ import logging
 import math
 import queue
 import threading
-import time
 from dataclasses import dataclass, field
 from email.utils import formatdate
 from fnmatch import fnmatchcase
 from pathlib import Path
 
-from telegw.model import DataPoint, Value
+from telegw.model import FLAG, REAL, DataPoint, Value
 
 log = logging.getLogger("telegw.alerts")
 
@@ -81,12 +80,11 @@ class AlertRule:
         if not fnmatchcase(dp.entity_id, self.entity):
             return False
         if self.tags:
-            present = dict(dp.tags)
-            return all(present.get(k) == v for k, v in self.tags.items())
+            return all(dp.tags.get(k) == v for k, v in self.tags.items())
         return True
 
     def _numeric(self, value: Value) -> float:
-        if value.kind != "real":
+        if value.kind != REAL:
             raise TypeMismatch(
                 f"rule {self.id}: {self.predicate} needs a numeric value, got {value.kind}"
             )
@@ -94,7 +92,7 @@ class AlertRule:
 
     def holds(self, value: Value) -> bool:
         if self.predicate == FLAG_TRUE:
-            if value.kind != "flag":
+            if value.kind != FLAG:
                 raise TypeMismatch(
                     f"rule {self.id}: flag_true needs a flag value, got {value.kind}"
                 )
@@ -109,7 +107,7 @@ class AlertRule:
     def cleared(self, value: Value) -> bool:
         """Recovery test: beyond the threshold by the hysteresis margin."""
         if self.predicate == FLAG_TRUE:
-            return value.kind == "flag" and not value.raw
+            return value.kind == FLAG and not value.raw
         v = self._numeric(value)
         # Below zero the factors swap, so the band stays on the safe side.
         m = self.clear_margin if self.threshold > 0 else -self.clear_margin
@@ -243,17 +241,10 @@ class AlertEngine:
                     with self._lock:
                         self.delivery_failures += 1
 
-    def drain(self, timeout_s: float = 5.0) -> None:
-        """Best-effort wait until queued notifications are delivered."""
-        if self._queue is None:
-            return
-        deadline = time.monotonic() + timeout_s
-        while not self._queue.empty() and time.monotonic() < deadline:
-            time.sleep(0.01)
-
     def stop(self) -> None:
+        """Deliver every queued event, then end the worker: the queue is
+        FIFO, so the worker reaches the sentinel only after them."""
         if self._queue is not None:
-            self.drain()
             self._queue.put(None)
             self._worker.join(timeout=5)
             self._queue = None

@@ -287,6 +287,7 @@ class BacnetClient:
         """Poll named objects into data points (analog -> real, binary -> flag)."""
         results = self.read_by_name(names)
         stamp = self.clock_ns()
+        tags = dict(tags or {})  # one mapping shared by this poll's points
         points = []
         for name, res in zip(names, results):
             if res.error is not None or not res.values:
@@ -312,7 +313,7 @@ class BacnetClient:
                     value=value,
                     unit=disc.units or "",
                     timestamp=stamp,
-                    tags=dict(tags or {}),
+                    tags=tags,
                 )
             )
         return points

@@ -682,14 +682,6 @@ def decode_rpm_ack(apdu: bytes, expected_invoke: Optional[int] = None) -> list[P
     return results
 
 
-def encode_error(invoke_id: int, service: int, error_class: str, error_code: str) -> bytes:
-    return (
-        bytes([PDU_ERROR << 4, invoke_id, service])
-        + app_enumerated(ERROR_CLASSES.get(error_class, 0))
-        + app_enumerated(ERROR_CODES.get(error_code, 0))
-    )
-
-
 def encode_reject(invoke_id: int, reason: int) -> bytes:
     return bytes([PDU_REJECT << 4, invoke_id, reason])
 

@@ -42,6 +42,7 @@ from telegw.modbus import (
     RegisterBinding,
     RegisterCodec,
 )
+from telegw.mqtt import ProtocolViolation
 from telegw.pipeline import SinkConfig
 from telegw.sim.fleet import DeviceClass, ParamSpec
 
@@ -155,9 +156,6 @@ class GatewayConfig:
     notifiers: tuple[NotifierSpec, ...] = ()
     simulate: SimulateSpec | None = None
     warnings: tuple[str, ...] = ()
-
-    def device_ids(self) -> list[str]:
-        return [d.id for d in self.modbus_devices] + [d.id for d in self.bacnet_devices]
 
 
 def _table(**fields) -> dict:
@@ -299,9 +297,11 @@ class _Walker:
         return value
 
     def env_ref(self, name: str | None, path: str) -> None:
-        """A type-checked field that names an environment variable; when it
-        is a non-empty string, that variable must be set now."""
-        if name and os.environ.get(name) is None:
+        """A type-checked field that names an environment variable: when
+        present it is a non-empty string, and that variable is set now."""
+        if name == "":
+            self.fail(f"{path} must be a non-empty string")
+        elif name is not None and os.environ.get(name) is None:
             self.fail(f"{path}: environment variable {name!r} is not set")
 
 
@@ -366,7 +366,7 @@ def _parse_brokers(w: _Walker, raw) -> tuple[BrokerEntry, ...]:
                 bindings.append(
                     TopicBinding(field_map=_parse_field_map(w, bd.get("fields"), bp), **kw)
                 )
-            except ValueError as e:
+            except (ValueError, ProtocolViolation) as e:
                 w.fail(f"{bp}: {e}")
         if not bindings:
             w.fail(f"{path}: at least one binding is required")

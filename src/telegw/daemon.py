@@ -23,7 +23,7 @@ from telegw.bacnet import BacnetClient, BacnetEndpoint, BacnetError
 from telegw.config import BacnetDeviceSpec, GatewayConfig, ModbusDeviceSpec, NotifierSpec
 from telegw.ingest import IngestError, Subscriber, poll_http
 from telegw.modbus import ModbusClient, ModbusError
-from telegw.pipeline import Pipeline, PollSchedule, Scheduler, report_rates, stats_to_doc
+from telegw.pipeline import Pipeline, PollSchedule, Scheduler, stats_to_doc
 
 log = logging.getLogger(__name__)
 
@@ -268,9 +268,6 @@ class Gateway:
             },
         }
 
-    def rate_rows(self, window_s: float | None = None) -> list[dict]:
-        return report_rates(self.pipeline.rate_stats(), window_s)
-
     def dump_stats(self) -> None:
         path = self.config.gateway.stats_path
         doc = stats_to_doc(self.pipeline.rate_stats())
@@ -309,5 +306,9 @@ class Gateway:
             (self.config.gateway.health_host, self.config.gateway.health_port), Handler
         )
         self.health_port = self._server.server_address[1]
-        self._server_thread = threading.Thread(target=self._server.serve_forever, daemon=True)
+        # shutdown() waits for serve_forever to see its flag, which it checks
+        # once per poll interval (0.5 s by default); this bounds stop().
+        self._server_thread = threading.Thread(
+            target=self._server.serve_forever, kwargs={"poll_interval": 0.02}, daemon=True
+        )
         self._server_thread.start()

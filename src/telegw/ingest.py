@@ -20,7 +20,7 @@ from string import Formatter
 from typing import Callable, MutableMapping
 from urllib.parse import urlsplit
 
-from telegw.model import FLAG, REAL, TEXT, DataPoint, Value
+from telegw.model import FLAG, KINDS, REAL, DataPoint, Value
 from telegw.mqtt import protocol as mp
 from telegw.mqtt.client import AuthRejected, MqttClient
 
@@ -61,7 +61,7 @@ class FieldSpec:
     scale: float | None = None
 
     def __post_init__(self):
-        if self.kind not in (REAL, FLAG, TEXT):
+        if self.kind not in KINDS:
             raise ValueError(f"unknown field kind {self.kind!r}")
         if self.scale is not None and self.kind != REAL:
             raise ValueError("scale applies to real fields only")

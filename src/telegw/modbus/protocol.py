@@ -223,10 +223,6 @@ class RegisterCodec:
         return [hi, lo] if self.word_order == "big" else [lo, hi]
 
 
-def decode_registers(words: list[int], codec: RegisterCodec) -> float:
-    return codec.decode(words)
-
-
 # ---------------------------------------------------------------------------
 # server-side helpers (used by the device simulators)
 

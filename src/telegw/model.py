@@ -3,20 +3,37 @@
 A reading is a :class:`DataPoint` carrying a typed :class:`Value`. Points are
 immutable once constructed so they can cross thread boundaries freely; all
 mutation lives in per-series state owned by :class:`ChangeFilter`.
+
+One set of rules says what a valid point is; :func:`validate_datapoint`, the
+pipeline's intake and :func:`telegw.lineproto.to_line` all apply it:
+
+- the entity and the parameter are non-empty strings;
+- no identifier, tag value or text value holds a line break;
+- the value's kind is one of :data:`KINDS`;
+- a real is a finite number, not a bool; a flag is a bool;
+- a text is a string of at most :data:`MAX_TEXT_LEN` characters;
+- tag keys and values are strings, and tag keys are non-empty;
+- the timestamp is an int.
+
+Each rule raises one :class:`ModelError` subtype: ``NonFiniteValue``,
+``EmptyIdentifier``, ``BadIdentifier`` (line breaks), ``TextTooLong``, or
+``ModelError`` itself for a wrong type or kind. The checks are split by how
+often the pipeline needs them: :func:`check_entity` once per entity and its
+tags, :func:`check_reading` once per point.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional, Union
+from math import isfinite
+from typing import Mapping, Optional, Union
 
 MAX_TEXT_LEN = 1024
 
 REAL = "real"
 FLAG = "flag"
 TEXT = "text"
-_KINDS = (REAL, FLAG, TEXT)
+KINDS = (REAL, FLAG, TEXT)
 
 
 class ModelError(ValueError):
@@ -27,11 +44,11 @@ class NonFiniteValue(ModelError):
     pass
 
 
-class EmptyIdentifier(ModelError):
-    pass
+class BadIdentifier(ModelError):
+    """A name or text that line protocol cannot carry."""
 
 
-class DuplicateTagKey(ModelError):
+class EmptyIdentifier(BadIdentifier):
     pass
 
 
@@ -69,16 +86,13 @@ class Value:
         return str(self.raw)
 
 
-TagMap = Union[Mapping[str, str], Iterable[tuple[str, str]]]
-
-
 @dataclass(frozen=True, slots=True)
 class DataPoint:
     """One observation of one parameter of one entity at one instant.
 
-    ``timestamp`` is UTC nanoseconds. ``tags`` is an ordered mapping (or an
-    iterable of pairs, normalized by :func:`tag_pairs`) of static dimensions
-    such as room or device model.
+    ``timestamp`` is UTC nanoseconds. ``tags`` is an ordered mapping of
+    static dimensions such as room or device model; a device's points share
+    one mapping.
     """
 
     entity_id: str
@@ -86,55 +100,79 @@ class DataPoint:
     value: Value
     unit: str = ""
     timestamp: int = 0
-    tags: TagMap = field(default_factory=dict)
+    tags: Mapping[str, str] = field(default_factory=dict)
 
 
-def tag_pairs(tags: TagMap) -> list[tuple[str, str]]:
-    """Normalize a tag mapping or pair iterable to a list of (key, value)."""
-    if isinstance(tags, Mapping):
-        return list(tags.items())
-    return [(k, v) for k, v in tags]
+def _check_breaks(s: str, what: str) -> None:
+    if "\n" in s or "\r" in s:
+        raise BadIdentifier(f"{what} cannot contain line breaks")
+
+
+def check_identifier(s: str, what: str) -> None:
+    """A non-empty string without line breaks."""
+    if not isinstance(s, str):
+        raise ModelError(f"{what} must be a string")
+    if not s:
+        raise EmptyIdentifier(f"{what} must be non-empty")
+    _check_breaks(s, what)
+
+
+def check_tags(tags: Mapping[str, str]) -> None:
+    for k, v in tags.items():
+        check_identifier(k, "tag key")
+        if not isinstance(v, str):
+            raise ModelError(f"tag {k!r} has non-string value")
+        _check_breaks(v, f"tag {k!r}")
+
+
+def _check_value(value: Value, what: str) -> None:
+    if not isinstance(value, Value):
+        raise ModelError(f"{what}: value must be a Value")
+    kind, raw = value.kind, value.raw
+    if kind == REAL:
+        # Value.real always holds a float; only other payloads need the type test
+        if raw.__class__ is not float and (
+            isinstance(raw, bool) or not isinstance(raw, (int, float))
+        ):
+            raise ModelError(f"{what}: real value must be numeric")
+        try:
+            if isfinite(raw):
+                return
+        except OverflowError:  # an int beyond float range
+            pass
+        raise NonFiniteValue(f"{what}: value is {raw!r}")
+    if kind == FLAG:
+        if not isinstance(raw, bool):
+            raise ModelError(f"{what}: flag value must be bool")
+    elif kind == TEXT:
+        if not isinstance(raw, str):
+            raise ModelError(f"{what}: text value must be str")
+        if len(raw) > MAX_TEXT_LEN:
+            raise TextTooLong(f"{what}: text length {len(raw)} exceeds {MAX_TEXT_LEN}")
+        _check_breaks(raw, f"{what}: text value")
+    else:
+        raise ModelError(f"{what}: value kind must be one of {KINDS}, got {kind!r}")
+
+
+def check_entity(entity_id: str, tags: Mapping[str, str]) -> None:
+    """The rules on what a device's points share: its id and its tags."""
+    check_identifier(entity_id, "entity_id")
+    check_tags(tags)
+
+
+def check_reading(parameter: str, value: Value, timestamp: int) -> None:
+    """The rules on what each point carries of its own."""
+    check_identifier(parameter, "parameter")
+    _check_value(value, parameter)
+    if not isinstance(timestamp, int):
+        raise ModelError(f"{parameter}: timestamp must be int nanoseconds")
 
 
 def validate_datapoint(dp: DataPoint) -> None:
-    """Raise a ModelError subtype naming the offending field, or return None.
-
-    Checks: non-empty identifiers, finite reals, text length bound,
-    tag key uniqueness, and string-typed tag keys/values.
-    """
-    if not isinstance(dp.entity_id, str) or not dp.entity_id:
-        raise EmptyIdentifier("entity_id must be a non-empty string")
-    if not isinstance(dp.parameter, str) or not dp.parameter:
-        raise EmptyIdentifier(f"parameter must be a non-empty string (entity {dp.entity_id!r})")
-    v = dp.value
-    if not isinstance(v, Value) or v.kind not in _KINDS:
-        raise ModelError(f"{dp.entity_id}/{dp.parameter}: value kind must be one of {_KINDS}")
-    if v.kind == REAL:
-        if isinstance(v.raw, bool) or not isinstance(v.raw, (int, float)):
-            raise ModelError(f"{dp.entity_id}/{dp.parameter}: real value must be numeric")
-        if not math.isfinite(v.raw):
-            raise NonFiniteValue(f"{dp.entity_id}/{dp.parameter}: value is {v.raw!r}")
-    elif v.kind == FLAG:
-        if not isinstance(v.raw, bool):
-            raise ModelError(f"{dp.entity_id}/{dp.parameter}: flag value must be bool")
-    else:
-        if not isinstance(v.raw, str):
-            raise ModelError(f"{dp.entity_id}/{dp.parameter}: text value must be str")
-        if len(v.raw) > MAX_TEXT_LEN:
-            raise TextTooLong(
-                f"{dp.entity_id}/{dp.parameter}: text length {len(v.raw)} exceeds {MAX_TEXT_LEN}"
-            )
-    seen: set[str] = set()
-    for k, val in tag_pairs(dp.tags):
-        if not isinstance(k, str) or not k:
-            raise ModelError(f"{dp.entity_id}/{dp.parameter}: tag keys must be non-empty strings")
-        if not isinstance(val, str):
-            raise ModelError(f"{dp.entity_id}/{dp.parameter}: tag {k!r} has non-string value")
-        if k in seen:
-            raise DuplicateTagKey(f"{dp.entity_id}/{dp.parameter}: duplicate tag key {k!r}")
-        seen.add(k)
-    if not isinstance(dp.timestamp, int):
-        raise ModelError(f"{dp.entity_id}/{dp.parameter}: timestamp must be int nanoseconds")
+    """Raise the ModelError subtype of the first rule ``dp`` breaks (see the
+    module docstring), or return None."""
+    check_entity(dp.entity_id, dp.tags)
+    check_reading(dp.parameter, dp.value, dp.timestamp)
 
 
 @dataclass(slots=True)

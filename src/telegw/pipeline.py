@@ -1,12 +1,14 @@
 """Change-only persistence pipeline: dedup, batching, sink delivery.
 
 Producers submit points concurrently. Each point is first checked against
-what line protocol can carry: a NaN or infinite real, or a tag, measurement
-or text value that cannot be rendered (a line break, an empty tag key), is
-rejected and counted, and touches no other state. An accepted point passes
-an optional alert tap, then the change filter; a point the filter emits is
-rendered to its final line at once and appended to the line buffer. The
-filter and the buffer share one intake lock. A single flusher thread only
+the point rules of :mod:`telegw.model`, the same rules
+:func:`telegw.model.validate_datapoint` applies: a point that breaks one is
+rejected and counted, and touches no other state. The entity and its tags
+are checked once per entity, when its tag segment is rendered; the rest of
+each point is checked every time. An accepted point passes an optional
+alert tap, then the change filter; a point the filter emits is rendered to
+its final line at once and appended to the line buffer. The filter and the
+buffer share one intake lock. A single flusher thread only
 joins and writes lines: a batch is written when the buffer holds
 ``batch_size`` lines or its oldest line is ``batch_age_ms`` old, and at once
 when intake closes. Transient sink failures retry with backoff and then
@@ -16,10 +18,10 @@ batch too. The buffer is bounded: under sustained overload the oldest lines
 are shed and counted, producers are never blocked.
 
 ``counters()`` reports ``received`` (every point submitted while intake was
-open, rejected ones included), ``rejected_non_finite``,
-``rejected_unrenderable``, ``emitted``, ``shed``, ``delivered``,
-``dead_lettered``, ``dead_letter_errors``, ``flush_failures`` and
-``buffer_depth``.
+open, rejected ones included), ``rejected_non_finite`` (a NaN or infinite
+real), ``rejected_unrenderable`` (every other broken rule), ``emitted``,
+``shed``, ``delivered``, ``dead_lettered``, ``dead_letter_errors``,
+``flush_failures`` and ``buffer_depth``.
 """
 
 from __future__ import annotations
@@ -33,8 +35,15 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
 # Bound as to_line: the benchmark traces telegw.pipeline.to_line as the per-line render.
-from telegw.lineproto import check_point, render_point as to_line, tag_segment
-from telegw.model import ChangeFilter, DataPoint, NonFiniteValue
+from telegw.lineproto import render_point as to_line, tag_segment
+from telegw.model import (
+    ChangeFilter,
+    DataPoint,
+    ModelError,
+    NonFiniteValue,
+    check_entity,
+    check_reading,
+)
 
 
 class EmptyWindow(ValueError):
@@ -256,9 +265,9 @@ class Pipeline:
         if not self._intake_open:
             return False
         try:
-            check_point(dp.parameter, dp.value)
             segment = self._segment(dp)
-        except ValueError as e:
+            check_reading(dp.parameter, dp.value, dp.timestamp)
+        except ModelError as e:
             with self._lock:
                 self.received += 1
                 if isinstance(e, NonFiniteValue):
@@ -279,7 +288,7 @@ class Pipeline:
             self.received += 1
             counts = self._entities.get(dp.entity_id)
             if counts is None:
-                kind = dict(dp.tags).get(KIND_TAG, "unknown")
+                kind = dp.tags.get(KIND_TAG, "unknown")
                 counts = self._entities[dp.entity_id] = EntityCounts(kind)
             counts.received += 1
             counts.params.add(dp.parameter)
@@ -297,14 +306,18 @@ class Pipeline:
         return self.shed - shed_before
 
     def _segment(self, dp: DataPoint) -> str:
-        """The point's rendered tags, kept per entity: a device's points share
-        one tags object, and devices are far fewer than series. Runs outside
-        the lock; a race between producers only renders a segment twice."""
-        cached = self._segments.get(dp.entity_id)
+        """The point's checked and rendered tags, kept per entity: a device's
+        points share one tags object, and devices are far fewer than series.
+        Runs outside the lock; a race between producers only renders a
+        segment twice. An entity that is not a string (it may not even be
+        hashable) is never cached, so check_entity rejects it."""
+        entity = dp.entity_id
+        cached = self._segments.get(entity) if entity.__class__ is str else None
         if cached is not None and (cached[0] is dp.tags or cached[0] == dp.tags):
             return cached[1]
-        segment = tag_segment(dp.tags, device=dp.entity_id)
-        self._segments[dp.entity_id] = (dp.tags, segment)
+        check_entity(entity, dp.tags)
+        segment = tag_segment(dp.tags, device=entity)
+        self._segments[entity] = (dp.tags, segment)
         return segment
 
     def _enqueue(self, line: str) -> bool:

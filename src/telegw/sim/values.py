@@ -128,9 +128,6 @@ class SimClock:
         with self._lock:
             return self._now_ns
 
-    def elapsed_s(self) -> float:
-        return (self.now_ns() - self.epoch_ns) / 1e9
-
     def sleep_until(self, target_ns: int) -> None:
         with self._lock:
             delta_ns = target_ns - self._now_ns
@@ -139,6 +136,3 @@ class SimClock:
             self._now_ns = target_ns
         if self.paced:
             time.sleep(delta_ns / 1e9 / self.compression)
-
-    def advance(self, sim_seconds: float) -> None:
-        self.sleep_until(self.now_ns() + int(sim_seconds * 1e9))

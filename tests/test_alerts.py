@@ -2,6 +2,7 @@
 
 import json
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
@@ -363,3 +364,20 @@ class TestNotifiers:
         engine.stop()
         assert engine.delivery_failures == 1
         assert len(list((tmp_path / "spool").iterdir())) == 1  # spool unaffected
+
+    def test_stop_returns_after_every_observed_event_is_delivered(self):
+        class Slow:
+            def __init__(self):
+                self.seen = []
+
+            def notify(self, event):
+                time.sleep(0.02)
+                self.seen.append(event.timestamp)
+                return True
+
+        slow = Slow()
+        engine = AlertEngine([radon_rule(cooldown=0)], notifiers=[slow])
+        events = feed(engine, [400, 0] * 5)  # fired and recovered five times each
+        assert len(events) == 10
+        engine.stop()
+        assert slow.seen == [i * 60 * S for i in range(10)]

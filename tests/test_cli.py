@@ -252,6 +252,24 @@ def test_daemon_survives_dead_sink_and_reports_red(tmp_path, meter_sim):
         gw.stop()
 
 
+
+def test_stop_is_prompt_without_sources(tmp_path):
+    cfg = load_config(
+        write_config(
+            tmp_path,
+            f"""
+            gateway: {{health_port: 0}}
+            sink: {{mode: file, path: {tmp_path}/out.lp}}
+            """,
+        )
+    )
+    gw = Gateway(cfg).start()
+    time.sleep(0.1)
+    t0 = time.monotonic()
+    gw.stop()
+    elapsed = time.monotonic() - t0
+    assert elapsed < 0.1, f"stop() took {elapsed * 1000:.0f} ms"
+
 def test_run_subcommand_drains_on_sigterm(tmp_path, meter_sim):
     port = free_port()
     config = write_config(
@@ -336,6 +354,22 @@ def test_validate_reports_all_problems(tmp_path, capsys):
     assert "u99" in err
     assert "duplicate device id" in err
 
+
+
+def test_validate_reports_empty_topic_filter(tmp_path, capsys):
+    config = write_config(
+        tmp_path,
+        """
+        sink: {mode: file, path: out.lp}
+        brokers:
+          - host: h
+            bindings: [{topic: "", entity: e, fields: {/v: {parameter: v}}}]
+        """,
+    )
+    assert main(["validate", "-c", config]) == 2
+    err = capsys.readouterr().err
+    assert "brokers[0].bindings[0]: empty topic filter" in err
+    assert "Traceback" not in err
 
 def test_validate_missing_file(capsys):
     assert main(["validate", "-c", "/no/such/file.yaml"]) == 2

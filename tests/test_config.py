@@ -312,6 +312,36 @@ def test_falsy_credential_env_name_is_a_type_error(tmp_path, monkeypatch, key, u
     assert exc.value.problems == [f"brokers[0].{key} must be str"]
 
 
+
+EMPTY_CREDENTIAL_KEY = {
+    "brokers[0].username_env": BROKER_WITH_CREDENTIALS % ('""', "GW_TEST_PASS"),
+    "brokers[0].password_env": BROKER_WITH_CREDENTIALS % ("GW_TEST_USER", '""'),
+    "sink.token_env": """
+        sink: {mode: http, url: "http://db/w", token_env: ""}
+        """,
+    "http_polls[0].auth_value_env": """
+        sink: {mode: file, path: out.lp}
+        http_polls:
+          - url: http://127.0.0.1:8900/v1
+            entity_array_pointer: /items
+            entity_id_pointer: /id
+            auth_header: Authorization
+            auth_value_env: ""
+            fields: {/v: {parameter: v}}
+        """,
+}
+
+
+@pytest.mark.parametrize("key", sorted(EMPTY_CREDENTIAL_KEY))
+def test_empty_credential_env_name_is_reported(tmp_path, monkeypatch, key):
+    # "" used to load as "no credentials" without a word
+    monkeypatch.setenv("GW_TEST_USER", "gw")
+    monkeypatch.setenv("GW_TEST_PASS", "pw")
+    with pytest.raises(InvariantViolation) as exc:
+        load_config(write(tmp_path, EMPTY_CREDENTIAL_KEY[key]))
+    assert exc.value.problems == [f"{key} must be a non-empty string"]
+
+
 def test_wrong_typed_auth_value_env_is_reported_once(tmp_path):
     path = write(
         tmp_path,

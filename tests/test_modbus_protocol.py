@@ -16,7 +16,6 @@ from telegw.modbus import (
     SpanMismatch,
     TransactionMismatch,
     decode_read_response,
-    decode_registers,
     decode_write_response,
     encode_read,
     encode_write_multiple,
@@ -137,38 +136,38 @@ class TestCodecs:
     def test_f32_big_endian_pi(self):
         codec = RegisterCodec("f32")
         want = struct.unpack(">f", bytes([0x40, 0x49, 0x0F, 0xDB]))[0]
-        assert decode_registers([0x4049, 0x0FDB], codec) == want
-        assert decode_registers([0x4049, 0x0FDB], codec) == pytest.approx(3.1415927)
+        assert codec.decode([0x4049, 0x0FDB]) == want
+        assert codec.decode([0x4049, 0x0FDB]) == pytest.approx(3.1415927)
 
     def test_f32_little_word_order(self):
         codec = RegisterCodec("f32", word_order="little")
-        assert decode_registers([0x0FDB, 0x4049], codec) == pytest.approx(3.1415927)
+        assert codec.decode([0x0FDB, 0x4049]) == pytest.approx(3.1415927)
 
     def test_i16_sign(self):
         codec = RegisterCodec("i16")
-        assert decode_registers([0xFFFF], codec) == -1.0
-        assert decode_registers([0x8000], codec) == -32768.0
-        assert decode_registers([0x7FFF], codec) == 32767.0
+        assert codec.decode([0xFFFF]) == -1.0
+        assert codec.decode([0x8000]) == -32768.0
+        assert codec.decode([0x7FFF]) == 32767.0
 
     def test_u32_with_scale(self):
         codec = RegisterCodec("u32", scale=0.001)
         # 0x0001_86A0 = 100000 by integer oracle
         assert (0x0001 << 16) | 0x86A0 == 100000
-        assert decode_registers([0x0001, 0x86A0], codec) == 100.0
+        assert codec.decode([0x0001, 0x86A0]) == 100.0
 
     def test_i32_negative(self):
         codec = RegisterCodec("i32")
-        assert decode_registers([0xFFFF, 0xFFFE], codec) == -2.0
+        assert codec.decode([0xFFFF, 0xFFFE]) == -2.0
 
     def test_offset(self):
         codec = RegisterCodec("u16", scale=0.1, offset=-40.0)
-        assert decode_registers([450], codec) == pytest.approx(5.0)
+        assert codec.decode([450]) == pytest.approx(5.0)
 
     def test_span_mismatch(self):
         with pytest.raises(SpanMismatch):
-            decode_registers([1], RegisterCodec("f32"))
+            RegisterCodec("f32").decode([1])
         with pytest.raises(SpanMismatch):
-            decode_registers([1, 2], RegisterCodec("u16"))
+            RegisterCodec("u16").decode([1, 2])
 
     def test_bad_codec_config(self):
         with pytest.raises(ValueError):

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from telegw.model import (
     ChangeFilter,
     DataPoint,
-    DuplicateTagKey,
     EmptyIdentifier,
     ModelError,
     NonFiniteValue,
@@ -71,11 +70,6 @@ class TestValidate:
         with pytest.raises(EmptyIdentifier):
             validate_datapoint(dp(Value.real(1.0), parameter=""))
 
-    def test_duplicate_tag_key_rejected(self):
-        bad = dp(Value.real(1.0), tags=[("room", "A1"), ("room", "B2")])
-        with pytest.raises(DuplicateTagKey):
-            validate_datapoint(bad)
-
     def test_text_length_bound(self):
         validate_datapoint(dp(Value.text("x" * 1024)))
         with pytest.raises(TextTooLong):
@@ -91,7 +85,7 @@ class TestValidate:
 
     def test_non_string_tag_value_rejected(self):
         with pytest.raises(ModelError):
-            validate_datapoint(dp(Value.real(1.0), tags=[("room", 7)]))
+            validate_datapoint(dp(Value.real(1.0), tags={"room": 7}))
 
 
 class TestChangeFilter:

@@ -11,7 +11,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from telegw.lineproto import LineRecord, to_line
-from telegw.model import DataPoint, Value
+from telegw.model import (
+    MAX_TEXT_LEN,
+    DataPoint,
+    ModelError,
+    NonFiniteValue,
+    Value,
+    validate_datapoint,
+)
 from telegw.pipeline import (
     EmptyWindow,
     EntityCounts,
@@ -378,6 +385,76 @@ def test_written_lines_match_reference_renderer(tmp_path_factory, tag_sets, poin
     assert p.stop()
     assert sink.success_log == want
 
+
+
+# Each list mixes valid inputs with ones that break one point rule, among
+# them every case where the intake check and validate_datapoint once
+# disagreed: an empty entity, an over-long text, a bool real, an int flag, a
+# float timestamp and a parameter holding a line break.
+_rule_entities = st.sampled_from(["dev-1", "dev 2", "", "dev\n3", 7, ["dev-1"]])
+_rule_tags = st.sampled_from(
+    [{}, {"room": "A1"}, {"model": "m"}, {"room": "A\n1"}, {"": "x"}, {"room": 7}]
+)
+_rule_params = st.sampled_from(["co2", "rh ,=", "", "a\nb", "c\r"])
+_rule_values = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(Value.real),
+    st.sampled_from(
+        [
+            Value.real(math.nan),
+            Value.real(-math.inf),
+            Value("real", 5),
+            Value("real", True),
+            Value("real", "5"),
+            Value("flag", 1),
+            Value.flag(False),
+            Value.text("x" * MAX_TEXT_LEN),
+            Value.text("x" * 5000),
+            Value.text("a\nb"),
+            Value("text", 5),
+            Value("bogus", 1.0),
+        ]
+    ),
+)
+_rule_stamps = st.one_of(st.integers(0, 10**18), st.just(1.5))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    points=st.lists(
+        st.tuples(_rule_entities, _rule_tags, _rule_params, _rule_values, _rule_stamps),
+        min_size=1,
+        max_size=20,
+    )
+)
+def test_intake_rejects_exactly_what_validate_datapoint_rejects(tmp_path_factory, points):
+    sink = ScriptedSink()
+    cfg = fast_config(tmp_path_factory.mktemp("rules"), batch_size=100, buffer_capacity=100)
+    p = Pipeline(cfg, sink=sink)
+    want = []
+    for i, (entity, tags, param, value, ts) in enumerate(points):
+        # a series of its own, so every accepted point is emitted
+        point = DataPoint(entity, f"{param}{i}" if param else "", value, "", ts, tags)
+        try:
+            validate_datapoint(point)
+            error = None
+        except ModelError as e:
+            error = e
+        before = p.counters()
+        accepted = p.submit(point)
+        after = p.counters()
+        assert accepted is (error is None), (point, error)
+        non_finite = after["rejected_non_finite"] - before["rejected_non_finite"]
+        unrenderable = after["rejected_unrenderable"] - before["rejected_unrenderable"]
+        if error is None:
+            assert (non_finite, unrenderable) == (0, 0)
+            record = LineRecord(point.parameter, {"device": entity, **tags}, {"value": value}, ts)
+            want.append(to_line(record))
+        else:
+            assert non_finite + unrenderable == 1
+            assert non_finite == isinstance(error, NonFiniteValue)
+    p.start()
+    assert p.stop()
+    assert sink.success_log == want
 
 class TestConcurrentProducers:
     def test_counts_and_delivery_stay_exact(self, tmp_path):
