@@ -347,8 +347,9 @@ class Subscriber:
         try:
             self.run()
         except AuthFailure as e:
-            self.auth_failure = str(e)
             log.error("broker %s:%s: %s", self.broker.host, self.broker.port, e)
+            # last: whoever sees it set may take this thread as finished
+            self.auth_failure = str(e)
 
     def stop(self) -> None:
         self._stop.set()
