@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import os
 import threading
 import time
@@ -158,8 +159,11 @@ def _to_value(raw, spec: FieldSpec) -> Value | None:
     if spec.kind == REAL:
         if isinstance(raw, bool) or not isinstance(raw, (int, float)):
             return None
-        scaled = float(raw) if spec.scale is None else raw * spec.scale
-        return Value.real(scaled)
+        try:
+            x = float(raw)
+        except OverflowError:  # an integer beyond float range reads as 1e400 does
+            x = math.inf if raw > 0 else -math.inf
+        return Value.real(x if spec.scale is None else x * spec.scale)
     if spec.kind == FLAG:
         if isinstance(raw, bool):
             return Value.flag(raw)
@@ -201,7 +205,7 @@ def parse_payload(
             timestamp = _widen_timestamp(
                 resolve_pointer(doc, binding.timestamp_pointer), binding.timestamp_unit
             )
-        except (LookupError, ValueError):
+        except (LookupError, ValueError, OverflowError):  # OverflowError: 1e400
             _bump(stats, "bad_timestamps")
 
     points = []

@@ -177,7 +177,8 @@ def validate_datapoint(dp: DataPoint) -> None:
 
 @dataclass(slots=True)
 class _SeriesState:
-    value: Value
+    kind: str
+    raw: Union[float, bool, str]
     last_seen_ns: int
     last_emit_ns: int
 
@@ -191,8 +192,18 @@ class ChangeFilter:
     the remembered one (exact equality, see :class:`Value`), or when at least
     ``heartbeat`` seconds of point time elapsed since the last emission.
 
+    The state is keyed entity -> {parameter -> state}, so no key object is
+    built or kept per series, and a series keeps its last value's kind and
+    raw payload rather than the :class:`Value` itself. The change decision
+    is the one ``Value.__eq__`` makes: kinds and payloads compared in turn,
+    each equal when it is the same object or ``==`` says so (``-0.0`` equals
+    ``0.0``, a real never equals a flag, a NaN object equals itself).
+
     Observations whose timestamp goes backwards relative to the series are
     dropped and counted in :attr:`regressions`; they never touch state.
+    Observations suppressed because nothing changed are counted in
+    :attr:`unchanged`, so every observation is either emitted or counted in
+    one of the two.
 
     Not thread safe: the pipeline calls it only while holding its intake
     lock.
@@ -203,26 +214,39 @@ class ChangeFilter:
             raise ValueError("heartbeat must be >= 0 (0 disables re-emission)")
         self.heartbeat_ns = int(heartbeat * 1_000_000_000)
         self.regressions = 0
-        self._series: dict[tuple[str, str], _SeriesState] = {}
+        self.unchanged = 0
+        self._series: dict[str, dict[str, _SeriesState]] = {}
 
     def __len__(self) -> int:
-        return len(self._series)
+        return sum(map(len, self._series.values()))
+
+    def parameters(self, entity_id: str) -> set[str]:
+        """The parameters of ``entity_id`` that have a series, as a new set."""
+        return set(self._series.get(entity_id, ()))
 
     def observe(self, dp: DataPoint) -> Optional[DataPoint]:
         """Return dp if it should be persisted, else None."""
-        key = (dp.entity_id, dp.parameter)
-        st = self._series.get(key)
+        params = self._series.get(dp.entity_id)
+        if params is None:
+            params = self._series[dp.entity_id] = {}
+        value = dp.value
+        st = params.get(dp.parameter)
         if st is None:
-            self._series[key] = _SeriesState(dp.value, dp.timestamp, dp.timestamp)
+            params[dp.parameter] = _SeriesState(value.kind, value.raw, dp.timestamp, dp.timestamp)
             return dp
         if dp.timestamp < st.last_seen_ns:
             self.regressions += 1
             return None
-        changed = dp.value != st.value
+        kind, raw = value.kind, value.raw
+        changed = not (
+            (kind is st.kind or kind == st.kind) and (raw is st.raw or raw == st.raw)
+        )
         due = self.heartbeat_ns > 0 and dp.timestamp - st.last_emit_ns >= self.heartbeat_ns
-        st.value = dp.value
+        st.kind = kind
+        st.raw = raw
         st.last_seen_ns = dp.timestamp
         if changed or due:
             st.last_emit_ns = dp.timestamp
             return dp
+        self.unchanged += 1
         return None

@@ -19,9 +19,23 @@ are shed and counted, producers are never blocked.
 
 ``counters()`` reports ``received`` (every point submitted while intake was
 open, rejected ones included), ``rejected_non_finite`` (a NaN or infinite
-real), ``rejected_unrenderable`` (every other broken rule), ``emitted``,
-``shed``, ``delivered``, ``dead_lettered``, ``dead_letter_errors``,
-``flush_failures`` and ``buffer_depth``.
+real), ``rejected_unrenderable`` (every other broken rule), ``regressions``
+(the filter dropped a point older than its series' last one), ``unchanged``
+(the filter suppressed a repeat), ``emitted``, ``shed``, ``delivered``,
+``dead_lettered``, ``dead_letter_errors``, ``flush_failures``,
+``alert_errors`` (the alert tap raised; the point still went on) and
+``buffer_depth``. The first law below holds whenever no submit is in
+progress, the second also needs no batch in flight (as after ``drain()``);
+a batch whose dead-letter write failed is back in the buffer::
+
+    received = rejected_non_finite + rejected_unrenderable
+               + regressions + unchanged + emitted
+    emitted  = delivered + dead_lettered + shed + buffer_depth
+
+Per-series state lives only in the change filter, keyed entity ->
+{parameter -> last kind, raw value and times}. The pipeline keeps per
+entity its rendered tag segment and its received and emitted counts;
+``rate_stats()`` reads each entity's parameter set from the filter.
 """
 
 from __future__ import annotations
@@ -104,15 +118,27 @@ class SinkConfig:
 
 
 class FileSink:
-    """Appends newline-terminated lines; one write call per batch."""
+    """Appends newline-terminated lines; one write call per batch.
+
+    A batch is appended whole or not at all: when the write fails part way
+    (a full disk, a file size limit) the file is truncated back to where the
+    batch began and the error is raised, so a retry cannot leave a torn or
+    duplicated line."""
 
     def __init__(self, path: str):
         self.path = path
 
     def write(self, lines: list[str]) -> int:
-        data = ("\n".join(lines) + "\n").encode("utf-8")
-        with open(self.path, "ab") as f:
-            f.write(data)
+        data = memoryview(("\n".join(lines) + "\n").encode("utf-8"))
+        # unbuffered, so no unwritten tail is left to be flushed on close
+        with open(self.path, "ab", buffering=0) as f:
+            start = f.tell()
+            try:
+                while data:  # a regular file takes it all in one write(2) unless it fails
+                    data = data[f.write(data):]
+            except OSError:
+                os.ftruncate(f.fileno(), start)
+                raise
         return 204
 
 
@@ -137,6 +163,15 @@ class HttpSink:
 class EntityCounts:
     kind: str
     params: set[str] = field(default_factory=set)
+    received: int = 0
+    emitted: int = 0
+
+
+@dataclass(slots=True)
+class _EntityTally:
+    """Intake's per-entity counts; its parameters are the change filter's."""
+
+    kind: str
     received: int = 0
     emitted: int = 0
 
@@ -253,7 +288,7 @@ class Pipeline:
         self.alert_errors = 0
         self.last_flush_status: int | str | None = None
         self.last_flush_ns: int | None = None
-        self._entities: dict[str, EntityCounts] = {}
+        self._entities: dict[str, _EntityTally] = {}
         self._window_start_ns = clock_ns()
         self._intake_open = True
         self._stop = threading.Event()
@@ -289,9 +324,8 @@ class Pipeline:
             counts = self._entities.get(dp.entity_id)
             if counts is None:
                 kind = dp.tags.get(KIND_TAG, "unknown")
-                counts = self._entities[dp.entity_id] = EntityCounts(kind)
+                counts = self._entities[dp.entity_id] = _EntityTally(kind)
             counts.received += 1
-            counts.params.add(dp.parameter)
             if emitted is None:
                 return True
             line = to_line(emitted.parameter, segment, emitted.value, emitted.timestamp)
@@ -444,19 +478,22 @@ class Pipeline:
                 "received": self.received,
                 "rejected_non_finite": self.rejected_non_finite,
                 "rejected_unrenderable": self.rejected_unrenderable,
+                "regressions": self._filter.regressions,
+                "unchanged": self._filter.unchanged,
                 "emitted": self.emitted,
                 "shed": self.shed,
                 "delivered": self.delivered,
                 "dead_lettered": self.dead_lettered,
                 "dead_letter_errors": self.dead_letter_errors,
                 "flush_failures": self.flush_failures,
+                "alert_errors": self.alert_errors,
                 "buffer_depth": len(self._buffer),  # not the property: the lock is held
             }
 
     def rate_stats(self) -> RateStats:
         with self._lock:
             entities = {
-                e: EntityCounts(c.kind, set(c.params), c.received, c.emitted)
+                e: EntityCounts(c.kind, self._filter.parameters(e), c.received, c.emitted)
                 for e, c in self._entities.items()
             }
         return RateStats(entities, self._window_start_ns, self.clock_ns())

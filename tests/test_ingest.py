@@ -1,6 +1,7 @@
 """Payload parsing, JSON pointers, the HTTP poller, and subscriber recovery."""
 
 import json
+import math
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -24,7 +25,9 @@ from telegw.ingest import (
     poll_http,
     resolve_pointer,
 )
+from telegw.model import Value
 from telegw.mqtt.client import MqttClient
+from telegw.pipeline import Pipeline, SinkConfig
 from telegw.sim.broker import MqttBroker
 
 from ingest_fixtures import ARANET_SAMPLE, MOTION_SAMPLE, aranet_binding, motion_binding
@@ -150,6 +153,38 @@ class TestParsePayload:
         )
         (p,) = parse_payload("t/d", b'{"mv": 3300}', binding, 0)
         assert p.value.raw == pytest.approx(3.3)
+
+    @pytest.mark.parametrize("sign, scale", [("", None), ("-", None), ("", 0.001)])
+    def test_integer_beyond_float_range_reads_as_infinity(self, sign, scale):
+        # 1e400 parses to inf; an integer as large must too, not raise
+        binding = TopicBinding(
+            "t/+", "{1}", {"/v": FieldSpec("v", scale=scale), "/w": FieldSpec("w")}
+        )
+        payload = b'{"v": ' + sign.encode() + b"1" + b"0" * 400 + b', "w": 2}'
+        v, w = parse_payload("t/d", payload, binding, 0)
+        assert v.value == Value.real(-math.inf if sign else math.inf)
+        assert w.value == Value.real(2.0)
+
+    def test_huge_field_costs_only_itself(self, tmp_path):
+        # the subscriber's message handler catches only IngestError: one
+        # out-of-range field must not take the message's other fields with it
+        pipe = Pipeline(SinkConfig(path=str(tmp_path / "out.lp")))  # not started: writes nothing
+        binding = TopicBinding("t/+", "{1}", {"/v": FieldSpec("v"), "/w": FieldSpec("w")})
+        sub = Subscriber(BrokerConfig("127.0.0.1"), [binding], pipe.submit)
+        sub._on_message("t/d", b'{"v": 1' + b"0" * 400 + b', "w": 2}')
+        c = pipe.counters()
+        assert (sub.parse_errors, sub.points_out) == (0, 2)
+        assert (c["received"], c["rejected_non_finite"], c["emitted"]) == (2, 1, 1)
+
+    def test_timestamp_beyond_range_falls_back_to_now(self):
+        binding = TopicBinding(
+            "t/+", "{1}", {"/v": FieldSpec("v")},
+            timestamp_pointer="/ts", timestamp_unit="s",
+        )
+        stats = {}
+        (p,) = parse_payload("t/d", b'{"v": 1, "ts": 1e400}', binding, 555, stats)
+        assert p.timestamp == 555
+        assert stats["bad_timestamps"] == 1
 
     def test_nested_pointer_mapping(self):
         binding = TopicBinding(

@@ -211,3 +211,28 @@ def test_regression_count_matches_reference(timestamps):
             last_seen = ts
         f.observe(dp(Value.real(float(i)), ts=ts))
     assert f.regressions == expect
+
+
+# One NaN object, reused: Value.__eq__ finds it equal to itself. A second
+# NaN object is not equal to it.
+_NAN = float("nan")
+_any_values = st.builds(
+    Value,
+    st.sampled_from(["real", "flag", "text"]),
+    st.sampled_from([0.0, -0.0, 1.0, 1, True, False, 0, 2.5, _NAN, float("nan"), "a", ""]),
+)
+
+
+@settings(max_examples=150)
+@given(st.lists(_any_values, min_size=2, max_size=8))
+def test_change_decision_is_value_equality(values):
+    # each reading after the first is emitted exactly when it differs from
+    # the one before, as Value.__eq__ decides: -0.0 == 0.0, a real never
+    # equals a flag, 1.0 != True across kinds
+    f = ChangeFilter(heartbeat=0)
+    assert f.observe(dp(values[0], ts=0)) is not None
+    for i in range(1, len(values)):
+        emitted = f.observe(dp(values[i], ts=i)) is not None
+        assert emitted == (values[i] != values[i - 1]), values[: i + 1]
+    assert f.regressions == 0
+    assert f.unchanged == sum(values[i] == values[i - 1] for i in range(1, len(values)))

@@ -1,15 +1,20 @@
 """Pipeline behavior: dedup routing, shedding, flush retry, accounting."""
 
+import gc
 import math
+import os
 import random
+import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import telegw
 from telegw.lineproto import LineRecord, to_line
 from telegw.model import (
     MAX_TEXT_LEN,
@@ -305,6 +310,43 @@ class TestFlushing:
             assert measurement == "power"
             assert tags["device"] == "m-1"
 
+    def test_file_sink_failed_write_leaves_no_partial_batch(self, tmp_path):
+        # The child lowers its own file size limit (RLIMIT_FSIZE) so that the
+        # write fails part way, as it would on a full disk, then lifts it and
+        # retries the same batch.
+        child = """
+import errno, os, resource, signal, sys
+from telegw.pipeline import FileSink
+lines = [f"m,device=d{i} value={i}.5 1700000000000000000" for i in range(200)]
+signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+soft, hard = resource.getrlimit(resource.RLIMIT_FSIZE)
+resource.setrlimit(resource.RLIMIT_FSIZE, (3000, hard))
+sink = FileSink(sys.argv[1])
+try:
+    sink.write(lines)
+    sys.exit("a write past the size limit did not fail")
+except OSError as e:
+    assert e.errno == errno.EFBIG, e
+print(os.path.getsize(sys.argv[1]))
+resource.setrlimit(resource.RLIMIT_FSIZE, (soft, hard))
+sink.write(lines)
+"""
+        path = tmp_path / "out.lp"
+        path.write_text("m,device=d value=0 1\n")
+        src = os.path.dirname(os.path.dirname(telegw.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-c", child, str(path)],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == [str(len("m,device=d value=0 1\n"))]
+        assert path.read_text().splitlines() == ["m,device=d value=0 1"] + [
+            f"m,device=d{i} value={i}.5 1700000000000000000" for i in range(200)
+        ]
+
 
 class TestIntakeRejects:
     def test_non_finite_reals_are_rejected(self, tmp_path):
@@ -455,6 +497,138 @@ def test_intake_rejects_exactly_what_validate_datapoint_rejects(tmp_path_factory
     p.start()
     assert p.stop()
     assert sink.success_log == want
+
+class _Tap:
+    """An alert tap that raises for one parameter."""
+
+    def observe(self, dp):
+        if dp.parameter == "boom":
+            raise RuntimeError("alert rule failed")
+
+
+_GOOD_TAGS = {"model": "m"}
+_BAD_TAGS = {"room": "A\n1"}
+_law_points = st.lists(
+    st.tuples(
+        st.sampled_from(["d1", "d2", "d3"]),
+        st.sampled_from([_GOOD_TAGS, _GOOD_TAGS, _BAD_TAGS]),
+        st.sampled_from(["co2", "rh", "boom"]),
+        st.sampled_from(
+            [Value.real(1.0), Value.real(2.0), Value.real(math.nan), Value.real(math.inf),
+             Value.flag(True), Value.text("x\ny")]
+        ),
+        st.integers(0, 6),  # seconds; a small range gives repeats and regressions
+    ),
+    max_size=60,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    points=_law_points,
+    split=st.integers(0, 60),
+    batch_size=st.integers(1, 4),
+    spare=st.integers(0, 4),
+    heartbeat_s=st.sampled_from([0.0, 2.0]),
+    script=st.lists(st.sampled_from([204, 400]), min_size=1, max_size=6),
+)
+def test_counters_balance(tmp_path_factory, points, split, batch_size, spare, heartbeat_s, script):
+    cfg = fast_config(
+        tmp_path_factory.mktemp("laws"), batch_size=batch_size, buffer_capacity=batch_size + spare
+    )
+    p = Pipeline(cfg, sink=ScriptedSink(script), heartbeat_s=heartbeat_s, alert_engine=_Tap())
+
+    def intake_balances():
+        c = p.counters()
+        assert c["received"] == (
+            c["rejected_non_finite"] + c["rejected_unrenderable"]
+            + c["regressions"] + c["unchanged"] + c["emitted"]
+        ), c
+        return c
+
+    def output_balances():
+        c = intake_balances()
+        assert c["emitted"] == c["delivered"] + c["dead_lettered"] + c["shed"] + c["buffer_depth"], c
+        return c
+
+    accepted, series = [], {}
+    for i, (entity, tags, param, value, sec) in enumerate(points):
+        if i == split:
+            output_balances()  # the flusher has not run: only shedding drained the buffer
+            p.start()
+        point = DataPoint(entity, param, value, "", sec * 10**9, tags)
+        p.submit(point)
+        intake_balances()
+        try:
+            validate_datapoint(point)
+        except ModelError:
+            continue
+        accepted.append(point)
+        series.setdefault(entity, set()).add(param)
+    if split >= len(points):
+        output_balances()
+        p.start()
+    assert p.stop()
+    c = output_balances()
+    assert c["received"] == len(points)
+    assert c["buffer_depth"] == 0
+    assert c["alert_errors"] == sum(1 for q in accepted if q.parameter == "boom")
+    entities = p.rate_stats().entities
+    assert {e: counts.params for e, counts in entities.items()} == series
+    assert sum(counts.received for counts in entities.values()) == len(accepted)
+    assert sum(counts.emitted for counts in entities.values()) == c["emitted"]
+
+
+def test_rate_stats_params_are_the_filter_series(tmp_path):
+    p = Pipeline(fast_config(tmp_path), sink=ScriptedSink())
+    p.submit(dp("d1", "co2", 1.0, ts=10))
+    p.submit(dp("d1", "rh", 1.0, ts=10))
+    p.submit(dp("d2", "co2", 1.0, ts=10))
+    p.submit(dp("d1", "co2", 2.0, ts=5))  # a clock regression: dropped, no new series
+    p.submit(dp("d1", "temp", 2.0, ts=5))  # older than d1's other series, but a new one
+    p.submit(dp("d2", "co2", float("nan"), ts=20))  # rejected: touches no series
+    c = p.counters()
+    assert (c["regressions"], c["rejected_non_finite"], c["emitted"]) == (1, 1, 4)
+    entities = p.rate_stats().entities
+    assert {e: counts.params for e, counts in entities.items()} == {
+        "d1": {"co2", "rh", "temp"},
+        "d2": {"co2"},
+    }
+    assert {e: counts.received for e, counts in entities.items()} == {"d1": 4, "d2": 1}
+
+
+class _NullSink:
+    def write(self, lines):
+        return 204
+
+
+def test_retained_memory_per_series(tmp_path):
+    # 1500 devices x 24 parameters through intake into a sink that keeps
+    # nothing. Per series the pipeline keeps the change filter's state; the
+    # rest is per entity. Points, and the entity string of each message, are
+    # made inside the measured region, as a subscriber makes them.
+    n_entities, names = 1500, [f"field_{j:02d}" for j in range(24)]
+    tags = {"model": "churn"}  # one binding's tags, shared by its devices
+    cfg = fast_config(tmp_path, batch_size=500, buffer_capacity=10_000)
+    p = Pipeline(cfg, sink=_NullSink()).start()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for i in range(n_entities):
+            entity, ts = f"churn-{i:04d}", 1_700_000_000_000_000_000 + i
+            for j, name in enumerate(names):
+                p.submit(DataPoint(entity, name, Value.real(i + j / 32), "", ts, tags))
+        assert p.drain(30)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+        p.stop()
+    assert p.counters()["emitted"] == n_entities * len(names)
+    per_series = retained / (n_entities * len(names))
+    assert per_series < 250, f"{per_series:.0f} bytes retained per series"
+
 
 class TestConcurrentProducers:
     def test_counts_and_delivery_stay_exact(self, tmp_path):
