@@ -1,10 +1,12 @@
 """Process supervisor: one validated config in, a running gateway out.
 
 The gateway owns a pipeline, an alert engine, one subscriber per broker,
-and a scheduler thread per polled device. Every poller failure is recorded
-against that device and never escapes its thread; the process outlives any
-single dead dependency. Shutdown is two-phase: intake stops first, then the
-pipeline drains into the sink bounded by the configured timeout.
+and a scheduler thread per polled device. A device's poll job returns when
+it delivered its points and raises when it did not; the scheduler records
+either against that device, and ``/health`` reads those records. No failure
+escapes a poller's thread; the process outlives any single dead dependency.
+Shutdown is two-phase: intake stops first, then the pipeline drains into
+the sink bounded by the configured timeout.
 """
 
 from __future__ import annotations
@@ -14,29 +16,18 @@ import logging
 import os
 import threading
 import time
-from dataclasses import dataclass
 from datetime import date, timedelta
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from telegw.alerts import AlertEngine, LogNotifier, SmtpStubNotifier, WebhookNotifier
-from telegw.bacnet import BacnetClient, BacnetEndpoint, BacnetError
+from telegw.bacnet import BacnetClient, BacnetEndpoint
 from telegw.config import BacnetDeviceSpec, GatewayConfig, ModbusDeviceSpec, NotifierSpec
-from telegw.ingest import IngestError, Subscriber, poll_http
-from telegw.modbus import ModbusClient, ModbusError
+from telegw.ingest import Subscriber, poll_http
+from telegw.modbus import ModbusClient
 from telegw.pipeline import Pipeline, PollSchedule, Scheduler, stats_to_doc
 
 log = logging.getLogger(__name__)
-
-
-@dataclass
-class DeviceHealth:
-    last_success_ns: int | None = None
-    last_error: str | None = None
-    consecutive_failures: int = 0
-
-    @property
-    def green(self) -> bool:
-        return self.last_success_ns is not None and self.consecutive_failures == 0
+STATS_JOB = "stats-dump"  # writes stats_path; not a device
 
 
 def build_notifiers(specs: tuple[NotifierSpec, ...]) -> list:
@@ -65,53 +56,33 @@ class Gateway:
             clock_ns=clock_ns,
         )
         self.scheduler = Scheduler()
-        self.health: dict[str, DeviceHealth] = {}
         self.subscribers: list[Subscriber] = []
         self._bacnet_clients: dict[str, BacnetClient] = {}
         self._modbus_clients: dict[str, ModbusClient] = {}
         self._server: ThreadingHTTPServer | None = None
         self._server_thread: threading.Thread | None = None
         self._started_ns: int | None = None
-        self._lock = threading.Lock()
 
         for dev in config.modbus_devices:
-            self.health[dev.id] = DeviceHealth()
             self.scheduler.add(
                 dev.id,
                 PollSchedule(dev.interval_s, config.gateway.jitter),
                 self._modbus_job(dev),
             )
         for dev in config.bacnet_devices:
-            self.health[dev.id] = DeviceHealth()
             self.scheduler.add(
                 dev.id,
                 PollSchedule(dev.interval_s, config.gateway.jitter),
                 self._bacnet_job(dev),
             )
         for i, poll in enumerate(config.http_polls):
-            name = f"http-{i}"
-            self.health[name] = DeviceHealth()
             self.scheduler.add(
-                name, PollSchedule(poll.interval_s, config.gateway.jitter), self._http_job(name, poll)
+                f"http-{i}", PollSchedule(poll.interval_s, config.gateway.jitter), self._http_job(poll)
             )
         if config.gateway.stats_path:
-            self.scheduler.add("stats-dump", PollSchedule(30.0, 0.0), self.dump_stats)
+            self.scheduler.add(STATS_JOB, PollSchedule(30.0, 0.0), self.dump_stats)
 
     # -- poller jobs ----------------------------------------------------------
-
-    def _ok(self, name: str) -> None:
-        with self._lock:
-            h = self.health[name]
-            h.last_success_ns = self.clock_ns()
-            h.last_error = None
-            h.consecutive_failures = 0
-
-    def _failed(self, name: str, err: Exception) -> None:
-        with self._lock:
-            h = self.health[name]
-            h.last_error = f"{type(err).__name__}: {err}"
-            h.consecutive_failures += 1
-        log.warning("poll %s failed: %s", name, h.last_error)
 
     def _modbus_job(self, dev: ModbusDeviceSpec):
         def job() -> None:
@@ -130,12 +101,10 @@ class Gateway:
                         day, dev.historical.config, list(dev.historical.bindings), dev.id, dev.tags
                     )
                     points.extend(report.points)
-            except (ModbusError, OSError) as e:
+            except Exception:
                 client.close()
-                self._failed(dev.id, e)
-                return
+                raise
             self.pipeline.submit_many(points)
-            self._ok(dev.id)
 
         return job
 
@@ -153,28 +122,16 @@ class Gateway:
                     )
                 )
                 self._bacnet_clients[dev.id] = client
-            try:
-                names = list(dev.names)
-                if not names:
-                    names = [o.name for o in client.discover_objects()]
-                points = client.read_points(names, dev.id, dev.tags)
-            except (BacnetError, OSError) as e:
-                self._failed(dev.id, e)
-                return
-            self.pipeline.submit_many(points)
-            self._ok(dev.id)
+            names = list(dev.names)
+            if not names:
+                names = [o.name for o in client.discover_objects()]
+            self.pipeline.submit_many(client.read_points(names, dev.id, dev.tags))
 
         return job
 
-    def _http_job(self, name: str, poll):
+    def _http_job(self, poll):
         def job() -> None:
-            try:
-                points = poll_http(poll, now_ns=self.clock_ns())
-            except IngestError as e:
-                self._failed(name, e)
-                return
-            self.pipeline.submit_many(points)
-            self._ok(name)
+            self.pipeline.submit_many(poll_http(poll, now_ns=self.clock_ns()))
 
         return job
 
@@ -221,16 +178,16 @@ class Gateway:
 
     def health_snapshot(self) -> dict:
         now = self.clock_ns()
-        with self._lock:
-            devices = {
-                name: {
-                    "green": h.green,
-                    "last_success_ns": h.last_success_ns,
-                    "consecutive_failures": h.consecutive_failures,
-                    "last_error": h.last_error,
-                }
-                for name, h in self.health.items()
+        devices = {
+            name: {
+                "green": r.last_success_ns is not None and r.consecutive_failures == 0,
+                "last_success_ns": r.last_success_ns,
+                "consecutive_failures": r.consecutive_failures,
+                "last_error": r.last_error,
             }
+            for name, r in self.scheduler.records().items()
+            if name != STATS_JOB
+        }
         sink_status = self.pipeline.last_flush_status
         sink_ok = sink_status is None or (isinstance(sink_status, int) and 200 <= sink_status < 300)
         degraded = (
@@ -261,7 +218,8 @@ class Gateway:
     def metrics_snapshot(self) -> dict:
         return {
             "pipeline": self.pipeline.counters(),
-            "scheduler": {"runs": dict(self.scheduler.job_runs), "errors": dict(self.scheduler.job_errors)},
+            "scheduler": {"runs": self.scheduler.job_runs, "errors": self.scheduler.job_errors},
+            "brokers": {f"{s.broker.host}:{s.broker.port}": dict(s.stats) for s in self.subscribers},
             "alerts": {
                 "delivery_failures": self.alert_engine.delivery_failures,
                 "disabled": len(self.alert_engine.disabled),

@@ -283,7 +283,7 @@ class Subscriber:
         self._disconnected = threading.Event()
         self._client: MqttClient | None = None
         self._thread: threading.Thread | None = None
-        self.stats: dict[str, int] = {}
+        self.stats = dict.fromkeys(("points", "ignored_fields", "type_errors", "bad_timestamps"), 0)
         self.parse_errors = 0
         self.reconnects = 0
         self.points_out = 0

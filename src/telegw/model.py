@@ -13,7 +13,7 @@ pipeline's intake and :func:`telegw.lineproto.to_line` all apply it:
 - a real is a finite number, not a bool; a flag is a bool;
 - a text is a string of at most :data:`MAX_TEXT_LEN` characters;
 - tag keys and values are strings, and tag keys are non-empty;
-- the timestamp is an int.
+- the timestamp is an int that fits line protocol's int64 nanoseconds.
 
 Each rule raises one :class:`ModelError` subtype: ``NonFiniteValue``,
 ``EmptyIdentifier``, ``BadIdentifier`` (line breaks), ``TextTooLong``, or
@@ -29,6 +29,8 @@ from math import isfinite
 from typing import Mapping, Optional, Union
 
 MAX_TEXT_LEN = 1024
+# line protocol timestamps are int64; a sink answers 400 to the whole batch otherwise
+TIMESTAMP_MIN, TIMESTAMP_MAX = -(2**63), 2**63 - 1
 
 REAL = "real"
 FLAG = "flag"
@@ -166,6 +168,8 @@ def check_reading(parameter: str, value: Value, timestamp: int) -> None:
     _check_value(value, parameter)
     if not isinstance(timestamp, int):
         raise ModelError(f"{parameter}: timestamp must be int nanoseconds")
+    if not TIMESTAMP_MIN <= timestamp <= TIMESTAMP_MAX:
+        raise ModelError(f"{parameter}: timestamp {timestamp} is outside int64")
 
 
 def validate_datapoint(dp: DataPoint) -> None:

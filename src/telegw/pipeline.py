@@ -40,12 +40,13 @@ entity its rendered tag segment and its received and emitted counts;
 
 from __future__ import annotations
 
+import logging
 import os
 import random
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable
 
 # Bound as to_line: the benchmark traces telegw.pipeline.to_line as the per-line render.
@@ -58,6 +59,8 @@ from telegw.model import (
     check_entity,
     check_reading,
 )
+
+log = logging.getLogger(__name__)
 
 
 class EmptyWindow(ValueError):
@@ -499,8 +502,23 @@ class Pipeline:
         return RateStats(entities, self._window_start_ns, self.clock_ns())
 
 
+@dataclass(slots=True)
+class JobRecord:
+    """One job's poll outcomes: a job succeeds by returning, fails by raising."""
+    runs: int = 0
+    errors: int = 0
+    last_success_ns: int | None = None
+    last_error: str | None = None
+    consecutive_failures: int = 0
+
+
 class Scheduler:
-    """Periodic jobs with phase jitter; failures are counted, never fatal."""
+    """Periodic jobs with phase jitter, and the one record of their outcomes.
+
+    A job succeeds by returning and fails by raising any ``Exception``; either
+    lands in its :class:`JobRecord` under one lock and never ends its thread.
+    Only a job's first failed poll (a warning, with traceback) and its first
+    success after failing are logged, not the failed polls between."""
 
     def __init__(self, seed: int = 0):
         self._rng = random.Random(seed)
@@ -508,13 +526,24 @@ class Scheduler:
         self._stop = threading.Event()
         self._threads: list[threading.Thread] = []
         self._lock = threading.Lock()
-        self.job_errors: dict[str, int] = {}
-        self.job_runs: dict[str, int] = {}
+        self._records: dict[str, JobRecord] = {}
 
     def add(self, name: str, schedule: PollSchedule, job: Callable[[], None]) -> None:
         self._jobs.append((schedule, job, name))
-        self.job_errors[name] = 0
-        self.job_runs[name] = 0
+        self._records[name] = JobRecord()
+
+    def records(self) -> dict[str, JobRecord]:
+        """A copy of every job's record, in the order the jobs were added."""
+        with self._lock:
+            return {name: replace(r) for name, r in self._records.items()}
+
+    @property
+    def job_runs(self) -> dict[str, int]:
+        return {name: r.runs for name, r in self.records().items()}
+
+    @property
+    def job_errors(self) -> dict[str, int]:
+        return {name: r.errors for name, r in self.records().items()}
 
     def start(self) -> "Scheduler":
         self._stop.clear()
@@ -533,15 +562,27 @@ class Scheduler:
         self._threads = []
 
     def _run_job(self, schedule: PollSchedule, job: Callable[[], None], name: str) -> None:
+        record = self._records[name]
         while not self._stop.is_set():
+            failures = record.consecutive_failures  # only this thread writes it
             try:
                 job()
-                with self._lock:
-                    self.job_runs[name] += 1
-            except Exception:
-                with self._lock:
-                    self.job_errors[name] += 1
+                error = None
+            except Exception as e:
+                error = f"{type(e).__name__}: {e}"
+                if not failures:
+                    log.warning("poll %s failed: %s", name, error, exc_info=True)
+            if error is None and failures:
+                log.info("poll %s recovered after %d failed polls", name, failures)
             with self._lock:
+                record.last_error = error
+                if error is None:
+                    record.runs += 1
+                    record.last_success_ns = time.time_ns()
+                    record.consecutive_failures = 0
+                else:
+                    record.errors += 1
+                    record.consecutive_failures += 1
                 delay = schedule.next_delay(self._rng)
             if self._stop.wait(delay):
                 return

@@ -1,5 +1,6 @@
 import json
 import os
+import queue
 import signal
 import socket
 import subprocess
@@ -15,6 +16,7 @@ from telegw.cli import main
 from telegw.config import load_config
 from telegw.daemon import Gateway
 from telegw.modbus import RegisterCodec
+from telegw.pipeline import PollSchedule
 from telegw.mqtt import MqttClient
 from telegw.sim import BacnetSim, ModbusSim, MqttBroker, SimObject
 
@@ -250,6 +252,133 @@ def test_daemon_survives_dead_sink_and_reports_red(tmp_path, meter_sim):
         assert requests.get(f"http://127.0.0.1:{gw.health_port}/health", timeout=2).ok
     finally:
         gw.stop()
+
+
+def test_http_poll_connection_error_shows_in_health(tmp_path):
+    # nothing listens on the polled port, so requests raises ConnectionError
+    cfg = load_config(
+        write_config(
+            tmp_path,
+            f"""
+            gateway: {{health_port: 0, jitter: 0}}
+            sink: {{mode: file, path: {tmp_path}/out.lp}}
+            http_polls:
+              - url: http://127.0.0.1:{free_port()}/v1/plant
+                interval_s: 60
+                entity_array_pointer: /inverters
+                entity_id_pointer: /sn
+                fields:
+                  /power: {{parameter: active_power, unit: W}}
+            """,
+        )
+    )
+    gw = Gateway(cfg).start()
+    try:
+        base = f"http://127.0.0.1:{gw.health_port}"
+
+        def http_0():
+            return requests.get(f"{base}/health", timeout=2).json()["devices"]["http-0"]
+
+        assert wait_until(lambda: http_0()["consecutive_failures"] >= 1, 2)
+        assert "ConnectionError" in http_0()["last_error"]
+        assert http_0()["green"] is False
+        metrics = requests.get(f"{base}/metrics", timeout=2).json()
+        assert metrics["scheduler"]["errors"]["http-0"] >= 1
+        assert metrics["scheduler"]["runs"]["http-0"] == 0
+    finally:
+        gw.stop()
+
+
+def test_three_failed_polls_degrade_health_and_one_success_resets(tmp_path):
+    cfg = load_config(
+        write_config(
+            tmp_path,
+            f"""
+            gateway: {{health_port: 0}}
+            sink: {{mode: file, path: {tmp_path}/out.lp}}
+            """,
+        )
+    )
+    gw = Gateway(cfg)
+    outcomes: queue.Queue = queue.Queue()
+    released = threading.Event()
+
+    def job():
+        # one scripted outcome per poll: None returns, an exception is raised
+        if released.is_set():
+            return
+        error = outcomes.get(timeout=5)
+        if error is not None:
+            raise error
+
+    gw.scheduler.add("fake-1", PollSchedule(0.001), job)
+    gw.start()
+    try:
+        for i in range(3):
+            outcomes.put(OSError(f"timed out {i}"))
+        assert wait_until(lambda: gw.scheduler.job_errors["fake-1"] == 3, 2)
+        snap = gw.health_snapshot()
+        assert snap["status"] == "degraded"
+        assert snap["devices"] == {
+            "fake-1": {
+                "green": False,
+                "last_success_ns": None,
+                "consecutive_failures": 3,
+                "last_error": "OSError: timed out 2",
+            }
+        }
+        outcomes.put(None)
+        assert wait_until(lambda: gw.scheduler.job_runs["fake-1"] == 1, 2)
+        snap = gw.health_snapshot()
+        assert snap["status"] == "ok"
+        dev = snap["devices"]["fake-1"]
+        assert (dev["green"], dev["consecutive_failures"], dev["last_error"]) == (True, 0, None)
+        assert dev["last_success_ns"] is not None
+        assert gw.scheduler.job_errors["fake-1"] == 3
+    finally:
+        released.set()
+        outcomes.put(None)
+        gw.stop()
+
+
+def test_metrics_report_ingest_counts_per_broker(tmp_path):
+    with MqttBroker() as broker:
+        path = write_config(
+            tmp_path,
+            f"""
+            gateway: {{health_port: 0}}
+            sink: {{mode: file, path: {tmp_path}/out.lp}}
+            brokers:
+              - host: 127.0.0.1
+                port: {broker.port}
+                bindings:
+                  - topic: radon/+/report
+                    entity: "radon-{{1}}"
+                    timestamp_pointer: /ts
+                    fields:
+                      /radon: {{parameter: radon}}
+            """,
+        )
+        gw = Gateway(load_config(path)).start()
+        try:
+            key = f"127.0.0.1:{broker.port}"
+            zero = {"points": 0, "ignored_fields": 0, "type_errors": 0, "bad_timestamps": 0}
+            assert gw.metrics_snapshot()["brokers"] == {key: zero}
+            assert wait_until(lambda: broker.session_count == 1, 5)
+            pub = MqttClient("127.0.0.1", broker.port, "pub")
+            pub.connect()
+            pub.publish("radon/r1/report", b'{"radon": 351, "ts": "late", "extra": 1}', qos=1)
+            pub.publish("radon/r1/report", b'{"radon": "high", "ts": 1700000000}', qos=1)
+            pub.close()
+            base = f"http://127.0.0.1:{gw.health_port}"
+
+            def counts():
+                return requests.get(f"{base}/metrics", timeout=2).json()["brokers"][key]
+
+            assert wait_until(lambda: counts()["type_errors"] == 1, 5)
+            assert counts() == {"points": 1, "ignored_fields": 1, "type_errors": 1, "bad_timestamps": 1}
+        finally:
+            gw.stop()
 
 
 

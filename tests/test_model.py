@@ -83,6 +83,13 @@ class TestValidate:
         with pytest.raises(ModelError):
             validate_datapoint(dp(Value("real", True)))
 
+    def test_timestamp_must_fit_int64(self):
+        validate_datapoint(dp(Value.real(1.0), ts=2**63 - 1))
+        validate_datapoint(dp(Value.real(1.0), ts=-(2**63)))
+        for ts in (2**63, -(2**63) - 1, 99999999999999999999999):
+            with pytest.raises(ModelError):
+                validate_datapoint(dp(Value.real(1.0), ts=ts))
+
     def test_non_string_tag_value_rejected(self):
         with pytest.raises(ModelError):
             validate_datapoint(dp(Value.real(1.0), tags={"room": 7}))

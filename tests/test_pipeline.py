@@ -1,6 +1,8 @@
 """Pipeline behavior: dedup routing, shedding, flush retry, accounting."""
 
 import gc
+import itertools
+import logging
 import math
 import os
 import random
@@ -386,6 +388,17 @@ class TestIntakeRejects:
         assert [parse_line(line)[1]["device"] for line in sink.success_log] == ["good"]
         c = p.counters()
         assert (c["rejected_unrenderable"], c["received"], c["emitted"]) == (1, 2, 1)
+
+    def test_timestamp_beyond_int64_is_rejected_not_written(self, tmp_path):
+        sink = ScriptedSink()
+        p = Pipeline(fast_config(tmp_path), sink=sink)
+        assert p.submit(dp(entity="far", ts=99999999999999999999999)) is False
+        assert p.submit(dp(entity="near", ts=2**63 - 1)) is True
+        p.start()
+        assert p.stop()
+        assert [parse_line(line)[1]["device"] for line in sink.success_log] == ["near"]
+        c = p.counters()
+        assert (c["rejected_unrenderable"], c["received"], c["delivered"]) == (1, 2, 1)
 
 
 _lp_text = st.text(alphabet=st.sampled_from('ab1 ,=\\"é_'), max_size=6)
@@ -815,6 +828,31 @@ class TestScheduler:
         assert sched.job_runs["ok"] >= 5
         assert sched.job_errors["bad"] >= 5
         assert sched.job_runs["bad"] == 0
+
+    def test_failures_log_once_per_state_change(self, caplog):
+        calls = itertools.count()
+
+        def flaky():
+            if next(calls) < 5:
+                raise OSError("device offline")
+
+        sched = Scheduler()
+        sched.add("flaky", PollSchedule(0.005), flaky)
+        with caplog.at_level(logging.INFO, logger="telegw.pipeline"):
+            sched.start()
+            try:
+                deadline = time.monotonic() + 2
+                while sched.job_runs["flaky"] < 3 and time.monotonic() < deadline:
+                    time.sleep(0.005)
+            finally:
+                sched.stop()
+        assert sched.job_errors["flaky"] == 5
+        assert sched.job_runs["flaky"] >= 3
+        lines = [(r.levelno, r.getMessage()) for r in caplog.records if r.name == "telegw.pipeline"]
+        assert lines == [
+            (logging.WARNING, "poll flaky failed: OSError: device offline"),
+            (logging.INFO, "poll flaky recovered after 5 failed polls"),
+        ]
 
     def test_validation(self):
         with pytest.raises(ValueError):
