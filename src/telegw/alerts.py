@@ -18,7 +18,6 @@ import math
 import queue
 import threading
 from dataclasses import dataclass, field
-from email.utils import formatdate
 from fnmatch import fnmatchcase
 from pathlib import Path
 
@@ -311,6 +310,8 @@ class SmtpStubNotifier:
         self._lock = threading.Lock()
 
     def notify(self, event: AlertEvent) -> bool:
+        from email.utils import formatdate
+
         with self._lock:
             self._seq += 1
             seq = self._seq

@@ -85,6 +85,13 @@ class BacnetClient:
         self._name_cache: dict[str, DiscoveredObject] = {}
 
     def close(self) -> None:
+        """Close the socket, first waking a read blocked on it in another
+        thread: close() alone does not wake recvfrom(), shutdown() does (and
+        raises ENOTCONN on a UDP socket)."""
+        try:
+            self._sock.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
         self._sock.close()
 
     def __enter__(self) -> "BacnetClient":

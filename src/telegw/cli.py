@@ -19,8 +19,6 @@ import sys
 import threading
 import time
 
-import requests
-
 from telegw.bacnet import BacnetClient, BacnetEndpoint, BacnetError
 from telegw.config import ConfigError, GatewayConfig, load_config
 from telegw.daemon import Gateway
@@ -182,6 +180,8 @@ def cmd_stats(args) -> int:
         with open(args.file, "r", encoding="utf-8") as f:
             doc = json.load(f)
     else:
+        import requests
+
         resp = requests.get(f"{args.url.rstrip('/')}/stats", timeout=5)
         resp.raise_for_status()
         doc = resp.json()

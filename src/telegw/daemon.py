@@ -7,6 +7,11 @@ either against that device, and ``/health`` reads those records. No failure
 escapes a poller's thread; the process outlives any single dead dependency.
 Shutdown is two-phase: intake stops first, then the pipeline drains into
 the sink bounded by the configured timeout.
+
+``/health``, ``/metrics`` and ``/stats`` are served as HTTP/1.0 by a
+``socketserver`` handler rather than ``http.server``, which would load
+``http.client`` and with it ``ssl``, libssl and libcrypto: about 5 MB of a
+process that otherwise needs no TLS.
 """
 
 from __future__ import annotations
@@ -14,10 +19,12 @@ from __future__ import annotations
 import json
 import logging
 import os
+import socketserver
 import threading
 import time
 from datetime import date, timedelta
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http import HTTPStatus
+from typing import Callable
 
 from telegw.alerts import AlertEngine, LogNotifier, SmtpStubNotifier, WebhookNotifier
 from telegw.bacnet import BacnetClient, BacnetEndpoint
@@ -28,6 +35,11 @@ from telegw.pipeline import Pipeline, PollSchedule, Scheduler, stats_to_doc
 
 log = logging.getLogger(__name__)
 STATS_JOB = "stats-dump"  # writes stats_path; not a device
+
+# The health endpoint's limits; the line and header bounds are http.server's.
+MAX_LINE = 65536  # bytes in the request line and in each header line
+MAX_HEADERS = 100
+IDLE_TIMEOUT_S = 2.0  # a connection that sends no whole request by then is closed
 
 
 def build_notifiers(specs: tuple[NotifierSpec, ...]) -> list:
@@ -59,7 +71,7 @@ class Gateway:
         self.subscribers: list[Subscriber] = []
         self._bacnet_clients: dict[str, BacnetClient] = {}
         self._modbus_clients: dict[str, ModbusClient] = {}
-        self._server: ThreadingHTTPServer | None = None
+        self._server: HealthServer | None = None
         self._server_thread: threading.Thread | None = None
         self._started_ns: int | None = None
 
@@ -86,10 +98,7 @@ class Gateway:
 
     def _modbus_job(self, dev: ModbusDeviceSpec):
         def job() -> None:
-            client = self._modbus_clients.get(dev.id)
-            if client is None:
-                client = ModbusClient(dev.host, dev.port, dev.unit, dev.policy)
-                self._modbus_clients[dev.id] = client
+            client = self._modbus_clients[dev.id]
             try:
                 points = []
                 if dev.bindings:
@@ -110,18 +119,7 @@ class Gateway:
 
     def _bacnet_job(self, dev: BacnetDeviceSpec):
         def job() -> None:
-            client = self._bacnet_clients.get(dev.id)
-            if client is None:
-                client = BacnetClient(
-                    BacnetEndpoint(
-                        dev.host,
-                        dev.port,
-                        device_instance=dev.device_instance,
-                        timeout_ms=dev.timeout_ms,
-                        retries=dev.retries,
-                    )
-                )
-                self._bacnet_clients[dev.id] = client
+            client = self._bacnet_clients[dev.id]
             names = list(dev.names)
             if not names:
                 names = [o.name for o in client.discover_objects()]
@@ -143,6 +141,18 @@ class Gateway:
         for entry in self.config.brokers:
             sub = Subscriber(entry.config, list(entry.bindings), self.pipeline.submit)
             self.subscribers.append(sub.start())
+        # Made before any job runs, so stop() reaches every client a job uses.
+        for dev in self.config.modbus_devices:
+            self._modbus_clients[dev.id] = ModbusClient(dev.host, dev.port, dev.unit, dev.policy)
+        for dev in self.config.bacnet_devices:
+            endpoint = BacnetEndpoint(
+                dev.host,
+                dev.port,
+                device_instance=dev.device_instance,
+                timeout_ms=dev.timeout_ms,
+                retries=dev.retries,
+            )
+            self._bacnet_clients[dev.id] = BacnetClient(endpoint)
         self.scheduler.start()
         self._start_health_server()
         for warning in self.config.warnings:
@@ -153,10 +163,8 @@ class Gateway:
         # phase 1: stop intake so nothing new lands in the buffer
         for sub in self.subscribers:
             sub.stop()
-        self.scheduler.stop()
-        for client in self._modbus_clients.values():
-            client.close()
-        for client in self._bacnet_clients.values():
+        self.scheduler.stop(wake=self._wake_pollers)
+        for client in self._modbus_clients.values():  # the wake closed the BACnet ones
             client.close()
         # phase 2: drain what is buffered, bounded, then stop the flusher
         self.pipeline.stop(drain_timeout_s=self.config.gateway.drain_timeout_s)
@@ -167,6 +175,14 @@ class Gateway:
             self._server.shutdown()
             self._server.server_close()
             self._server = None
+
+    def _wake_pollers(self) -> None:
+        """Wake every poll blocked in device I/O, so the scheduler's join
+        does not wait out an I/O timeout. An HTTP poll cannot be woken."""
+        for client in self._modbus_clients.values():
+            client.interrupt()
+        for client in self._bacnet_clients.values():
+            client.close()
 
     def __enter__(self) -> "Gateway":
         return self.start()
@@ -237,31 +253,13 @@ class Gateway:
     # -- health endpoint ----------------------------------------------------------
 
     def _start_health_server(self) -> None:
-        gateway = self
-
-        class Handler(BaseHTTPRequestHandler):
-            def do_GET(self):
-                if self.path == "/health":
-                    doc = gateway.health_snapshot()
-                elif self.path == "/metrics":
-                    doc = gateway.metrics_snapshot()
-                elif self.path == "/stats":
-                    doc = stats_to_doc(gateway.pipeline.rate_stats())
-                else:
-                    self.send_error(404)
-                    return
-                body = json.dumps(doc).encode("utf-8")
-                self.send_response(200)
-                self.send_header("Content-Type", "application/json")
-                self.send_header("Content-Length", str(len(body)))
-                self.end_headers()
-                self.wfile.write(body)
-
-            def log_message(self, *args):
-                pass
-
-        self._server = ThreadingHTTPServer(
-            (self.config.gateway.health_host, self.config.gateway.health_port), Handler
+        routes = {
+            "/health": self.health_snapshot,
+            "/metrics": self.metrics_snapshot,
+            "/stats": lambda: stats_to_doc(self.pipeline.rate_stats()),
+        }
+        self._server = HealthServer(
+            (self.config.gateway.health_host, self.config.gateway.health_port), routes
         )
         self.health_port = self._server.server_address[1]
         # shutdown() waits for serve_forever to see its flag, which it checks
@@ -270,3 +268,58 @@ class Gateway:
             target=self._server.serve_forever, kwargs={"poll_interval": 0.02}, daemon=True
         )
         self._server_thread.start()
+
+
+class _HealthHandler(socketserver.StreamRequestHandler):
+    """One HTTP/1.0 request per connection. A GET of a routed path gets its
+    JSON document; anything else gets an error status with a JSON body."""
+
+    timeout = IDLE_TIMEOUT_S
+
+    def handle(self) -> None:
+        try:
+            status, doc = self._answer()
+            body = json.dumps(doc).encode("utf-8")
+            head = (
+                f"HTTP/1.0 {status.value} {status.phrase}\r\n"
+                "Content-Type: application/json\r\n"
+                f"Content-Length: {len(body)}\r\n\r\n"
+            )
+            self.wfile.write(head.encode("ascii") + body)
+        except OSError:
+            pass  # the client left, or sent no whole request within the timeout
+
+    def _answer(self) -> tuple[HTTPStatus, dict]:
+        line = self.rfile.readline(MAX_LINE + 1)
+        if len(line) > MAX_LINE:
+            return HTTPStatus.REQUEST_URI_TOO_LONG, {"error": "request line too long"}
+        words = line.split()
+        if len(words) != 3 or not words[2].startswith(b"HTTP/"):
+            return HTTPStatus.BAD_REQUEST, {"error": "malformed request line"}
+        # read the headers so that closing the socket does not reset it
+        for _ in range(MAX_HEADERS + 1):
+            header = self.rfile.readline(MAX_LINE + 1)
+            if len(header) > MAX_LINE:
+                return HTTPStatus.REQUEST_HEADER_FIELDS_TOO_LARGE, {"error": "header line too long"}
+            if header in (b"\r\n", b"\n", b""):
+                break
+        else:
+            return HTTPStatus.REQUEST_HEADER_FIELDS_TOO_LARGE, {"error": "too many headers"}
+        if words[0] != b"GET":
+            return HTTPStatus.NOT_IMPLEMENTED, {"error": "only GET is served"}
+        route = self.server.routes.get(words[1].decode("latin-1"))
+        if route is None:
+            return HTTPStatus.NOT_FOUND, {"error": "no such path"}
+        return HTTPStatus.OK, route()
+
+
+class HealthServer(socketserver.ThreadingTCPServer):
+    """Serves ``routes``, a path -> document function map, one thread per
+    connection."""
+
+    daemon_threads = True
+    allow_reuse_address = True
+
+    def __init__(self, address: tuple[str, int], routes: dict[str, Callable[[], dict]]):
+        self.routes = routes
+        super().__init__(address, _HealthHandler)

@@ -150,6 +150,7 @@ class ModbusClient:
         self._sleep: Callable[[float], None] = time.sleep
         self._sock: Optional[socket.socket] = None
         self._tx = 0
+        self._interrupted = False
 
     # -- connection management -------------------------------------------
 
@@ -167,6 +168,8 @@ class ModbusClient:
         deadline = time.monotonic() + self.policy.connect_timeout_ms / 1000
         last: Exception | None = None
         while True:
+            if self._interrupted:
+                raise ModbusError(f"client for {self.host}:{self.port} was interrupted")
             remaining = deadline - time.monotonic()
             if remaining <= 0:
                 raise ConnectTimeout(
@@ -177,6 +180,8 @@ class ModbusClient:
                 s = socket.create_connection((self.host, self.port), timeout=remaining)
                 s.settimeout(self.policy.io_timeout_ms / 1000)
                 self._sock = s
+                if self._interrupted:  # interrupt() ran before this socket was set
+                    self.interrupt()
                 return
             except ConnectionResetError as e:
                 raise ConnectionReset(
@@ -192,6 +197,18 @@ class ModbusClient:
                 self._sock.close()
             finally:
                 self._sock = None
+
+    def interrupt(self) -> None:
+        """Wake a read or write blocked in another thread, and refuse every
+        later connect: for shutting down. close() alone wakes no recv();
+        shutdown() does. A connect still waiting for the device is not woken."""
+        self._interrupted = True
+        sock = self._sock
+        if sock is not None:
+            try:
+                sock.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
 
     def __enter__(self) -> "ModbusClient":
         return self

@@ -518,7 +518,9 @@ class Scheduler:
     A job succeeds by returning and fails by raising any ``Exception``; either
     lands in its :class:`JobRecord` under one lock and never ends its thread.
     Only a job's first failed poll (a warning, with traceback) and its first
-    success after failing are logged, not the failed polls between."""
+    success after failing are logged, not the failed polls between. A job
+    that raises once :meth:`stop` has begun was cancelled, most likely woken
+    out of its I/O by ``stop``'s ``wake``, and is not recorded."""
 
     def __init__(self, seed: int = 0):
         self._rng = random.Random(seed)
@@ -555,8 +557,11 @@ class Scheduler:
             self._threads.append(t)
         return self
 
-    def stop(self) -> None:
+    def stop(self, wake: Callable[[], None] = lambda: None) -> None:
+        """Set the stop flag, call ``wake`` to unblock jobs stuck in I/O,
+        then join every job thread."""
         self._stop.set()
+        wake()
         for t in self._threads:
             t.join(timeout=5)
         self._threads = []
@@ -569,6 +574,8 @@ class Scheduler:
                 job()
                 error = None
             except Exception as e:
+                if self._stop.is_set():
+                    return  # cut short by stop(): a cancelled poll, not a failed one
                 error = f"{type(e).__name__}: {e}"
                 if not failures:
                     log.warning("poll %s failed: %s", name, error, exc_info=True)

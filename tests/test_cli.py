@@ -14,7 +14,7 @@ import requests
 
 from telegw.cli import main
 from telegw.config import load_config
-from telegw.daemon import Gateway
+from telegw.daemon import IDLE_TIMEOUT_S, Gateway
 from telegw.modbus import RegisterCodec
 from telegw.pipeline import PollSchedule
 from telegw.mqtt import MqttClient
@@ -398,6 +398,137 @@ def test_stop_is_prompt_without_sources(tmp_path):
     gw.stop()
     elapsed = time.monotonic() - t0
     assert elapsed < 0.1, f"stop() took {elapsed * 1000:.0f} ms"
+
+
+def _silent_device(protocol: str):
+    """A socket that takes requests and never answers: a TCP listener whose
+    connects succeed from its backlog, or a bound UDP socket."""
+    tcp = protocol == "modbus"
+    sock = socket.socket(type=socket.SOCK_STREAM if tcp else socket.SOCK_DGRAM)
+    sock.bind(("127.0.0.1", 0))
+    if tcp:
+        sock.listen(1)
+    return sock
+
+
+_SILENT_DEVICE = {
+    "modbus": "io_timeout_ms: 30000, connect_timeout_ms: 30000,"
+    " registers: [{name: v, addr: 0, dtype: u16}]",
+    "bacnet": "device_instance: 1, timeout_ms: 30000, retries: 3, discover: true",
+}
+
+
+@pytest.mark.parametrize("protocol", ["modbus", "bacnet"])
+def test_stop_wakes_a_poll_blocked_on_a_silent_device(tmp_path, protocol):
+    with _silent_device(protocol) as device:
+        port = device.getsockname()[1]
+        cfg = load_config(
+            write_config(
+                tmp_path,
+                f"""
+                gateway: {{health_port: 0, jitter: 0}}
+                sink: {{mode: file, path: {tmp_path}/out.lp}}
+                devices:
+                  - {{id: dead-1, protocol: {protocol}, host: 127.0.0.1, port: {port},
+                      interval_s: 60, {_SILENT_DEVICE[protocol]}}}
+                """,
+            )
+        )
+        gw = Gateway(cfg).start()
+        time.sleep(0.3)  # the poll is now blocked waiting for a reply
+        t0 = time.monotonic()
+        gw.stop()
+        elapsed = time.monotonic() - t0
+    assert elapsed < 1.0, f"stop() took {elapsed:.2f} s"
+    # the woken poll was cancelled by the stop; the device did not fail it
+    assert gw.scheduler.job_errors == {"dead-1": 0}
+
+
+# ------------------------------------------------------------ health endpoint
+
+
+@pytest.fixture
+def bare_gateway(tmp_path):
+    cfg = load_config(
+        write_config(
+            tmp_path,
+            f"""
+            gateway: {{health_port: 0}}
+            sink: {{mode: file, path: {tmp_path}/out.lp}}
+            """,
+        )
+    )
+    gw = Gateway(cfg).start()
+    try:
+        yield gw
+    finally:
+        gw.stop()
+
+
+def _exchange(port: int, request: bytes) -> bytes:
+    """Send ``request`` on a connection of its own; read until the server closes it."""
+    reply = b""
+    with socket.create_connection(("127.0.0.1", port), timeout=5) as s:
+        s.sendall(request)
+        try:
+            while chunk := s.recv(65536):
+                reply += chunk
+        except ConnectionResetError:
+            pass  # closed with part of the request unread, after its reply
+    return reply
+
+
+def _status(reply: bytes) -> int:
+    version, status, _reason = reply.split(b"\r\n", 1)[0].split(b" ", 2)
+    assert version == b"HTTP/1.0"
+    return int(status)
+
+
+@pytest.mark.parametrize(
+    "request_bytes, status",
+    [
+        (b"GET /nope HTTP/1.0\r\n\r\n", 404),
+        (b"GET /health?verbose=1 HTTP/1.1\r\nHost: x\r\n\r\n", 404),
+        (b"POST /health HTTP/1.0\r\nContent-Length: 0\r\n\r\n", 501),
+        (b"HEAD /health HTTP/1.0\r\n\r\n", 501),
+        (b"garbage\r\n\r\n", 400),
+        (b"GET /health HTTP/1.0 extra\r\n\r\n", 400),
+        (b"GET /health HTTP/1.0\r\n" + b"X-A: b\r\n" * 100 + b"\r\n", 200),
+        (b"GET /health HTTP/1.0\r\n" + b"X-A: b\r\n" * 101 + b"\r\n", 431),
+        (b"GET /health HTTP/1.0\r\nX-A: " + b"b" * 65536 + b"\r\n\r\n", 431),
+    ],
+)
+def test_health_endpoint_status_codes(bare_gateway, request_bytes, status):
+    assert _status(_exchange(bare_gateway.health_port, request_bytes)) == status
+
+
+def test_health_endpoint_refuses_an_overlong_request_line_unread(bare_gateway):
+    # no line end follows, so only a server that stops at the limit can answer
+    reply = _exchange(bare_gateway.health_port, b"GET /" + b"a" * 65536)
+    assert _status(reply) == 414
+
+
+@pytest.mark.parametrize("path", ["/health", "/metrics", "/stats"])
+def test_health_endpoint_reply_carries_json_and_its_length(bare_gateway, path):
+    reply = _exchange(bare_gateway.health_port, f"GET {path} HTTP/1.1\r\nHost: x\r\n\r\n".encode())
+    head, body = reply.split(b"\r\n\r\n", 1)
+    status_line, *header_lines = head.split(b"\r\n")
+    assert status_line == b"HTTP/1.0 200 OK"
+    headers = dict(line.split(b": ", 1) for line in header_lines)
+    assert headers[b"Content-Type"] == b"application/json"
+    assert int(headers[b"Content-Length"]) == len(body)
+    assert isinstance(json.loads(body), dict)
+
+
+def test_idle_connection_neither_delays_health_nor_stays_open(bare_gateway):
+    port = bare_gateway.health_port
+    with socket.create_connection(("127.0.0.1", port)) as idle:
+        opened = time.monotonic()
+        assert _status(_exchange(port, b"GET /health HTTP/1.0\r\n\r\n")) == 200
+        assert time.monotonic() - opened < 0.5
+        idle.settimeout(IDLE_TIMEOUT_S + 5)
+        assert idle.recv(1) == b""  # the server closed it, without a reply
+        assert IDLE_TIMEOUT_S - 0.1 <= time.monotonic() - opened < IDLE_TIMEOUT_S + 1
 
 def test_run_subcommand_drains_on_sigterm(tmp_path, meter_sim):
     port = free_port()
