@@ -44,7 +44,6 @@ from telegw.modbus import (
 )
 from telegw.mqtt import ProtocolViolation
 from telegw.pipeline import SinkConfig
-from telegw.sim.fleet import DeviceClass, ParamSpec
 
 
 class ConfigError(Exception):
@@ -135,6 +134,46 @@ class NotifierSpec:
     type: str  # log | webhook | smtp_spool
     url: str | None = None
     spool_dir: str | None = None
+
+
+@dataclass(frozen=True, slots=True)
+class ParamSpec:
+    """One simulated parameter: a random walk between ``lo`` and ``hi``."""
+
+    name: str
+    lo: float
+    hi: float
+    step: float
+    quantum: float = 1.0
+    decimals: int = 0
+
+    def __post_init__(self):
+        if self.lo >= self.hi:
+            raise ValueError(f"{self.name}: lo must be < hi")
+        if self.step <= 0 or self.quantum <= 0:
+            raise ValueError(f"{self.name}: step and quantum must be positive")
+
+
+@dataclass(frozen=True)
+class DeviceClass:
+    """A simulated fleet of identical devices (see :mod:`telegw.sim.fleet`)."""
+
+    kind: str
+    count: int
+    interval_s: float
+    change_prob: float
+    parameters: tuple[ParamSpec, ...]
+    topic_template: str = "{kind}/{device_id}/measurements"
+
+    def __post_init__(self):
+        if self.count < 1:
+            raise ValueError("count must be >= 1")
+        if self.interval_s <= 0:
+            raise ValueError("interval must be positive")
+        if not 0.0 <= self.change_prob <= 1.0:
+            raise ValueError("change probability must be in [0, 1]")
+        if not self.parameters:
+            raise ValueError("a device class needs at least one parameter")
 
 
 @dataclass(frozen=True)

@@ -184,12 +184,6 @@ class Gateway:
         for client in self._bacnet_clients.values():
             client.close()
 
-    def __enter__(self) -> "Gateway":
-        return self.start()
-
-    def __exit__(self, *exc) -> None:
-        self.stop()
-
     # -- introspection ----------------------------------------------------------
 
     def health_snapshot(self) -> dict:

@@ -179,12 +179,9 @@ def validate_datapoint(dp: DataPoint) -> None:
     check_reading(dp.parameter, dp.value, dp.timestamp)
 
 
-@dataclass(slots=True)
-class _SeriesState:
-    kind: str
-    raw: Union[float, bool, str]
-    last_seen_ns: int
-    last_emit_ns: int
+# The layout of an entity no series has been seen for yet. It is never
+# registered, so it is never grown in place.
+_NO_SERIES: dict[str, int] = {}
 
 
 class ChangeFilter:
@@ -196,12 +193,25 @@ class ChangeFilter:
     the remembered one (exact equality, see :class:`Value`), or when at least
     ``heartbeat`` seconds of point time elapsed since the last emission.
 
-    The state is keyed entity -> {parameter -> state}, so no key object is
-    built or kept per series, and a series keeps its last value's kind and
-    raw payload rather than the :class:`Value` itself. The change decision
-    is the one ``Value.__eq__`` makes: kinds and payloads compared in turn,
-    each equal when it is the same object or ``==`` says so (``-0.0`` equals
-    ``0.0``, a real never equals a flag, a NaN object equals itself).
+    The state is one row per entity: a flat list whose cell 0 is the
+    entity's *layout*, followed by four cells per series (its last value's
+    kind and raw payload, its last-seen time and its last-emitted time). A
+    layout is a dict from parameter to the offset of that series' first
+    cell, and entities whose parameters arrived in the same order share one,
+    as CPython's key-sharing dicts do for instance attributes; a fleet of
+    identical devices keeps one parameter dict, not one per device, and no
+    object per series. Layouts are registered by their parameter tuple with
+    a count of the rows using them. A row that sees a new parameter moves to
+    the layout registered for its new order if there is one; otherwise it
+    grows its layout in place when no other row uses it, or a copy when one
+    does. A layout no row uses is unregistered, so only layouts in use are
+    kept.
+
+    The change decision is the one ``Value.__eq__`` makes: kinds and
+    payloads compared in turn, each equal when it is the same object or
+    ``==`` says so (``-0.0`` equals ``0.0``, a real never equals a flag, a
+    NaN object equals itself). The kind has a cell of its own, since a
+    :class:`Value`'s kind need not match its payload's type.
 
     Observations whose timestamp goes backwards relative to the series are
     dropped and counted in :attr:`regressions`; they never touch state.
@@ -219,38 +229,63 @@ class ChangeFilter:
         self.heartbeat_ns = int(heartbeat * 1_000_000_000)
         self.regressions = 0
         self.unchanged = 0
-        self._series: dict[str, dict[str, _SeriesState]] = {}
+        self._rows: dict[str, list] = {}
+        # parameter tuple -> [layout, number of rows using it]
+        self._layouts: dict[tuple[str, ...], list] = {}
 
     def __len__(self) -> int:
-        return sum(map(len, self._series.values()))
+        return sum(len(row[0]) for row in self._rows.values())
 
     def parameters(self, entity_id: str) -> set[str]:
         """The parameters of ``entity_id`` that have a series, as a new set."""
-        return set(self._series.get(entity_id, ()))
+        row = self._rows.get(entity_id)
+        return set(row[0]) if row else set()
 
     def observe(self, dp: DataPoint) -> Optional[DataPoint]:
         """Return dp if it should be persisted, else None."""
-        params = self._series.get(dp.entity_id)
-        if params is None:
-            params = self._series[dp.entity_id] = {}
+        row = self._rows.get(dp.entity_id)
+        if row is None:
+            row = self._rows[dp.entity_id] = [_NO_SERIES]
+        i = row[0].get(dp.parameter)
         value = dp.value
-        st = params.get(dp.parameter)
-        if st is None:
-            params[dp.parameter] = _SeriesState(value.kind, value.raw, dp.timestamp, dp.timestamp)
+        ts = dp.timestamp
+        if i is None:
+            self._grow(row, dp.parameter)
+            row += (value.kind, value.raw, ts, ts)
             return dp
-        if dp.timestamp < st.last_seen_ns:
+        if ts < row[i + 2]:
             self.regressions += 1
             return None
         kind, raw = value.kind, value.raw
-        changed = not (
-            (kind is st.kind or kind == st.kind) and (raw is st.raw or raw == st.raw)
-        )
-        due = self.heartbeat_ns > 0 and dp.timestamp - st.last_emit_ns >= self.heartbeat_ns
-        st.kind = kind
-        st.raw = raw
-        st.last_seen_ns = dp.timestamp
-        if changed or due:
-            st.last_emit_ns = dp.timestamp
-            return dp
-        self.unchanged += 1
-        return None
+        last_kind, last_raw = row[i], row[i + 1]
+        row[i] = kind
+        row[i + 1] = raw
+        row[i + 2] = ts
+        if (kind is last_kind or kind == last_kind) and (raw is last_raw or raw == last_raw):
+            heartbeat = self.heartbeat_ns
+            if not heartbeat or ts - row[i + 3] < heartbeat:
+                self.unchanged += 1
+                return None
+        row[i + 3] = ts
+        return dp
+
+    def _grow(self, row: list, parameter: str) -> None:
+        """Give ``row`` a layout that adds ``parameter`` at the row's end."""
+        layouts = self._layouts
+        layout = row[0]
+        old = tuple(layout)
+        new = old + (parameter,)
+        mine = layouts.get(old)  # None for a row with no series yet
+        found = layouts.get(new)
+        if found is None:
+            if mine is not None and mine[1] == 1:
+                layout[parameter] = len(row)
+                layouts[new] = layouts.pop(old)
+                return
+            found = layouts[new] = [{**layout, parameter: len(row)}, 0]
+        found[1] += 1
+        row[0] = found[0]
+        if mine is not None:
+            mine[1] -= 1
+            if not mine[1]:
+                del layouts[old]

@@ -32,8 +32,10 @@ a batch whose dead-letter write failed is back in the buffer::
                + regressions + unchanged + emitted
     emitted  = delivered + dead_lettered + shed + buffer_depth
 
-Per-series state lives only in the change filter, keyed entity ->
-{parameter -> last kind, raw value and times}. The pipeline keeps per
+Per-series state lives only in the change filter: one flat row per
+entity, four cells per series (last kind, raw value, last-seen and
+last-emitted times), found through a parameter layout that every entity
+whose parameters arrived in the same order shares. The pipeline keeps per
 entity its rendered tag segment and its received and emitted counts;
 ``rate_stats()`` reads each entity's parameter set from the filter.
 """
@@ -290,7 +292,6 @@ class Pipeline:
         self.flush_failures = 0
         self.alert_errors = 0
         self.last_flush_status: int | str | None = None
-        self.last_flush_ns: int | None = None
         self._entities: dict[str, _EntityTally] = {}
         self._window_start_ns = clock_ns()
         self._intake_open = True
@@ -437,7 +438,6 @@ class Pipeline:
             except Exception as e:
                 status = f"error: {e}"
             self.last_flush_status = status
-            self.last_flush_ns = self.clock_ns()
             if isinstance(status, int) and 200 <= status < 300:
                 with self._lock:
                     self.delivered += len(batch)

@@ -3,7 +3,7 @@ gateway without hardware, including the awkward parts (single-connection
 meters, connection-resetting firmware, staged history blocks, lossy brokers).
 """
 
-from .values import Constant, Cyclic, RandomWalk, Replay, SimClock
+from .values import Constant, RandomWalk, SimClock
 from .modbus_server import FaultModel, ModbusSim
 from .bacnet_server import BacnetSim, SimObject
 from .broker import MqttBroker
@@ -12,7 +12,6 @@ from .fleet import DeviceClass, MqttFleet, ParamSpec, aranet_class, solve_change
 __all__ = [
     "BacnetSim",
     "Constant",
-    "Cyclic",
     "DeviceClass",
     "FaultModel",
     "ModbusSim",
@@ -20,7 +19,6 @@ __all__ = [
     "MqttFleet",
     "ParamSpec",
     "RandomWalk",
-    "Replay",
     "SimClock",
     "SimObject",
     "aranet_class",

@@ -6,6 +6,10 @@ so the post-dedup storage rate is emissions x change probability by
 construction; ``solve_change_prob`` inverts that relation to hit a
 target stored-points-per-hour figure. All randomness is seeded: the
 same fleet seed replays byte-identical payload sequences.
+
+A fleet's shape, :class:`DeviceClass` with its :class:`ParamSpec` list, is
+defined in :mod:`telegw.config`, which parses it; it is imported here so
+that the gateway itself never loads the simulators.
 """
 
 from __future__ import annotations
@@ -15,46 +19,10 @@ import json
 import math
 import random
 import threading
-from dataclasses import dataclass
 from typing import Callable
 
+from telegw.config import DeviceClass, ParamSpec
 from telegw.sim.values import Constant, RandomWalk, SimClock
-
-
-@dataclass(frozen=True, slots=True)
-class ParamSpec:
-    name: str
-    lo: float
-    hi: float
-    step: float
-    quantum: float = 1.0
-    decimals: int = 0
-
-    def __post_init__(self):
-        if self.lo >= self.hi:
-            raise ValueError(f"{self.name}: lo must be < hi")
-        if self.step <= 0 or self.quantum <= 0:
-            raise ValueError(f"{self.name}: step and quantum must be positive")
-
-
-@dataclass(frozen=True)
-class DeviceClass:
-    kind: str
-    count: int
-    interval_s: float
-    change_prob: float
-    parameters: tuple[ParamSpec, ...]
-    topic_template: str = "{kind}/{device_id}/measurements"
-
-    def __post_init__(self):
-        if self.count < 1:
-            raise ValueError("count must be >= 1")
-        if self.interval_s <= 0:
-            raise ValueError("interval must be positive")
-        if not 0.0 <= self.change_prob <= 1.0:
-            raise ValueError("change probability must be in [0, 1]")
-        if not self.parameters:
-            raise ValueError("a device class needs at least one parameter")
 
 
 def solve_change_prob(

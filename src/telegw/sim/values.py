@@ -6,11 +6,9 @@ a fixture replays identically run to run; nothing here reads the wall clock.
 
 from __future__ import annotations
 
-import math
 import random
 import threading
 import time
-from typing import Optional, Sequence
 
 
 class Constant:
@@ -69,37 +67,6 @@ class RandomWalk:
         self.value = old - q if old + q > self.hi else old + q
         self.value = min(self.hi, max(self.lo, self.value))
         return self.value
-
-
-class Cyclic:
-    """Sinusoid over the simulated day; deterministic in now_ns."""
-
-    def __init__(self, base: float, amplitude: float, period_s: float = 86400.0, phase: float = 0.0):
-        if period_s <= 0:
-            raise ValueError("period_s must be positive")
-        self.base = base
-        self.amplitude = amplitude
-        self.period_ns = int(period_s * 1e9)
-        self.phase = phase
-
-    def step(self, now_ns: int = 0) -> float:
-        angle = 2 * math.pi * ((now_ns % self.period_ns) / self.period_ns) + self.phase
-        return self.base + self.amplitude * math.sin(angle)
-
-
-class Replay:
-    """Cycle through a fixed sequence; handy for exact-expectation tests."""
-
-    def __init__(self, values: Sequence[float]):
-        if not values:
-            raise ValueError("replay sequence must be non-empty")
-        self.values = [float(v) for v in values]
-        self._i = 0
-
-    def step(self, now_ns: int = 0) -> float:
-        v = self.values[self._i % len(self.values)]
-        self._i += 1
-        return v
 
 
 class SimClock:

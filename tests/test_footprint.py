@@ -1,11 +1,14 @@
-"""The gateway process loads no HTTP client library and no TLS.
+"""The gateway process loads no HTTP client library, no TLS and no simulator.
 
 The health endpoint is plain HTTP/1.0 on a stdlib socket server, and the
 code paths that need ``requests`` (HTTP sink, webhook notifier, HTTP poll,
 ``gateway stats --url``) import it when they first run. A module-level
 import of any of them would map libssl and libcrypto into every gateway,
-which this test catches. It runs in a fresh interpreter, since the test
-process itself has long since imported ``requests``.
+which this test catches. The simulators (:mod:`telegw.sim`) are for
+``gateway simulate`` and the tests only; the config types a simulated fleet
+is parsed into live in :mod:`telegw.config`. The test runs in a fresh
+interpreter, since the test process itself has long since imported
+``requests`` and the simulators.
 """
 
 import os
@@ -69,3 +72,4 @@ def test_gateway_process_loads_no_http_client_or_tls(tmp_path):
     loaded = set(done.stdout.split())
     assert "telegw.daemon" in loaded
     assert [name for name in NOT_LOADED if name in loaded] == []
+    assert sorted(name for name in loaded if name.split(".")[:2] == ["telegw", "sim"]) == []

@@ -1,11 +1,14 @@
 """Core model: typed values, point validation, change-only filtering."""
 
+import gc
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference_filter import ReferenceFilter
 from telegw.model import (
     ChangeFilter,
     DataPoint,
@@ -243,3 +246,123 @@ def test_change_decision_is_value_equality(values):
         assert emitted == (values[i] != values[i - 1]), values[: i + 1]
     assert f.regressions == 0
     assert f.unchanged == sum(values[i] == values[i - 1] for i in range(1, len(values)))
+
+
+_SEC = 1_000_000_000
+_POOL = ("co2", "rh", "temp", "pm25", "voc")
+
+
+@st.composite
+def _streams(draw):
+    """Messages from 1-6 entities. An entity's message carries the first few
+    parameters of its own order: a prefix of one common order, then the
+    rest of the pool in an order of its own. So entities share a parameter
+    order for a while and part when one meets a parameter the others have
+    not, or meets them in another order. Each message has one timestamp,
+    which may go backwards."""
+    n = draw(st.integers(1, 6))
+    common = draw(st.permutations(_POOL))
+    orders = []
+    for _ in range(n):
+        cut = draw(st.integers(0, len(_POOL)))
+        orders.append(common[:cut] + draw(st.permutations(common[cut:])))
+    messages = draw(
+        st.lists(
+            st.tuples(
+                st.integers(0, n - 1),
+                # often a whole message, so a parameter met once comes again
+                st.one_of(st.just(len(_POOL)), st.integers(1, len(_POOL))),
+                st.lists(_any_values, min_size=len(_POOL), max_size=len(_POOL)),
+                st.sampled_from([0, 1, _SEC, 2 * _SEC, 3 * _SEC, -1, -_SEC, -3 * _SEC]),
+            ),
+            max_size=40,
+        )
+    )
+    t = 50 * _SEC
+    points = []
+    for e, size, values, dt in messages:
+        t += dt
+        for parameter, value in zip(orders[e][:size], values):
+            points.append(DataPoint(f"dev-{e}", parameter, value, "", t, {}))
+    return points
+
+
+@settings(max_examples=300)
+@given(_streams(), st.sampled_from([0, 2]))
+def test_filter_matches_reference_model(points, heartbeat):
+    f, ref = ChangeFilter(heartbeat=heartbeat), ReferenceFilter(heartbeat=heartbeat)
+    entities = sorted({p.entity_id for p in points})
+    for i, p in enumerate(points):
+        assert (f.observe(p) is p) == (ref.observe(p) is p), points[: i + 1]
+        assert (f.regressions, f.unchanged) == (ref.regressions, ref.unchanged)
+    assert len(f) == len(ref)
+    for e in entities + ["dev-unseen"]:
+        assert f.parameters(e) == ref.parameters(e)
+
+
+def test_entities_part_after_sharing_a_parameter_order():
+    # dev-0 and dev-1 meet co2, rh and temp in one order, then each meets a
+    # parameter of its own, dev-0 twice over; then dev-2 takes dev-1's road
+    f, ref = ChangeFilter(heartbeat=0), ReferenceFilter(heartbeat=0)
+    steps = [("dev-0", "co2"), ("dev-1", "co2"), ("dev-0", "rh"), ("dev-1", "rh")]
+    steps += [("dev-0", "temp"), ("dev-1", "temp"), ("dev-0", "pm25"), ("dev-1", "voc")]
+    steps += [("dev-0", "voc")] + [("dev-2", p) for p in ("co2", "rh", "temp", "voc")]
+    ts = 0
+    for rounds in range(3):
+        for e, parameter in steps:
+            ts += 1
+            p = dp(Value.real(float(rounds * ts % 5)), ts=ts, entity=e, parameter=parameter)
+            assert (f.observe(p) is p) == (ref.observe(p) is p), (rounds, e, parameter)
+    assert (f.regressions, f.unchanged, len(f)) == (ref.regressions, ref.unchanged, len(ref))
+    assert f.parameters("dev-0") == {"co2", "rh", "temp", "pm25", "voc"}
+    assert f.parameters("dev-1") == f.parameters("dev-2") == {"co2", "rh", "temp", "voc"}
+
+
+def _state_bytes_per_series(points):
+    # The points exist before measuring starts, so their values, names and
+    # timestamps are not counted: only what the filter itself keeps is.
+    f = ChangeFilter(heartbeat=0)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for p in points:
+            f.observe(p)
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(f) == len(points)
+    return kept / len(f)
+
+
+def test_state_per_series_for_a_fleet_of_one_shape():
+    # 1500 devices of one model, 24 parameters each in the same order: the
+    # devices share one parameter layout, so a series costs its four cells
+    # and little else. A dict and a state object per series cost 100 B.
+    names = [f"field_{j:02d}" for j in range(24)]
+    ts = 1_700_000_000_000_000_000
+    points = [
+        DataPoint(f"churn-{i:04d}", name, Value.real(i + j / 32), "", ts + i, {})
+        for i in range(1500)
+        for j, name in enumerate(names)
+    ]
+    per_series = _state_bytes_per_series(points)
+    assert per_series <= 50, f"{per_series:.1f} bytes of state per series"
+
+
+@pytest.mark.parametrize("twins", [1, 2], ids=["alone", "interleaved_twins"])
+def test_state_per_series_for_controllers_with_names_of_their_own(twins):
+    # 200 controllers with 77 object names per group of `twins`: no layout is
+    # shared across groups. No layout a controller passed through while
+    # growing may be kept, also when twins reporting point by point keep
+    # moving from one shared layout to the next.
+    ts = 1_700_000_000_000_000_000
+    points = [
+        DataPoint(f"ctl-{g:03d}-{k}", f"ctl-{g:03d}-obj-{j:02d}", Value.real(j), "", ts + g, {})
+        for g in range(200 // twins)
+        for j in range(77)
+        for k in range(twins)
+    ]
+    per_series = _state_bytes_per_series(points)
+    assert per_series <= 90, f"{per_series:.1f} bytes of state per series"
