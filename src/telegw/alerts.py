@@ -13,6 +13,7 @@ a stream reproduces the exact event sequence.
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
 import queue
@@ -142,9 +143,13 @@ class _KeyState:
 
 
 class AlertEngine:
-    """Holds one state machine per (rule, entity). observe() is
-    thread-safe and returns the events it produced; notifier delivery
-    happens on a background worker so evaluation never blocks on I/O."""
+    """Holds one state machine per (rule, entity). observe() returns the
+    events it produced; notifier delivery happens on a background worker so
+    evaluation never blocks on I/O.
+
+    Not thread safe: the pipeline calls observe() only while holding its
+    intake lock. ``delivery_failures`` has one writer, the delivery worker.
+    """
 
     def __init__(self, rules: list[AlertRule], notifiers: list | None = None):
         ids = [r.id for r in rules]
@@ -155,7 +160,6 @@ class AlertEngine:
         for rule in rules:
             self._by_param.setdefault(rule.parameter, []).append(rule)
         self._states: dict[tuple[str, str], _KeyState] = {}
-        self._lock = threading.Lock()
         self.disabled: dict[tuple[str, str], str] = {}
         self.events_total = 0
         self.delivery_failures = 0
@@ -173,23 +177,21 @@ class AlertEngine:
             if not rule.selects(dp):
                 continue
             key = (rule.id, dp.entity_id)
-            with self._lock:
-                if key in self.disabled:
-                    continue
-                state = self._states.get(key)
-                if state is None:
-                    state = self._states[key] = _KeyState()
-                try:
-                    event = self._step(rule, state, dp)
-                except TypeMismatch as e:
-                    self.disabled[key] = str(e)
-                    log.warning("alert rule disabled: %s", e)
-                    continue
+            if key in self.disabled:
+                continue
+            state = self._states.get(key)
+            if state is None:
+                state = self._states[key] = _KeyState()
+            try:
+                event = self._step(rule, state, dp)
+            except TypeMismatch as e:
+                self.disabled[key] = str(e)
+                log.warning("alert rule disabled: %s", e)
+                continue
             if event is not None:
                 events.append(event)
         if events:
-            with self._lock:
-                self.events_total += len(events)
+            self.events_total += len(events)
             if self._queue is not None:
                 for ev in events:
                     self._queue.put(ev)
@@ -237,8 +239,7 @@ class AlertEngine:
                 except Exception:
                     delivered = False
                 if not delivered:
-                    with self._lock:
-                        self.delivery_failures += 1
+                    self.delivery_failures += 1  # this thread is its only writer
 
     def stop(self) -> None:
         """Deliver every queued event, then end the worker: the queue is
@@ -306,15 +307,12 @@ class SmtpStubNotifier:
     def __init__(self, spool_dir: str):
         self.spool = Path(spool_dir)
         self.spool.mkdir(parents=True, exist_ok=True)
-        self._seq = 0
-        self._lock = threading.Lock()
+        self._seq = itertools.count(1)  # next() on it is atomic
 
     def notify(self, event: AlertEvent) -> bool:
         from email.utils import formatdate
 
-        with self._lock:
-            self._seq += 1
-            seq = self._seq
+        seq = next(self._seq)
         name = f"{event.timestamp}-{seq:04d}-{event.rule_id}-{event.kind}.eml"
         message = (
             f"From: gateway <gateway@localhost>\r\n"

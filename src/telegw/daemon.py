@@ -118,12 +118,18 @@ class Gateway:
         return job
 
     def _bacnet_job(self, dev: BacnetDeviceSpec):
+        discovered: list[str] = []  # without names: found on the first poll, kept until one fails
+
         def job() -> None:
             client = self._bacnet_clients[dev.id]
-            names = list(dev.names)
-            if not names:
-                names = [o.name for o in client.discover_objects()]
-            self.pipeline.submit_many(client.read_points(names, dev.id, dev.tags))
+            try:
+                if not dev.names and not discovered:
+                    discovered.extend(o.name for o in client.discover_objects())
+                points = client.read_points(dev.names or discovered, dev.id, dev.tags)
+            except Exception:
+                discovered.clear()
+                raise
+            self.pipeline.submit_many(points)
 
         return job
 
@@ -218,10 +224,7 @@ class Gateway:
                 }
                 for s in self.subscribers
             },
-            "pipeline": {
-                "buffer_depth": self.pipeline.buffer_depth,
-                **self.pipeline.counters(),
-            },
+            "pipeline": self.pipeline.counters(),
             "sink": {"last_flush_status": sink_status, "ok": sink_ok},
         }
 

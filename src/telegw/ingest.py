@@ -2,7 +2,8 @@
 
 Vendor payload shapes are configuration, not code: a binding maps JSON
 pointers (RFC 6901) to named parameters, so schema churn never requires
-a code change. Entity ids are built from topic levels via ``{N}``
+a code change. Pointers are checked and split once, when a binding or poll
+spec is built, and both map fields through one function. Entity ids are built from topic levels via ``{N}``
 placeholders, e.g. filter ``aranet/+/measurements`` with template
 ``aranet-{1}`` names the device from the middle level.
 """
@@ -70,26 +71,50 @@ class FieldSpec:
             raise ValueError("parameter name must be non-empty")
 
 
-def resolve_pointer(doc, pointer: str):
-    """RFC 6901 lookup; raises LookupError when the path is absent."""
+def _split_pointer(pointer: str, what: str = "JSON pointer") -> tuple[str, ...]:
+    """The unescaped reference tokens of an RFC 6901 pointer; () for ""."""
     if pointer == "":
-        return doc
+        return ()
     if not pointer.startswith("/"):
-        raise ValueError(f"JSON pointer must start with '/': {pointer!r}")
-    node = doc
-    for token in pointer[1:].split("/"):
-        token = token.replace("~1", "/").replace("~0", "~")
+        raise ValueError(f"bad {what} {pointer!r}")
+    return tuple(t.replace("~1", "/").replace("~0", "~") for t in pointer[1:].split("/"))
+
+
+_ABSENT = object()
+
+
+def _walk(node, tokens: tuple[str, ...]):
+    """The member ``tokens`` lead to, or _ABSENT."""
+    for token in tokens:
         if isinstance(node, dict):
             if token not in node:
-                raise LookupError(pointer)
+                return _ABSENT
             node = node[token]
-        elif isinstance(node, list):
-            if not token.isdigit() or int(token) >= len(node):
-                raise LookupError(pointer)
+        elif isinstance(node, list) and token.isdigit() and int(token) < len(node):
             node = node[int(token)]
         else:
-            raise LookupError(pointer)
+            return _ABSENT
     return node
+
+
+def resolve_pointer(doc, pointer: str):
+    """RFC 6901 lookup; raises LookupError when the path is absent."""
+    node = _walk(doc, _split_pointer(pointer))
+    if node is _ABSENT:
+        raise LookupError(pointer)
+    return node
+
+
+def _keep_split(spec, *names: str) -> None:
+    """Check a frozen spec's JSON pointers and keep them split, as ``_<name>``
+    attributes rather than fields, so that equality and the config digest see
+    them as written. ``field_map`` becomes ``_fields``, (tokens, spec) pairs."""
+    fields = tuple((_split_pointer(p, "field pointer"), f) for p, f in spec.field_map.items())
+    object.__setattr__(spec, "_fields", fields)
+    for name in names:
+        pointer = getattr(spec, name)
+        split = None if pointer is None else _split_pointer(pointer, name)
+        object.__setattr__(spec, f"_{name}", split)
 
 
 def _template_captures(template: str) -> list[int]:
@@ -119,9 +144,7 @@ class TopicBinding:
         mp.validate_filter(self.topic_filter)
         if not self.field_map:
             raise ValueError("field_map must be non-empty")
-        for pointer in self.field_map:
-            if pointer and not pointer.startswith("/"):
-                raise ValueError(f"bad field pointer {pointer!r}")
+        _keep_split(self, "timestamp_pointer")
         if self.timestamp_unit not in _TS_FACTORS:
             raise ValueError(f"timestamp_unit must be one of {sorted(_TS_FACTORS)}")
         levels = self.topic_filter.split("/")
@@ -138,12 +161,8 @@ class TopicBinding:
     @cached_property
     def consumed_keys(self) -> frozenset[str]:
         """Top-level payload members the field map and the timestamp read."""
-        pointers = [*self.field_map, self.timestamp_pointer or ""]
-        return frozenset(
-            p.split("/")[1].replace("~1", "/").replace("~0", "~")
-            for p in pointers
-            if p.startswith("/")
-        )
+        paths = [tokens for tokens, _ in self._fields] + [self._timestamp_pointer]
+        return frozenset(tokens[0] for tokens in paths if tokens)
 
 
 def _widen_timestamp(raw, unit: str) -> int:
@@ -178,6 +197,21 @@ def _bump(stats: MutableMapping[str, int] | None, key: str, n: int = 1) -> None:
         stats[key] = stats.get(key, 0) + n
 
 
+def _map_fields(node, fields, entity_id: str, timestamp: int, tags, stats) -> list[DataPoint]:
+    """A point per field present in ``node``; one of the wrong type is counted."""
+    points = []
+    for tokens, spec in fields:
+        raw = _walk(node, tokens)
+        if raw is _ABSENT:
+            continue
+        value = _to_value(raw, spec)
+        if value is None:
+            _bump(stats, "type_errors")
+            continue
+        points.append(DataPoint(entity_id, spec.parameter, value, spec.unit, timestamp, tags))
+    return points
+
+
 def parse_payload(
     topic: str,
     payload: bytes,
@@ -198,30 +232,14 @@ def parse_payload(
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise MalformedJson(str(e)) from e
 
-    entity_id = binding.entity_for(topic)
-    timestamp = now_ns
-    if binding.timestamp_pointer is not None:
+    timestamp, ts_tokens = now_ns, binding._timestamp_pointer
+    if ts_tokens is not None:
         try:
-            timestamp = _widen_timestamp(
-                resolve_pointer(doc, binding.timestamp_pointer), binding.timestamp_unit
-            )
-        except (LookupError, ValueError, OverflowError):  # OverflowError: 1e400
+            timestamp = _widen_timestamp(_walk(doc, ts_tokens), binding.timestamp_unit)
+        except (ValueError, OverflowError):  # absent is not numeric either; OverflowError: 1e400
             _bump(stats, "bad_timestamps")
-
-    points = []
-    for pointer, spec in binding.field_map.items():
-        try:
-            raw = resolve_pointer(doc, pointer)
-        except LookupError:
-            continue
-        value = _to_value(raw, spec)
-        if value is None:
-            _bump(stats, "type_errors")
-            continue
-        points.append(
-            DataPoint(entity_id, spec.parameter, value, spec.unit, timestamp, binding.tags)
-        )
-
+    entity_id = binding.entity_for(topic)
+    points = _map_fields(doc, binding._fields, entity_id, timestamp, binding.tags, stats)
     if isinstance(doc, dict):
         consumed = binding.consumed_keys
         _bump(stats, "ignored_fields", sum(1 for k in doc if k not in consumed))
@@ -388,6 +406,7 @@ class HttpPollSpec:
             raise ValueError("poll interval must be at least 10 s")
         if not self.field_map:
             raise ValueError("field_map must be non-empty")
+        _keep_split(self, "entity_array_pointer", "entity_id_pointer")
         if (self.auth_header is None) != (self.auth_value_env is None):
             raise ValueError("auth header and value env must be given together")
 
@@ -418,36 +437,19 @@ def poll_http(
         doc = json.loads(content.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise MalformedJson(str(e)) from e
-    try:
-        entities = resolve_pointer(doc, spec.entity_array_pointer)
-    except LookupError:
-        raise SchemaMismatch(f"selector {spec.entity_array_pointer!r} absent") from None
+    entities = _walk(doc, spec._entity_array_pointer)
+    if entities is _ABSENT:
+        raise SchemaMismatch(f"selector {spec.entity_array_pointer!r} absent")
     if not isinstance(entities, list) or not entities:
         raise SchemaMismatch(f"selector {spec.entity_array_pointer!r} yields no entities")
 
     timestamp = time.time_ns() if now_ns is None else now_ns
     points = []
     for obj in entities:
-        try:
-            raw_id = resolve_pointer(obj, spec.entity_id_pointer)
-        except LookupError:
+        raw_id = _walk(obj, spec._entity_id_pointer)
+        if not isinstance(raw_id, (str, int)):  # _ABSENT is neither
             _bump(stats, "missing_entity_ids")
             continue
-        if not isinstance(raw_id, (str, int)):
-            _bump(stats, "missing_entity_ids")
-            continue
-        entity_id = str(raw_id)
-        for pointer, fspec in spec.field_map.items():
-            try:
-                raw = resolve_pointer(obj, pointer)
-            except LookupError:
-                continue
-            value = _to_value(raw, fspec)
-            if value is None:
-                _bump(stats, "type_errors")
-                continue
-            points.append(
-                DataPoint(entity_id, fspec.parameter, value, fspec.unit, timestamp, spec.tags)
-            )
+        points += _map_fields(obj, spec._fields, str(raw_id), timestamp, spec.tags, stats)
     _bump(stats, "points", len(points))
     return points

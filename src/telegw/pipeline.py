@@ -1,21 +1,21 @@
 """Change-only persistence pipeline: dedup, batching, sink delivery.
 
-Producers submit points concurrently. Each point is first checked against
-the point rules of :mod:`telegw.model`, the same rules
-:func:`telegw.model.validate_datapoint` applies: a point that breaks one is
-rejected and counted, and touches no other state. The entity and its tags
-are checked once per entity, when its tag segment is rendered; the rest of
-each point is checked every time. An accepted point passes an optional
-alert tap, then the change filter; a point the filter emits is rendered to
-its final line at once and appended to the line buffer. The filter and the
-buffer share one intake lock. A single flusher thread only
-joins and writes lines: a batch is written when the buffer holds
-``batch_size`` lines or its oldest line is ``batch_age_ms`` old, and at once
-when intake closes. Transient sink failures retry with backoff and then
-return the batch to the buffer; permanent rejections quarantine to a
-dead-letter file, and a failed quarantine write is counted and returns the
-batch too. The buffer is bounded: under sustained overload the oldest lines
-are shed and counted, producers are never blocked.
+Producers submit points concurrently, and a point takes the one intake lock
+once: its checks, the alert tap, the change filter, rendering and the line
+buffer all run under it. A point is first checked against the point rules
+of :mod:`telegw.model`, the ones :func:`telegw.model.validate_datapoint`
+applies: a point that breaks one is rejected and counted, and touches no
+series. The entity and its tags are checked once per entity, when its tag
+segment is rendered; the rest of each point is checked every time. An
+accepted point passes an optional alert tap, then the change filter; a
+point the filter emits is rendered to its final line at once and appended
+to the line buffer. A single flusher thread only joins and writes lines: a
+batch is written when the buffer holds ``batch_size`` lines or its oldest
+line is ``batch_age_ms`` old, and at once when intake closes. Transient
+sink failures retry with backoff and then return the batch to the buffer;
+permanent rejections quarantine to a dead-letter file, and a failed
+quarantine write is counted and returns the batch too. The buffer is
+bounded: the oldest lines are shed and counted, producers never block.
 
 ``counters()`` reports ``received`` (every point submitted while intake was
 open, rejected ones included), ``rejected_non_finite`` (a NaN or infinite
@@ -24,9 +24,9 @@ real), ``rejected_unrenderable`` (every other broken rule), ``regressions``
 (the filter suppressed a repeat), ``emitted``, ``shed``, ``delivered``,
 ``dead_lettered``, ``dead_letter_errors``, ``flush_failures``,
 ``alert_errors`` (the alert tap raised; the point still went on) and
-``buffer_depth``. The first law below holds whenever no submit is in
-progress, the second also needs no batch in flight (as after ``drain()``);
-a batch whose dead-letter write failed is back in the buffer::
+``buffer_depth``. The first law below holds in every ``counters()``
+snapshot, the second when no batch is in flight (as after ``drain()``); a
+batch whose dead-letter write failed is back in the buffer::
 
     received = rejected_non_finite + rejected_unrenderable
                + regressions + unchanged + emitted
@@ -35,9 +35,10 @@ a batch whose dead-letter write failed is back in the buffer::
 Per-series state lives only in the change filter: one flat row per
 entity, four cells per series (last kind, raw value, last-seen and
 last-emitted times), found through a parameter layout that every entity
-whose parameters arrived in the same order shares. The pipeline keeps per
-entity its rendered tag segment and its received and emitted counts;
-``rate_stats()`` reads each entity's parameter set from the filter.
+whose parameters arrived in the same order shares. The pipeline keeps one
+record per entity: its tags as checked, their rendered segment, its kind
+and its received and emitted counts; ``rate_stats()`` reads each entity's
+parameter set from the filter.
 """
 
 from __future__ import annotations
@@ -173,9 +174,11 @@ class EntityCounts:
 
 
 @dataclass(slots=True)
-class _EntityTally:
-    """Intake's per-entity counts; its parameters are the change filter's."""
+class _Entity:
+    """Intake's record of one entity; its parameters are the change filter's."""
 
+    tags: object
+    segment: str
     kind: str
     received: int = 0
     emitted: int = 0
@@ -277,7 +280,7 @@ class Pipeline:
         self.clock_ns = clock_ns
         self._filter = ChangeFilter(heartbeat=heartbeat_s)
         self._buffer: deque[tuple[int, str]] = deque()  # (enqueued ns, line)
-        self._segments: dict[str, tuple[object, str]] = {}  # entity -> (tags, tag_segment)
+        self._entities: dict[str, _Entity] = {}
         self._lock = threading.Lock()
         self._cond = threading.Condition(self._lock)
         self._in_flight = 0  # points taken by the flusher and not yet settled
@@ -292,7 +295,6 @@ class Pipeline:
         self.flush_failures = 0
         self.alert_errors = 0
         self.last_flush_status: int | str | None = None
-        self._entities: dict[str, _EntityTally] = {}
         self._window_start_ns = clock_ns()
         self._intake_open = True
         self._stop = threading.Event()
@@ -301,41 +303,42 @@ class Pipeline:
     # -- intake -----------------------------------------------------------
 
     def submit(self, dp: DataPoint) -> bool:
-        if not self._intake_open:
-            return False
-        try:
-            segment = self._segment(dp)
-            check_reading(dp.parameter, dp.value, dp.timestamp)
-        except ModelError as e:
-            with self._lock:
-                self.received += 1
-                if isinstance(e, NonFiniteValue):
-                    self.rejected_non_finite += 1
-                else:
-                    self.rejected_unrenderable += 1
-            return False
-        if self.alert_engine is not None:
-            try:
-                self.alert_engine.observe(dp)
-            except Exception:
-                with self._lock:
-                    self.alert_errors += 1
         with self._lock:
             if not self._intake_open:
                 return False
-            emitted = self._filter.observe(dp)
             self.received += 1
-            counts = self._entities.get(dp.entity_id)
-            if counts is None:
-                kind = dp.tags.get(KIND_TAG, "unknown")
-                counts = self._entities[dp.entity_id] = _EntityTally(kind)
-            counts.received += 1
+            try:
+                entity = self._entity(dp)
+                check_reading(dp.parameter, dp.value, dp.timestamp)
+            except NonFiniteValue:
+                self.rejected_non_finite += 1
+                return False
+            except ModelError:
+                self.rejected_unrenderable += 1
+                return False
+            if self.alert_engine is not None:
+                try:
+                    self.alert_engine.observe(dp)
+                except Exception:
+                    self.alert_errors += 1
+            entity.received += 1
+            emitted = self._filter.observe(dp)
             if emitted is None:
                 return True
-            line = to_line(emitted.parameter, segment, emitted.value, emitted.timestamp)
             self.emitted += 1
-            counts.emitted += 1
-            return self._enqueue(line)
+            entity.emitted += 1
+            line = to_line(emitted.parameter, entity.segment, emitted.value, emitted.timestamp)
+            buf = self._buffer
+            shed = len(buf) >= self.config.buffer_capacity
+            if shed:
+                buf.popleft()
+                self.shed += 1
+            buf.append((time.monotonic_ns(), line))
+            # Only these two steps make a batch due before the flusher's own
+            # timeout. notify_all: drain() callers wait on the same condition.
+            if len(buf) == 1 or len(buf) == self.config.batch_size:
+                self._cond.notify_all()
+            return not shed
 
     def submit_many(self, points: Iterable[DataPoint]) -> int:
         shed_before = self.shed
@@ -343,34 +346,23 @@ class Pipeline:
             self.submit(dp)
         return self.shed - shed_before
 
-    def _segment(self, dp: DataPoint) -> str:
-        """The point's checked and rendered tags, kept per entity: a device's
-        points share one tags object, and devices are far fewer than series.
-        Runs outside the lock; a race between producers only renders a
-        segment twice. An entity that is not a string (it may not even be
-        hashable) is never cached, so check_entity rejects it."""
-        entity = dp.entity_id
-        cached = self._segments.get(entity) if entity.__class__ is str else None
-        if cached is not None and (cached[0] is dp.tags or cached[0] == dp.tags):
-            return cached[1]
-        check_entity(entity, dp.tags)
-        segment = tag_segment(dp.tags, device=entity)
-        self._segments[entity] = (dp.tags, segment)
-        return segment
-
-    def _enqueue(self, line: str) -> bool:
-        """Caller holds the lock."""
-        buf = self._buffer
-        shed = len(buf) >= self.config.buffer_capacity
-        if shed:
-            buf.popleft()
-            self.shed += 1
-        buf.append((time.monotonic_ns(), line))
-        # Only these two steps make a batch due before the flusher's own
-        # timeout. notify_all: drain() callers wait on the same condition.
-        if len(buf) == 1 or len(buf) == self.config.batch_size:
-            self._cond.notify_all()
-        return not shed
+    def _entity(self, dp: DataPoint) -> _Entity:
+        """The point's entity record, its tags checked and rendered once: a
+        device's points share one tags object, and devices are far fewer than
+        series. An entity that is not a string (it may not even be hashable)
+        is never kept, so check_entity rejects it."""
+        key = dp.entity_id
+        entity = self._entities.get(key) if key.__class__ is str else None
+        if entity is not None and (entity.tags is dp.tags or entity.tags == dp.tags):
+            return entity
+        check_entity(key, dp.tags)
+        segment = tag_segment(dp.tags, device=key)
+        if entity is None:
+            entity = self._entities[key] = _Entity(dp.tags, segment, "")
+        entity.tags, entity.segment = dp.tags, segment
+        if not entity.received:  # the kind is that of the first accepted point
+            entity.kind = dp.tags.get(KIND_TAG, "unknown")
+        return entity
 
     # -- flushing ---------------------------------------------------------
 
@@ -498,6 +490,7 @@ class Pipeline:
             entities = {
                 e: EntityCounts(c.kind, self._filter.parameters(e), c.received, c.emitted)
                 for e, c in self._entities.items()
+                if c.received  # an entity whose every point was rejected has no series
             }
         return RateStats(entities, self._window_start_ns, self.clock_ns())
 

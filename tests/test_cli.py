@@ -12,6 +12,7 @@ import time
 import pytest
 import requests
 
+from telegw.bacnet import BacnetClient, BacnetEndpoint, Timeout
 from telegw.cli import main
 from telegw.config import load_config
 from telegw.daemon import IDLE_TIMEOUT_S, Gateway
@@ -287,6 +288,54 @@ def test_http_poll_connection_error_shows_in_health(tmp_path):
         assert metrics["scheduler"]["runs"]["http-0"] == 0
     finally:
         gw.stop()
+
+
+def test_bacnet_device_is_discovered_once_and_again_after_a_failed_poll(tmp_path):
+    objects = [
+        SimObject("analog-value", 1, "zone-temp", units="degrees-celsius", value=21.5),
+        SimObject("binary-input", 2, "occupancy", value=True),
+    ]
+    with BacnetSim(55002, objects) as sim:
+        cfg = load_config(
+            write_config(
+                tmp_path,
+                f"""
+                gateway: {{health_port: 0}}
+                sink: {{mode: file, path: {tmp_path}/out.lp}}
+                devices:
+                  - id: hvac-1
+                    protocol: bacnet
+                    host: 127.0.0.1
+                    port: {sim.port}
+                    device_instance: 55002
+                    timeout_ms: 100
+                    retries: 0
+                    discover: true
+                """,
+            )
+        )
+        gw = Gateway(cfg)  # not started: the test runs the poll job itself
+        dev = cfg.bacnet_devices[0]
+        client = gw._bacnet_clients[dev.id] = BacnetClient(
+            BacnetEndpoint(sim.host, sim.port, device_instance=55002, timeout_ms=100, retries=0)
+        )
+        discoveries = []
+        discover = client.discover_objects
+        client.discover_objects = lambda: discoveries.append(1) or discover()
+        job = gw._bacnet_job(dev)
+        try:
+            for _ in range(3):
+                job()
+            assert len(discoveries) == 1
+            assert gw.pipeline.counters()["received"] == 6
+            sim.drop_requests(1)
+            with pytest.raises(Timeout):
+                job()
+            job()  # a failed poll may mean the device changed: discover again
+            assert len(discoveries) == 2
+            assert gw.pipeline.counters()["received"] == 8
+        finally:
+            client.close()
 
 
 def test_three_failed_polls_degrade_health_and_one_success_resets(tmp_path):

@@ -216,6 +216,30 @@ class TestBindingValidation:
         with pytest.raises(ValueError):
             TopicBinding("a/+", "{1}", {})
 
+    def test_unrooted_timestamp_pointer_rejected_when_built(self):
+        # loading it would make every message count a bad timestamp
+        with pytest.raises(ValueError, match="bad timestamp_pointer 'ts'"):
+            TopicBinding("a/+", "{1}", {"/v": FieldSpec("v")}, timestamp_pointer="ts")
+        TopicBinding("a/+", "{1}", {"/v": FieldSpec("v")}, timestamp_pointer="")  # whole doc
+
+    def test_unrooted_poll_pointers_rejected_when_built(self):
+        # loading them would make every poll raise
+        base = dict(
+            url="http://127.0.0.1/api",
+            interval_s=10,
+            field_map={"/v": FieldSpec("v")},
+            entity_array_pointer="/items",
+            entity_id_pointer="/id",
+        )
+        for key, bad, what in [
+            ("field_map", {"v": FieldSpec("v")}, "field pointer 'v'"),
+            ("entity_array_pointer", "items", "entity_array_pointer 'items'"),
+            ("entity_id_pointer", "id", "entity_id_pointer 'id'"),
+        ]:
+            with pytest.raises(ValueError, match=f"bad {what}"):
+                HttpPollSpec(**{**base, key: bad})
+        HttpPollSpec(**{**base, "entity_array_pointer": ""})  # the document is the array
+
     def test_field_kinds_validated(self):
         with pytest.raises(ValueError):
             FieldSpec("x", kind="enum")

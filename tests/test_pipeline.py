@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import telegw
+from telegw.alerts import GT, LT, AlertEngine, AlertRule
 from telegw.lineproto import LineRecord, to_line
 from telegw.model import (
     MAX_TEXT_LEN,
@@ -695,6 +696,103 @@ class TestConcurrentProducers:
         assert sum(e.received for e in entities.values()) == submitted
         assert sum(e.emitted for e in entities.values()) == changes
         assert sum(len(e.params) for e in entities.values()) == series
+
+
+    def test_alert_events_match_a_single_threaded_replay(self, tmp_path):
+        # Each producer owns its entities, so each (rule, entity) sees its
+        # points in one order whatever the interleaving.
+        producers, entities, steps = 4, 5, 150
+        rules = [
+            AlertRule("high", "co2", GT, 1000.0, for_duration=2.0, cooldown=5.0, clear_margin=0.05),
+            AlertRule("low", "co2", LT, 400.0),
+        ]
+
+        def stream(i):
+            rng = random.Random(i)
+            return [
+                dp(f"p{i}-d{e}", "co2", rng.choice((300.0, 700.0, 1100.0, 1200.0)), ts=t * 10**9)
+                for t in range(steps)
+                for e in range(entities)
+            ]
+
+        class Collect:
+            def __init__(self):
+                self.events = []
+
+            def notify(self, event):
+                self.events.append(event)
+                return True
+
+        collect = Collect()
+        engine = AlertEngine(rules, [collect])
+        p = Pipeline(fast_config(tmp_path), sink=ScriptedSink(), alert_engine=engine).start()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [
+                threading.Thread(target=p.submit_many, args=(stream(i),)) for i in range(producers)
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(30)
+            assert not any(t.is_alive() for t in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert p.stop()
+        engine.stop()
+        replay = AlertEngine(rules)
+        expected = [ev for i in range(producers) for point in stream(i) for ev in replay.observe(point)]
+
+        def by_key(events):
+            out = {}
+            for ev in events:
+                out.setdefault((ev.rule_id, ev.entity), []).append(ev)
+            return out
+
+        assert len(expected) > 100
+        assert by_key(collect.events) == by_key(expected)
+        assert engine.events_total == len(collect.events)
+
+
+class TestIntakeLock:
+    def test_submit_takes_one_lock_once(self, tmp_path):
+        # Count every acquisition of every lock the pipeline and its alert
+        # engine made, whichever object holds it.
+        real_lock = threading.Lock
+        taken = []
+
+        class CountingLock:
+            def __init__(self):
+                self._lock = real_lock()
+
+            def acquire(self, blocking=True, timeout=-1):
+                taken.append(1)
+                return self._lock.acquire(blocking, timeout)
+
+            __enter__ = acquire
+
+            def release(self):
+                self._lock.release()
+
+            def __exit__(self, *exc):
+                self._lock.release()
+
+            def _is_owned(self):  # Condition's ownership probe, not an acquisition
+                if self._lock.acquire(False):
+                    self._lock.release()
+                    return False
+                return True
+
+        rules = [AlertRule("high", "co2", GT, 1000.0), AlertRule("low", "co2", LT, 400.0)]
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(threading, "Lock", CountingLock)
+            p = Pipeline(fast_config(tmp_path), sink=ScriptedSink(), alert_engine=AlertEngine(rules))
+        for point in (dp(param="co2", ts=1), dp(param="rh", ts=1), dp(param="co2", value=1.0, ts=2)):
+            before = len(taken)
+            assert p.submit(point)
+            assert len(taken) - before == 1, point
+        assert p.alert_engine.events_total == 1  # the last point fired "low"
 
 
 class TestConfigValidation:
