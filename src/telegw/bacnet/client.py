@@ -64,7 +64,6 @@ class BacnetEndpoint:
     device_instance: int = 0
     timeout_ms: int = 1000
     retries: int = 3
-    max_apdu: int = encoding.MAX_APDU
 
 
 @dataclass(frozen=True)
@@ -153,7 +152,7 @@ class BacnetClient:
     def _read_locked(self, queries: list[PropertyQuery]) -> list[PropResult]:
         try:
             invoke = self._next_invoke()
-            apdu = encoding.encode_rpm_request(invoke, queries, self.endpoint.max_apdu)
+            apdu = encoding.encode_rpm_request(invoke, queries)
             reply = self._transact(apdu, invoke)
             return encoding.decode_rpm_ack(reply, invoke)
         except (TooLarge, Aborted) as e:
@@ -272,34 +271,43 @@ class BacnetClient:
 
     def read_by_name(self, names: Sequence[str]) -> list[PropResult]:
         """Resolve object names via discovery and read their present values."""
-        if not names:
+        return self._read_named(names)[1]
+
+    def _read_named(self, names: Optional[Sequence[str]]) -> tuple[list, list[PropResult]]:
+        """The objects ``names`` resolve to (all for None) and their present
+        values. Any failed read clears the name cache: the device may have
+        changed, so the next read discovers again."""
+        if names is not None and not names:
             raise EmptyQuery("no names given")
-        if not self._name_cache:
-            self.discover_objects()
-        missing = [n for n in names if n not in self._name_cache]
-        if missing:
-            raise UnknownName(missing)
-        queries = [
-            PropertyQuery(self._name_cache[n].ref, property_id("present-value"))
-            for n in names
-        ]
-        return self.read_properties(queries)
+        try:
+            if not self._name_cache:
+                self.discover_objects()
+            if names is None:
+                names = list(self._name_cache)
+            missing = [n for n in names if n not in self._name_cache]
+            if missing:
+                raise UnknownName(missing)
+            objs = [self._name_cache[n] for n in names]
+            present = property_id("present-value")
+            return objs, self.read_properties([PropertyQuery(o.ref, present) for o in objs])
+        except Exception:
+            self._name_cache = {}
+            raise
 
     def read_points(
         self,
-        names: Sequence[str],
+        names: Optional[Sequence[str]],
         entity_id: str,
         tags: Optional[dict[str, str]] = None,
     ) -> list[DataPoint]:
-        """Poll named objects into data points (analog -> real, binary -> flag)."""
-        results = self.read_by_name(names)
+        """Poll named objects (all for None) into data points (analog -> real, binary -> flag)."""
+        objs, results = self._read_named(names)
         stamp = self.clock_ns()
         tags = dict(tags or {})  # one mapping shared by this poll's points
         points = []
-        for name, res in zip(names, results):
+        for disc, res in zip(objs, results):
             if res.error is not None or not res.values:
                 continue
-            disc = self._name_cache[name]
             raw = res.values[0]
             if res.obj.type_id in BINARY_TYPES:
                 value = Value.flag(bool(int(raw))) if isinstance(raw, (int, bool)) else None
@@ -316,7 +324,7 @@ class BacnetClient:
             points.append(
                 DataPoint(
                     entity_id=entity_id,
-                    parameter=name,
+                    parameter=disc.name,
                     value=value,
                     unit=disc.units or "",
                     timestamp=stamp,

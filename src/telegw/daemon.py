@@ -1,12 +1,13 @@
 """Process supervisor: one validated config in, a running gateway out.
 
 The gateway owns a pipeline, an alert engine, one subscriber per broker,
-and a scheduler thread per polled device. A device's poll job returns when
-it delivered its points and raises when it did not; the scheduler records
-either against that device, and ``/health`` reads those records. No failure
-escapes a poller's thread; the process outlives any single dead dependency.
-Shutdown is two-phase: intake stops first, then the pipeline drains into
-the sink bounded by the configured timeout.
+and a scheduler thread per polled device. A device's poll job owns its
+client, whose wake lets a stop cut short a poll waiting on a silent device.
+A job returns when it delivered its points and raises when it did not; the
+scheduler records either against that device, and ``/health`` reads those
+records. No failure escapes a poller's thread; the process outlives any
+single dead dependency. Shutdown is two-phase: intake stops first, then the
+pipeline drains into the sink bounded by the configured timeout.
 
 ``/health``, ``/metrics`` and ``/stats`` are served as HTTP/1.0 by a
 ``socketserver`` handler rather than ``http.server``, which would load
@@ -69,36 +70,13 @@ class Gateway:
         )
         self.scheduler = Scheduler()
         self.subscribers: list[Subscriber] = []
-        self._bacnet_clients: dict[str, BacnetClient] = {}
-        self._modbus_clients: dict[str, ModbusClient] = {}
         self._server: HealthServer | None = None
-        self._server_thread: threading.Thread | None = None
         self._started_ns: int | None = None
-
-        for dev in config.modbus_devices:
-            self.scheduler.add(
-                dev.id,
-                PollSchedule(dev.interval_s, config.gateway.jitter),
-                self._modbus_job(dev),
-            )
-        for dev in config.bacnet_devices:
-            self.scheduler.add(
-                dev.id,
-                PollSchedule(dev.interval_s, config.gateway.jitter),
-                self._bacnet_job(dev),
-            )
-        for i, poll in enumerate(config.http_polls):
-            self.scheduler.add(
-                f"http-{i}", PollSchedule(poll.interval_s, config.gateway.jitter), self._http_job(poll)
-            )
-        if config.gateway.stats_path:
-            self.scheduler.add(STATS_JOB, PollSchedule(30.0, 0.0), self.dump_stats)
 
     # -- poller jobs ----------------------------------------------------------
 
-    def _modbus_job(self, dev: ModbusDeviceSpec):
+    def _modbus_job(self, dev: ModbusDeviceSpec, client: ModbusClient):
         def job() -> None:
-            client = self._modbus_clients[dev.id]
             try:
                 points = []
                 if dev.bindings:
@@ -117,19 +95,9 @@ class Gateway:
 
         return job
 
-    def _bacnet_job(self, dev: BacnetDeviceSpec):
-        discovered: list[str] = []  # without names: found on the first poll, kept until one fails
-
+    def _bacnet_job(self, dev: BacnetDeviceSpec, client: BacnetClient):
         def job() -> None:
-            client = self._bacnet_clients[dev.id]
-            try:
-                if not dev.names and not discovered:
-                    discovered.extend(o.name for o in client.discover_objects())
-                points = client.read_points(dev.names or discovered, dev.id, dev.tags)
-            except Exception:
-                discovered.clear()
-                raise
-            self.pipeline.submit_many(points)
+            self.pipeline.submit_many(client.read_points(dev.names or None, dev.id, dev.tags))
 
         return job
 
@@ -147,18 +115,21 @@ class Gateway:
         for entry in self.config.brokers:
             sub = Subscriber(entry.config, list(entry.bindings), self.pipeline.submit)
             self.subscribers.append(sub.start())
-        # Made before any job runs, so stop() reaches every client a job uses.
+        # a device job's wake: interrupt for Modbus, whose close wakes no read; close for BACnet
+        jitter = self.config.gateway.jitter
         for dev in self.config.modbus_devices:
-            self._modbus_clients[dev.id] = ModbusClient(dev.host, dev.port, dev.unit, dev.policy)
+            client = ModbusClient(dev.host, dev.port, dev.unit, dev.policy)
+            schedule = PollSchedule(dev.interval_s, jitter)
+            self.scheduler.add(dev.id, schedule, self._modbus_job(dev, client), client.interrupt)
         for dev in self.config.bacnet_devices:
-            endpoint = BacnetEndpoint(
-                dev.host,
-                dev.port,
-                device_instance=dev.device_instance,
-                timeout_ms=dev.timeout_ms,
-                retries=dev.retries,
-            )
-            self._bacnet_clients[dev.id] = BacnetClient(endpoint)
+            ep = BacnetEndpoint(dev.host, dev.port, dev.device_instance, dev.timeout_ms, dev.retries)
+            client = BacnetClient(ep)
+            schedule = PollSchedule(dev.interval_s, jitter)
+            self.scheduler.add(dev.id, schedule, self._bacnet_job(dev, client), client.close)
+        for i, poll in enumerate(self.config.http_polls):
+            self.scheduler.add(f"http-{i}", PollSchedule(poll.interval_s, jitter), self._http_job(poll))
+        if self.config.gateway.stats_path:
+            self.scheduler.add(STATS_JOB, PollSchedule(30.0, 0.0), self.dump_stats)
         self.scheduler.start()
         self._start_health_server()
         for warning in self.config.warnings:
@@ -169,9 +140,7 @@ class Gateway:
         # phase 1: stop intake so nothing new lands in the buffer
         for sub in self.subscribers:
             sub.stop()
-        self.scheduler.stop(wake=self._wake_pollers)
-        for client in self._modbus_clients.values():  # the wake closed the BACnet ones
-            client.close()
+        self.scheduler.stop()
         # phase 2: drain what is buffered, bounded, then stop the flusher
         self.pipeline.stop(drain_timeout_s=self.config.gateway.drain_timeout_s)
         self.alert_engine.stop()
@@ -181,14 +150,6 @@ class Gateway:
             self._server.shutdown()
             self._server.server_close()
             self._server = None
-
-    def _wake_pollers(self) -> None:
-        """Wake every poll blocked in device I/O, so the scheduler's join
-        does not wait out an I/O timeout. An HTTP poll cannot be woken."""
-        for client in self._modbus_clients.values():
-            client.interrupt()
-        for client in self._bacnet_clients.values():
-            client.close()
 
     # -- introspection ----------------------------------------------------------
 
@@ -261,10 +222,9 @@ class Gateway:
         self.health_port = self._server.server_address[1]
         # shutdown() waits for serve_forever to see its flag, which it checks
         # once per poll interval (0.5 s by default); this bounds stop().
-        self._server_thread = threading.Thread(
+        threading.Thread(
             target=self._server.serve_forever, kwargs={"poll_interval": 0.02}, daemon=True
-        )
-        self._server_thread.start()
+        ).start()
 
 
 class _HealthHandler(socketserver.StreamRequestHandler):

@@ -14,6 +14,7 @@ import json
 import logging
 import math
 import os
+import re
 import threading
 import time
 from dataclasses import dataclass, field
@@ -81,6 +82,7 @@ def _split_pointer(pointer: str, what: str = "JSON pointer") -> tuple[str, ...]:
 
 
 _ABSENT = object()
+_INDEX = re.compile(r"0|[1-9][0-9]*")  # an RFC 6901 array index: ASCII, no leading zero
 
 
 def _walk(node, tokens: tuple[str, ...]):
@@ -90,7 +92,7 @@ def _walk(node, tokens: tuple[str, ...]):
             if token not in node:
                 return _ABSENT
             node = node[token]
-        elif isinstance(node, list) and token.isdigit() and int(token) < len(node):
+        elif isinstance(node, list) and _INDEX.fullmatch(token) and int(token) < len(node):
             node = node[int(token)]
         else:
             return _ABSENT
@@ -288,7 +290,6 @@ class Subscriber:
         bindings: list[TopicBinding],
         out: Callable[[DataPoint], None],
         clock_ns: Callable[[], int] = time.time_ns,
-        sleep: Callable[[float], None] = time.sleep,
     ):
         if not bindings:
             raise ValueError("subscriber needs at least one binding")
@@ -296,7 +297,6 @@ class Subscriber:
         self.bindings = bindings
         self.out = out
         self.clock_ns = clock_ns
-        self._sleep = sleep
         self._stop = threading.Event()
         self._disconnected = threading.Event()
         self._client: MqttClient | None = None

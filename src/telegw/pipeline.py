@@ -495,6 +495,9 @@ class Pipeline:
         return RateStats(entities, self._window_start_ns, self.clock_ns())
 
 
+Job = Callable[[], None]  # a poll job, or the wake that unblocks one
+
+
 @dataclass(slots=True)
 class JobRecord:
     """One job's poll outcomes: a job succeeds by returning, fails by raising."""
@@ -513,19 +516,22 @@ class Scheduler:
     Only a job's first failed poll (a warning, with traceback) and its first
     success after failing are logged, not the failed polls between. A job
     that raises once :meth:`stop` has begun was cancelled, most likely woken
-    out of its I/O by ``stop``'s ``wake``, and is not recorded."""
+    out of its I/O by the wake it was added with, and is not recorded."""
 
     def __init__(self, seed: int = 0):
         self._rng = random.Random(seed)
-        self._jobs: list[tuple[PollSchedule, Callable[[], None], str]] = []
+        self._jobs: list[tuple[PollSchedule, Job, str]] = []
+        self._wakes: list[Job] = []
         self._stop = threading.Event()
         self._threads: list[threading.Thread] = []
         self._lock = threading.Lock()
         self._records: dict[str, JobRecord] = {}
 
-    def add(self, name: str, schedule: PollSchedule, job: Callable[[], None]) -> None:
+    def add(self, name: str, schedule: PollSchedule, job: Job, wake: Job | None = None) -> None:
         self._jobs.append((schedule, job, name))
         self._records[name] = JobRecord()
+        if wake is not None:
+            self._wakes.append(wake)
 
     def records(self) -> dict[str, JobRecord]:
         """A copy of every job's record, in the order the jobs were added."""
@@ -550,16 +556,17 @@ class Scheduler:
             self._threads.append(t)
         return self
 
-    def stop(self, wake: Callable[[], None] = lambda: None) -> None:
-        """Set the stop flag, call ``wake`` to unblock jobs stuck in I/O,
+    def stop(self) -> None:
+        """Set the stop flag, call every job's wake to unblock it from I/O,
         then join every job thread."""
         self._stop.set()
-        wake()
+        for wake in self._wakes:
+            wake()
         for t in self._threads:
             t.join(timeout=5)
         self._threads = []
 
-    def _run_job(self, schedule: PollSchedule, job: Callable[[], None], name: str) -> None:
+    def _run_job(self, schedule: PollSchedule, job: Job, name: str) -> None:
         record = self._records[name]
         while not self._stop.is_set():
             failures = record.consecutive_failures  # only this thread writes it

@@ -316,13 +316,13 @@ def test_bacnet_device_is_discovered_once_and_again_after_a_failed_poll(tmp_path
         )
         gw = Gateway(cfg)  # not started: the test runs the poll job itself
         dev = cfg.bacnet_devices[0]
-        client = gw._bacnet_clients[dev.id] = BacnetClient(
+        client = BacnetClient(
             BacnetEndpoint(sim.host, sim.port, device_instance=55002, timeout_ms=100, retries=0)
         )
         discoveries = []
         discover = client.discover_objects
         client.discover_objects = lambda: discoveries.append(1) or discover()
-        job = gw._bacnet_job(dev)
+        job = gw._bacnet_job(dev, client)
         try:
             for _ in range(3):
                 job()
@@ -336,6 +336,76 @@ def test_bacnet_device_is_discovered_once_and_again_after_a_failed_poll(tmp_path
             assert gw.pipeline.counters()["received"] == 8
         finally:
             client.close()
+
+
+def test_bacnet_device_with_names_recovers_once_a_missing_object_appears(tmp_path):
+    zone = SimObject("analog-value", 1, "zone-temp", units="degrees-celsius", value=21.5)
+    with BacnetSim(55003, [zone]) as sim:
+        cfg = load_config(
+            write_config(
+                tmp_path,
+                f"""
+                gateway: {{health_port: 0, jitter: 0}}
+                sink: {{mode: file, path: {tmp_path}/out.lp}}
+                devices:
+                  - id: hvac-1
+                    protocol: bacnet
+                    host: 127.0.0.1
+                    port: {sim.port}
+                    device_instance: 55003
+                    timeout_ms: 200
+                    retries: 0
+                    interval_s: 0.05
+                    names: [zone-temp, occupancy]
+                """,
+            )
+        )
+        gw = Gateway(cfg).start()
+        try:
+            assert wait_until(lambda: gw.scheduler.job_errors["hvac-1"] >= 1, 5)
+            assert "UnknownName" in gw.health_snapshot()["devices"]["hvac-1"]["last_error"]
+            # the object shows up after the first poll, as on a controller still booting
+            late = SimObject("binary-input", 2, "occupancy", value=True)
+            sim.objects[late.ref] = late
+            sim.order.append(late.ref)
+            assert wait_until(lambda: gw.health_snapshot()["devices"]["hvac-1"]["green"], 5)
+            assert wait_until(lambda: gw.pipeline.counters()["received"] >= 2, 5)
+        finally:
+            gw.stop()
+
+
+def test_stats_path_is_written_on_stop_and_read_by_the_stats_command(tmp_path, meter_sim):
+    path = tmp_path / "stats.json"
+    cfg = load_config(
+        write_config(
+            tmp_path,
+            f"""
+            gateway: {{health_port: 0, jitter: 0, stats_path: {path}}}
+            sink: {{mode: file, path: {tmp_path}/out.lp, batch_age_ms: 20}}
+            devices:
+              - id: meter-1
+                protocol: modbus
+                host: 127.0.0.1
+                port: {meter_sim.port}
+                interval_s: 60
+                registers:
+                  - {{name: voltage_l1, addr: 6, dtype: u32, scale: 0.1}}
+            """,
+        )
+    )
+    # a clock the test moves, so the window's end, and with it the document, holds still
+    now = [1_700_000_000_000_000_000]
+    gw = Gateway(cfg, clock_ns=lambda: now[0]).start()
+    try:
+        assert wait_until(lambda: gw.scheduler.job_runs["meter-1"] == 1, 5)
+        now[0] += 60_000_000_000
+        served = requests.get(f"http://127.0.0.1:{gw.health_port}/stats", timeout=2).json()
+    finally:
+        gw.stop()
+    assert served["entities"]["meter-1"]["received"] == 1
+    assert json.loads(path.read_text(encoding="utf-8")) == served
+    assert not os.path.exists(f"{path}.tmp")
+    assert main(["stats", "--file", str(path), "--json"]) == 0
 
 
 def test_three_failed_polls_degrade_health_and_one_success_resets(tmp_path):

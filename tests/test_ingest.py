@@ -52,6 +52,14 @@ class TestJsonPointer:
             with pytest.raises(LookupError):
                 resolve_pointer({"a": [1]}, ptr)
 
+    def test_array_index_is_zero_or_ascii_digits_without_a_leading_zero(self):
+        doc = {"a": [1, 2]}
+        assert resolve_pointer(doc, "/a/0") == 1
+        assert resolve_pointer(doc, "/a/1") == 2
+        for ptr in ["/a/01", "/a/00", "/a/\uff11", "/a/-1", "/a/+1", "/a/ 1"]:
+            with pytest.raises(LookupError):
+                resolve_pointer(doc, ptr)
+
     def test_pointer_must_be_rooted(self):
         with pytest.raises(ValueError):
             resolve_pointer({}, "a")

@@ -229,6 +229,23 @@ class TestClientBroker:
         finally:
             broker.stop()
 
+    def test_idle_client_keeps_its_session_alive_with_pings(self, monkeypatch):
+        pings = []
+        pongs = []
+        encode_pingreq, encode_pingresp = mp.encode_pingreq, mp.encode_pingresp
+        monkeypatch.setattr(mp, "encode_pingreq", lambda: pings.append(1) or encode_pingreq())
+        monkeypatch.setattr(mp, "encode_pingresp", lambda: pongs.append(1) or encode_pingresp())
+        with MqttBroker() as broker:
+            c = MqttClient("127.0.0.1", broker.port, "idle", keepalive=2)
+            c.connect()
+            try:
+                time.sleep(2.5)  # a ping every keepalive / 2 = 1 s
+                assert len(pings) >= 2
+                assert len(pongs) >= 1
+                assert c.connected
+            finally:
+                c.close()
+
     def test_disconnect_callback_fires_on_broker_stop(self):
         broker = MqttBroker().start()
         dropped = threading.Event()
