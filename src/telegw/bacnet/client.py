@@ -82,6 +82,9 @@ class BacnetClient:
         self._invoke = 0
         self._lock = threading.Lock()
         self._name_cache: dict[str, DiscoveredObject] = {}
+        # the last present-value read, built once per discovery: (names, or
+        # None for all; their objects; queries; APDU with invoke id 0)
+        self._present: Optional[tuple] = None
 
     def close(self) -> None:
         """Close the socket, first waking a read blocked on it in another
@@ -149,10 +152,15 @@ class BacnetClient:
         with self._lock:
             return self._read_locked(queries)
 
-    def _read_locked(self, queries: list[PropertyQuery]) -> list[PropResult]:
+    def _read_locked(self, queries: list[PropertyQuery], apdu: bytes = b"") -> list[PropResult]:
+        """``apdu``, if given, is ``queries`` encoded with invoke id 0; a
+        split after an abort encodes its halves afresh."""
         try:
             invoke = self._next_invoke()
-            apdu = encoding.encode_rpm_request(invoke, queries)
+            if apdu:  # the invoke id is the third octet of a confirmed request
+                apdu = apdu[:2] + bytes((invoke,)) + apdu[3:]
+            else:
+                apdu = encoding.encode_rpm_request(invoke, queries)
             reply = self._transact(apdu, invoke)
             return encoding.decode_rpm_ack(reply, invoke)
         except (TooLarge, Aborted) as e:
@@ -243,6 +251,7 @@ class BacnetClient:
                     raise DiscoveryFailed(f"object {ref} has no readable name")
                 discovered.append(DiscoveredObject(ref, info["name"], info.get("units")))
         self._name_cache = {d.name: d for d in discovered}
+        self._present = None
         return discovered
 
     def _read_object_list(self, dev: ObjectRef) -> list[ObjectRef]:
@@ -275,24 +284,41 @@ class BacnetClient:
 
     def _read_named(self, names: Optional[Sequence[str]]) -> tuple[list, list[PropResult]]:
         """The objects ``names`` resolve to (all for None) and their present
-        values. Any failed read clears the name cache: the device may have
+        values. The request is encoded once per discovery and names, and
+        sent again with a fresh invoke id on each later read. Any failed
+        read clears the name cache and that request: the device may have
         changed, so the next read discovers again."""
         if names is not None and not names:
             raise EmptyQuery("no names given")
+        key = None if names is None else tuple(names)
         try:
             if not self._name_cache:
                 self.discover_objects()
-            if names is None:
-                names = list(self._name_cache)
-            missing = [n for n in names if n not in self._name_cache]
-            if missing:
-                raise UnknownName(missing)
-            objs = [self._name_cache[n] for n in names]
-            present = property_id("present-value")
-            return objs, self.read_properties([PropertyQuery(o.ref, present) for o in objs])
+            if self._present is None or self._present[0] != key:
+                self._present = (key, *self._present_request(key))
+            _, objs, queries, apdu = self._present
+            with self._lock:
+                return objs, self._read_locked(queries, apdu)
         except Exception:
             self._name_cache = {}
+            self._present = None
             raise
+
+    def _present_request(self, names: Optional[tuple]) -> tuple[list, list, bytes]:
+        """The objects ``names`` (all for None) resolve to, their present-value
+        queries, and those encoded, or b"" when too large to send whole."""
+        names = list(self._name_cache) if names is None else names
+        missing = [n for n in names if n not in self._name_cache]
+        if missing:
+            raise UnknownName(missing)
+        objs = [self._name_cache[n] for n in names]
+        queries = [PropertyQuery(o.ref, property_id("present-value")) for o in objs]
+        if not queries:
+            raise EmptyQuery("query list is empty")
+        try:
+            return objs, queries, encoding.encode_rpm_request(0, queries)
+        except TooLarge:
+            return objs, queries, b""
 
     def read_points(
         self,

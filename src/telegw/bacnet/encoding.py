@@ -1,13 +1,16 @@
 """BACnet/IP encoding: BVLC/NPDU wrapping, tagged values, and the
 ReadPropertyMultiple service (request, ack, error, reject, abort).
 
-Only what the gateway needs is implemented, but the decoder is total: any
-byte string either decodes or raises MalformedTag, never an unhandled
-exception, because it runs against network input.
+Only what the gateway needs is implemented. Decoding is one pass over the
+bytes with an integer offset, each tag header read once, and it is total:
+any byte string either decodes or raises MalformedTag (or the device's own
+error, reject or abort), never an unhandled exception, because it runs
+against network input.
 """
 
 from __future__ import annotations
 
+import functools
 import struct
 from dataclasses import dataclass
 from typing import Optional, Union
@@ -243,11 +246,7 @@ class PropResult:
 def _unsigned_content(n: int) -> bytes:
     if n < 0:
         raise ValueError("unsigned content cannot be negative")
-    out = b"" if n else b"\x00"
-    while n:
-        out = bytes([n & 0xFF]) + out
-        n >>= 8
-    return out
+    return n.to_bytes(max(1, (n.bit_length() + 7) // 8), "big")
 
 
 def _tag(number: int, context: bool, length: int) -> bytes:
@@ -332,145 +331,161 @@ def encode_app_value(v) -> bytes:
 
 
 # ---------------------------------------------------------------------------
-# decoding
+# decoding: one pass with an integer offset, each tag header read once
+
+_APP, _CONTEXT, _OPENING, _CLOSING = range(4)
+_U16 = struct.Struct(">H")
+_U32 = struct.Struct(">I")
+_F32 = struct.Struct(">f")
+_F64 = struct.Struct(">d")
+_BVLC_NPDU = struct.Struct(">BBHBB")
 
 
-@dataclass(frozen=True, slots=True)
-class Tag:
-    number: int
-    context: bool
-    form: str  # value | opening | closing
-    length: int  # content length; for app booleans the raw lvt
+def _total(decode):
+    """Turn a read past the end of the input (unchecked) into MalformedTag."""
+
+    @functools.wraps(decode)
+    def checked(*args):
+        try:
+            return decode(*args)
+        except (IndexError, struct.error) as e:
+            raise MalformedTag(f"truncated: input ends inside a field ({e})") from None
+
+    return checked
+
+
+def _header(data: bytes, pos: int) -> tuple[int, int, int, int]:
+    """The tag at ``pos``: (number, form, length, offset after the header).
+
+    ``form`` is _APP, _CONTEXT, _OPENING or _CLOSING. An application
+    boolean carries its value in the length slot."""
+    first = data[pos]
+    number = first >> 4
+    lvt = first & 0x07
+    pos += 1
+    if number == 0xF:
+        number = data[pos]
+        pos += 1
+    context = first & 0x08
+    if context and lvt >= 6:
+        return number, _OPENING if lvt == 6 else _CLOSING, 0, pos
+    length = lvt
+    if lvt == 5:
+        length = data[pos]
+        pos += 1
+        if length == 254:
+            length = _U16.unpack_from(data, pos)[0]
+            pos += 2
+        elif length == 255:
+            length = _U32.unpack_from(data, pos)[0]
+            pos += 4
+    if context:
+        return number, _CONTEXT, length, pos
+    if number == TAG_BOOLEAN:
+        if lvt > 1:
+            raise MalformedTag(f"boolean lvt {lvt} invalid")
+        return number, _APP, lvt, pos
+    if lvt >= 6:
+        raise MalformedTag("opening/closing form on an application tag")
+    return number, _APP, length, pos
+
+
+def _member(data: bytes, pos: int, closing: int) -> tuple[int, int, int, int]:
+    """The header of a tag in a list that the closing tag ``closing`` ends."""
+    if pos >= len(data):
+        raise MalformedTag(f"missing closing tag {closing}")
+    return _header(data, pos)
+
+
+def _content(data: bytes, pos: int, length: int) -> tuple[bytes, int]:
+    end = pos + length
+    if end > len(data):
+        raise MalformedTag(f"truncated at offset {pos} (wanted {length} bytes)")
+    return data[pos:end], end
+
+
+def _unsigned(data: bytes, pos: int, length: int, signed: bool = False) -> tuple[int, int]:
+    if length == 1 and not signed:  # property ids and most enumerations
+        return data[pos], pos + 1
+    if length == 0 or length > 8:
+        raise MalformedTag(f"unsigned length {length} invalid")
+    raw, end = _content(data, pos, length)
+    return int.from_bytes(raw, "big", signed=signed), end
+
+
+def _app_value(data: bytes, pos: int) -> tuple[object, int]:
+    """The application-tagged value at ``pos`` and the offset after it."""
+    number, form, length, pos = _header(data, pos)
+    if form != _APP:
+        raise MalformedTag(f"expected application tag, got context {number}")
+    if number == TAG_REAL:
+        if length != 4:
+            raise MalformedTag(f"real length {length} != 4")
+        return _F32.unpack_from(data, pos)[0], pos + 4
+    if number == TAG_ENUMERATED:
+        raw, pos = _unsigned(data, pos, length)
+        return Enumerated(raw), pos
+    if number == TAG_UNSIGNED:
+        return _unsigned(data, pos, length)
+    if number == TAG_BOOLEAN:
+        return bool(length), pos
+    if number == TAG_NULL:
+        if length:
+            raise MalformedTag("null with content")
+        return None, pos
+    if number == TAG_SIGNED:
+        return _unsigned(data, pos, length, signed=True)
+    if number == TAG_DOUBLE:
+        if length != 8:
+            raise MalformedTag(f"double length {length} != 8")
+        return _F64.unpack_from(data, pos)[0], pos + 8
+    if number == TAG_CHARSTRING:
+        if length < 1:
+            raise MalformedTag("character string without charset octet")
+        body, pos = _content(data, pos, length)
+        if body[0] != 0x00:
+            raise MalformedTag(f"unsupported charset {body[0]}")
+        try:
+            return body[1:].decode("utf-8"), pos
+        except UnicodeDecodeError as e:
+            raise MalformedTag("invalid utf-8 in character string") from e
+    if number == TAG_OBJECTID:
+        if length != 4:
+            raise MalformedTag(f"object id length {length} != 4")
+        raw = _U32.unpack_from(data, pos)[0]
+        return ObjectRef(raw >> 22, raw & 0x3FFFFF), pos + 4
+    # octet strings, bit strings, dates, times: carried opaque
+    return _content(data, pos, length)
+
+
+def _object_id(data: bytes, pos: int, what: str) -> tuple[ObjectRef, int]:
+    """The context-0 object identifier at ``pos`` and the offset after the
+    opening tag 1 that follows it."""
+    number, form, length, pos = _header(data, pos)
+    if form != _CONTEXT or number != 0 or length != 4:
+        raise MalformedTag(f"expected object identifier{what}")
+    raw = _U32.unpack_from(data, pos)[0]
+    number, form, _, end = _header(data, pos + 4)
+    if form != _OPENING or number != 1:
+        raise MalformedTag(f"expected opening tag 1 at offset {pos + 4}")
+    return ObjectRef(raw >> 22, raw & 0x3FFFFF), end
 
 
 class Reader:
+    """Application values read one after another from ``data``, with the
+    one-pass functions the decoders below use. Total like them: each read
+    gives a value or raises MalformedTag."""
+
     __slots__ = ("data", "pos")
 
     def __init__(self, data: bytes):
         self.data = data
         self.pos = 0
 
-    @property
-    def remaining(self) -> int:
-        return len(self.data) - self.pos
-
-    def take(self, n: int) -> bytes:
-        if n < 0 or self.remaining < n:
-            raise MalformedTag(f"truncated at offset {self.pos} (wanted {n} bytes)")
-        out = self.data[self.pos : self.pos + n]
-        self.pos += n
-        return out
-
-    def u8(self) -> int:
-        return self.take(1)[0]
-
-    def u16(self) -> int:
-        return struct.unpack(">H", self.take(2))[0]
-
-    def peek_tag(self) -> Optional[Tag]:
-        saved = self.pos
-        try:
-            return self.read_tag()
-        finally:
-            self.pos = saved
-
-    def read_tag(self) -> Tag:
-        first = self.u8()
-        number = first >> 4
-        context = bool(first & 0x08)
-        lvt = first & 0x07
-        if number == 0xF:
-            number = self.u8()
-        if context and lvt == 6:
-            return Tag(number, True, "opening", 0)
-        if context and lvt == 7:
-            return Tag(number, True, "closing", 0)
-        if lvt == 5:
-            ext = self.u8()
-            if ext == 254:
-                length = self.u16()
-            elif ext == 255:
-                length = struct.unpack(">I", self.take(4))[0]
-            else:
-                length = ext
-        else:
-            length = lvt
-        if not context and number == TAG_BOOLEAN:
-            # application boolean carries its value in the lvt field
-            if lvt > 1:
-                raise MalformedTag(f"boolean lvt {lvt} invalid")
-            return Tag(number, False, "value", lvt)
-        if not context and lvt in (6, 7):
-            raise MalformedTag("opening/closing form on an application tag")
-        return Tag(number, context, "value", length)
-
-    def expect_opening(self, number: int) -> None:
-        t = self.read_tag()
-        if t.form != "opening" or t.number != number:
-            raise MalformedTag(f"expected opening tag {number}, got {t}")
-
-    def expect_closing(self, number: int) -> None:
-        t = self.read_tag()
-        if t.form != "closing" or t.number != number:
-            raise MalformedTag(f"expected closing tag {number}, got {t}")
-
-    def at_closing(self, number: int) -> bool:
-        if self.remaining == 0:
-            raise MalformedTag(f"missing closing tag {number}")
-        t = self.peek_tag()
-        return t.form == "closing" and t.number == number
-
-    def read_unsigned_content(self, length: int) -> int:
-        if length == 0 or length > 8:
-            raise MalformedTag(f"unsigned length {length} invalid")
-        n = 0
-        for b in self.take(length):
-            n = (n << 8) | b
-        return n
-
+    @_total
     def read_app_value(self):
-        t = self.read_tag()
-        if t.context:
-            raise MalformedTag(f"expected application tag, got context {t.number}")
-        if t.number == TAG_NULL:
-            if t.length:
-                raise MalformedTag("null with content")
-            return None
-        if t.number == TAG_BOOLEAN:
-            return bool(t.length)
-        if t.number == TAG_UNSIGNED:
-            return self.read_unsigned_content(t.length)
-        if t.number == TAG_SIGNED:
-            raw = self.read_unsigned_content(t.length)
-            bits = 8 * t.length
-            return raw - (1 << bits) if raw >= (1 << (bits - 1)) else raw
-        if t.number == TAG_REAL:
-            if t.length != 4:
-                raise MalformedTag(f"real length {t.length} != 4")
-            return struct.unpack(">f", self.take(4))[0]
-        if t.number == TAG_DOUBLE:
-            if t.length != 8:
-                raise MalformedTag(f"double length {t.length} != 8")
-            return struct.unpack(">d", self.take(8))[0]
-        if t.number == TAG_CHARSTRING:
-            if t.length < 1:
-                raise MalformedTag("character string without charset octet")
-            body = self.take(t.length)
-            if body[0] != 0x00:
-                raise MalformedTag(f"unsupported charset {body[0]}")
-            try:
-                return body[1:].decode("utf-8")
-            except UnicodeDecodeError as e:
-                raise MalformedTag("invalid utf-8 in character string") from e
-        if t.number == TAG_ENUMERATED:
-            return Enumerated(self.read_unsigned_content(t.length))
-        if t.number == TAG_OBJECTID:
-            if t.length != 4:
-                raise MalformedTag(f"object id length {t.length} != 4")
-            raw = struct.unpack(">I", self.take(4))[0]
-            return ObjectRef(raw >> 22, raw & 0x3FFFFF)
-        # octet strings, bit strings, dates, times: carried opaque
-        return self.take(t.length)
+        value, self.pos = _app_value(self.data, self.pos)
+        return value
 
 
 # ---------------------------------------------------------------------------
@@ -482,32 +497,29 @@ def wrap(apdu: bytes, expecting_reply: bool) -> bytes:
     return struct.pack(">BBH", BVLL_TYPE, BVLC_UNICAST, 4 + len(npdu) + len(apdu)) + npdu + apdu
 
 
+@_total
 def unwrap(datagram: bytes) -> bytes:
-    r = Reader(datagram)
-    if r.u8() != BVLL_TYPE:
+    bvll, fn, total, version, control = _BVLC_NPDU.unpack_from(datagram)
+    if bvll != BVLL_TYPE:
         raise MalformedTag("not a BACnet/IP datagram")
-    fn = r.u8()
     if fn not in (BVLC_UNICAST, BVLC_BROADCAST):
         raise MalformedTag(f"unsupported BVLC function 0x{fn:02X}")
-    total = r.u16()
     if total != len(datagram):
         raise MalformedTag(f"BVLC length {total} != datagram size {len(datagram)}")
-    if r.u8() != NPDU_VERSION:
+    if version != NPDU_VERSION:
         raise MalformedTag("unsupported NPDU version")
-    control = r.u8()
     if control & 0x80:
         raise MalformedTag("network layer message, not an APDU")
-    if control & 0x20:  # destination present
-        r.u16()
-        dlen = r.u8()
-        r.take(dlen)
+    pos = 6
+    if control & 0x20:  # destination present: network, length, address
+        pos += 3 + datagram[pos + 2]
     if control & 0x08:  # source present
-        r.u16()
-        slen = r.u8()
-        r.take(slen)
+        pos += 3 + datagram[pos + 2]
     if control & 0x20:  # hop count trails the source field
-        r.u8()
-    apdu = datagram[r.pos :]
+        pos += 1
+    if pos > len(datagram):
+        raise MalformedTag(f"truncated at offset {len(datagram)}: NPDU header runs past the end")
+    apdu = datagram[pos:]
     if not apdu:
         raise MalformedTag("empty APDU")
     return apdu
@@ -548,45 +560,35 @@ def encode_rpm_request(invoke_id: int, queries: list[PropertyQuery], max_apdu: i
     return apdu
 
 
+@_total
 def decode_rpm_request(apdu: bytes) -> tuple[int, list[PropertyQuery]]:
-    r = Reader(apdu)
-    first = r.u8()
+    first = apdu[0]
     if first >> 4 != PDU_CONFIRMED:
         raise MalformedTag("not a confirmed request")
     if first & 0x0F:
         raise MalformedTag("segmented request")
-    r.u8()  # max segments / max apdu
-    invoke_id = r.u8()
-    if r.u8() != SERVICE_RPM:
+    if apdu[3] != SERVICE_RPM:  # after max segments / max apdu and the invoke id
         raise MalformedTag("not a ReadPropertyMultiple request")
     queries: list[PropertyQuery] = []
-    while r.remaining:
-        t = r.read_tag()
-        if not (t.context and t.number == 0 and t.form == "value" and t.length == 4):
-            raise MalformedTag("expected object identifier")
-        raw = struct.unpack(">I", r.take(4))[0]
-        ref = ObjectRef(raw >> 22, raw & 0x3FFFFF)
-        r.expect_opening(1)
-        any_prop = False
-        while not r.at_closing(1):
-            t = r.read_tag()
-            if not (t.context and t.number == 0 and t.form == "value"):
-                raise MalformedTag("expected property identifier")
-            prop = r.read_unsigned_content(t.length)
-            idx = None
-            if r.remaining and not r.at_closing(1):
-                nxt = r.peek_tag()
-                if nxt.context and nxt.number == 1 and nxt.form == "value":
-                    r.read_tag()
-                    idx = r.read_unsigned_content(nxt.length)
-            queries.append(PropertyQuery(ref, prop, idx))
-            any_prop = True
-        r.expect_closing(1)
-        if not any_prop:
+    pos, end = 4, len(apdu)
+    while pos < end:
+        ref, pos = _object_id(apdu, pos, "")
+        number, form, length, pos = _member(apdu, pos, 1)
+        if form == _CLOSING and number == 1:
             raise MalformedTag("object with empty property list")
+        while form != _CLOSING or number != 1:
+            if form != _CONTEXT or number != 0:
+                raise MalformedTag("expected property identifier")
+            prop, pos = _unsigned(apdu, pos, length)
+            idx = None
+            number, form, length, pos = _member(apdu, pos, 1)
+            if form == _CONTEXT and number == 1:
+                idx, pos = _unsigned(apdu, pos, length)
+                number, form, length, pos = _member(apdu, pos, 1)
+            queries.append(PropertyQuery(ref, prop, idx))
     if not queries:
         raise MalformedTag("request carries no queries")
-    return invoke_id, queries
+    return apdu[2], queries
 
 
 def encode_rpm_ack(invoke_id: int, results: list[PropResult]) -> bytes:
@@ -613,70 +615,68 @@ def encode_rpm_ack(invoke_id: int, results: list[PropResult]) -> bytes:
     return b"".join(parts)
 
 
+def _error_names(data: bytes, pos: int, what: str) -> tuple[tuple[str, str], int]:
+    """The (class, code) names of the two enumerated values at ``pos``."""
+    cls, pos = _app_value(data, pos)
+    code, pos = _app_value(data, pos)
+    if not isinstance(cls, Enumerated) or not isinstance(code, Enumerated):
+        raise MalformedTag(f"{what} without enumerated class/code")
+    return error_names(int(cls), int(code)), pos
+
+
+@_total
 def decode_rpm_ack(apdu: bytes, expected_invoke: Optional[int] = None) -> list[PropResult]:
-    r = Reader(apdu)
-    first = r.u8()
+    first = apdu[0]
     pdu_type = first >> 4
     if pdu_type == PDU_ERROR:
-        invoke = r.u8()
-        r.u8()  # service
-        cls = r.read_app_value()
-        code = r.read_app_value()
-        if not isinstance(cls, Enumerated) or not isinstance(code, Enumerated):
-            raise MalformedTag("error PDU without enumerated class/code")
-        raise ServiceError(*error_names(int(cls), int(code)))
+        raise ServiceError(*_error_names(apdu, 3, "error PDU")[0])
     if pdu_type == PDU_REJECT:
-        r.u8()
-        raise Rejected(r.u8())
+        raise Rejected(apdu[2])
     if pdu_type == PDU_ABORT:
-        r.u8()
-        raise Aborted(r.u8())
+        raise Aborted(apdu[2])
     if pdu_type != PDU_COMPLEX_ACK:
         raise MalformedTag(f"unexpected PDU type {pdu_type}")
     if first & 0x0F:
         raise MalformedTag("segmented ack")
-    invoke = r.u8()
+    invoke = apdu[1]
     if expected_invoke is not None and invoke != expected_invoke:
         raise MalformedTag(f"invoke id {invoke} != expected {expected_invoke}")
-    if r.u8() != SERVICE_RPM:
+    if apdu[2] != SERVICE_RPM:
         raise MalformedTag("ack for a different service")
     results: list[PropResult] = []
-    while r.remaining:
-        t = r.read_tag()
-        if not (t.context and t.number == 0 and t.form == "value" and t.length == 4):
-            raise MalformedTag("expected object identifier in ack")
-        raw = struct.unpack(">I", r.take(4))[0]
-        ref = ObjectRef(raw >> 22, raw & 0x3FFFFF)
-        r.expect_opening(1)
-        while not r.at_closing(1):
-            t = r.read_tag()
-            if not (t.context and t.number == 2 and t.form == "value"):
+    pos, end = 3, len(apdu)
+    while pos < end:
+        ref, pos = _object_id(apdu, pos, " in ack")
+        while True:
+            number, form, length, pos = _member(apdu, pos, 1)
+            if form == _CLOSING and number == 1:
+                break
+            if form != _CONTEXT or number != 2:
                 raise MalformedTag("expected property identifier in result")
-            prop = r.read_unsigned_content(t.length)
+            prop, pos = _unsigned(apdu, pos, length)
             idx = None
-            nxt = r.peek_tag()
-            if nxt.context and nxt.number == 3 and nxt.form == "value":
-                r.read_tag()
-                idx = r.read_unsigned_content(nxt.length)
-            nxt = r.read_tag()
-            if nxt.form == "opening" and nxt.number == 4:
+            number, form, length, pos = _header(apdu, pos)
+            if form == _CONTEXT and number == 3:
+                idx, pos = _unsigned(apdu, pos, length)
+                number, form, length, pos = _header(apdu, pos)
+            if form == _OPENING and number == 4:
                 values = []
-                while not r.at_closing(4):
-                    values.append(r.read_app_value())
-                r.expect_closing(4)
-                results.append(PropResult(ref, prop, idx, values=tuple(values)))
-            elif nxt.form == "opening" and nxt.number == 5:
-                cls = r.read_app_value()
-                code = r.read_app_value()
-                r.expect_closing(5)
-                if not isinstance(cls, Enumerated) or not isinstance(code, Enumerated):
-                    raise MalformedTag("access error without enumerated class/code")
-                results.append(
-                    PropResult(ref, prop, idx, error=error_names(int(cls), int(code)))
-                )
+                # closing tag 4 is the octet 0x4F, or 0xFF 0x04 in extended form
+                while pos < end and (b := apdu[pos]) != 0x4F and (b != 0xFF or apdu[pos + 1] != 4):
+                    value, pos = _app_value(apdu, pos)
+                    values.append(value)
+                if pos == end:
+                    raise MalformedTag("missing closing tag 4")
+                pos += 1 if b == 0x4F else 2
+                results.append(PropResult(ref, prop, idx, tuple(values)))
+            elif form == _OPENING and number == 5:
+                error, pos = _error_names(apdu, pos, "access error")
+                number, form, _, pos = _header(apdu, pos)
+                if form != _CLOSING or number != 5:
+                    raise MalformedTag("expected closing tag 5 after an access error")
+                results.append(PropResult(ref, prop, idx, error=error))
             else:
                 raise MalformedTag("result is neither a value nor an access error")
-        r.expect_closing(1)
     if not results:
         raise MalformedTag("ack carries no results")
     return results

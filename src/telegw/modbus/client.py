@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import socket
 import struct
+import threading
 import time
 from dataclasses import dataclass, field
 from datetime import date as _date
@@ -151,6 +152,9 @@ class ModbusClient:
         self._sock: Optional[socket.socket] = None
         self._tx = 0
         self._interrupted = False
+        # guards the socket's teardown; an exchange is in flight while _busy
+        self._guard = threading.RLock()
+        self._busy = False
 
     # -- connection management -------------------------------------------
 
@@ -192,23 +196,28 @@ class ModbusClient:
                 time.sleep(0.01)
 
     def close(self) -> None:
-        if self._sock is not None:
-            try:
-                self._sock.close()
-            finally:
-                self._sock = None
+        with self._guard:
+            if self._sock is not None:
+                try:
+                    self._sock.close()
+                finally:
+                    self._sock = None
 
     def interrupt(self) -> None:
-        """Wake a read or write blocked in another thread, and refuse every
-        later connect: for shutting down. close() alone wakes no recv();
-        shutdown() does. A connect still waiting for the device is not woken."""
-        self._interrupted = True
-        sock = self._sock
-        if sock is not None:
-            try:
-                sock.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
+        """Close the connection and refuse every later exchange: for shutting
+        down. An idle connection is closed here. One in use by an exchange in
+        another thread is shut down, which wakes a blocked read or write
+        (close() alone wakes no recv()), and the exchange closes it on its
+        way out. A connect still waiting for the device is not woken."""
+        with self._guard:
+            self._interrupted = True
+            if not self._busy:
+                self.close()
+            elif self._sock is not None:
+                try:
+                    self._sock.shutdown(socket.SHUT_RDWR)
+                except OSError:
+                    pass
 
     def __enter__(self) -> "ModbusClient":
         return self
@@ -261,6 +270,17 @@ class ModbusClient:
         older ids are skipped (bounded) rather than misattributed. Connection
         loss is retried on a fresh connection up to the policy's budget.
         """
+        with self._guard:  # after interrupt() the socket is closed, and connect() refuses
+            self._busy = True
+        try:
+            return self._attempt(build)
+        finally:
+            with self._guard:
+                self._busy = False
+                if self._interrupted:
+                    self.close()
+
+    def _attempt(self, build) -> tuple[bytes, int]:
         attempts = self.policy.request_retries + 1
         last: Exception | None = None
         for _ in range(attempts):

@@ -40,6 +40,7 @@ from telegw.bacnet.encoding import (
 )
 from telegw.sim.bacnet_server import BacnetSim, SimObject
 
+import reference_bacnet
 from bacnet_fixtures import rector_controller_objects, small_inventory, wide_inventory
 
 AV1 = ObjectRef.of("analog-value", 1)
@@ -362,3 +363,162 @@ class TestJsonDocument:
         strip = lambda s: s[: s.index('"timestamp"')]
         assert strip(a) == strip(b)
         assert a.index('"device"') < a.index('"timestamp"') < a.index('"results"')
+
+
+def _canon(x):
+    """A comparable form of a decoded result. NaN equals NaN here, and
+    -0.0, an Enumerated and a bool stay unequal to 0.0 and a plain int."""
+    if isinstance(x, PropResult):
+        return ("result", x.obj, x.prop, x.array_index, _canon(x.values), x.error)
+    if isinstance(x, (list, tuple)):
+        return tuple(_canon(v) for v in x)
+    return (type(x).__name__, repr(x))
+
+
+def _outcome(decode, *args):
+    try:
+        return _canon(decode(*args))
+    except (MalformedTag, ServiceError, Rejected, Aborted) as e:
+        # MalformedTag wording may differ; the other errors carry device data
+        return type(e).__name__, None if isinstance(e, MalformedTag) else str(e)
+
+
+def assert_decoders_agree(datagram: bytes, expected_invoke=None) -> None:
+    """The one-pass decoders and the reference ones give equal results or
+    raise the same exception class, on the datagram and on its APDU."""
+    apdu = datagram[6:]  # wrap() writes a 4-octet BVLC and a 2-octet NPDU header
+    pairs = [
+        (reference_bacnet.unwrap, unwrap, (datagram,)),
+        (reference_bacnet.decode_rpm_ack, decode_rpm_ack, (apdu, expected_invoke)),
+        (reference_bacnet.decode_rpm_request, decode_rpm_request, (apdu,)),
+    ]
+    for ref, new, args in pairs:
+        assert _outcome(new, *args) == _outcome(ref, *args), (new.__name__, args)
+
+
+@st.composite
+def _wire_inputs(draw):
+    """A valid ack or request datagram, a truncation of one, one with 1-3
+    octets replaced, or a random blob; and the invoke id to expect."""
+    invoke = draw(st.integers(0, 255))
+    if draw(st.booleans()):
+        datagram = wrap(encode_rpm_ack(invoke, draw(_results)), False)
+    else:
+        datagram = wrap(encode_rpm_request(invoke, draw(_queries)), True)
+    expected = draw(st.sampled_from([None, invoke, (invoke + 1) % 256]))
+    kind = draw(st.sampled_from(["valid", "truncated", "mutated", "random"]))
+    if kind == "truncated":
+        datagram = datagram[: draw(st.integers(0, len(datagram) - 1))]
+    elif kind == "mutated":
+        blob = bytearray(datagram)
+        spots = st.tuples(st.integers(0, len(blob) - 1), st.integers(0, 255))
+        for at, octet in draw(st.lists(spots, min_size=1, max_size=3)):
+            blob[at] = octet
+        datagram = bytes(blob)
+    elif kind == "random":
+        datagram = draw(st.binary(max_size=120))
+    return datagram, expected
+
+
+@settings(max_examples=1000, deadline=None)
+@given(case=_wire_inputs())
+def test_one_pass_decoders_match_the_reference(case):
+    assert_decoders_agree(*case)
+
+
+def test_app_value_reader_matches_the_reference_on_every_tag_octet():
+    """Every first octet, with every second one after an extended tag number
+    and short extended lengths after lvt 5, followed by each prefix of
+    tails that read as negative or start a character string in charset 0
+    or 1."""
+    tails = [bytes.fromhex(t) for t in ("80000541c328fffe0002", "00c328416180ff0102", "014142")]
+    heads = [bytes([a]) for a in range(256)]
+    heads += [bytes([a, b]) for a in range(0xF0, 0x100) for b in range(256)]
+    heads += [bytes([a, n]) for a in range(5, 256, 8) for n in (*range(12), 254, 255)]
+    for head in heads:
+        for tail in tails:
+            for n in range(len(tail) + 1):
+                blob = head + tail[:n]
+                got = _outcome(lambda b: Reader(b).read_app_value(), blob)
+                want = _outcome(lambda b: reference_bacnet.Reader(b).read_app_value(), blob)
+                assert got == want, blob.hex()
+
+
+_AV1_ID = "0c00800001"  # context tag 0, length 4: analog-value 1
+_NON_CANONICAL = {
+    # a value result, its tags written in forms a decoder meets only from
+    # other stacks: extended tag numbers, extended lengths, extended closings
+    "closing 4 extended": f"30070e{_AV1_ID}1e29554e44422c0000ff041f",
+    "closing 1 extended": f"30070e{_AV1_ID}1e29554e44422c00004fff01",
+    "opening 1 extended": f"30070e{_AV1_ID}fe0129554e44422c00004f1f",
+    "opening 4 extended": f"30070e{_AV1_ID}1e2955fe0444422c00004f1f",
+    "object id tag number extended": "30070efc0000800001" "1e29554e44422c00004f1f",
+    "object id length extended": "30070e0d0400800001" "1e29554e44422c00004f1f",
+    "property length 254": f"30070e{_AV1_ID}1e2dfe0001554e44422c00004f1f",
+    "real tag number extended": f"30070e{_AV1_ID}1e29554ef404422c00004f1f",
+    "real length extended": f"30070e{_AV1_ID}1e29554e4504422c00004f1f",
+    "array index length extended": f"30070e{_AV1_ID}1e29553d01054e44422c00004f1f",
+    "closing 5 extended": f"30070e{_AV1_ID}1e29555e91019120ff051f",
+    "request closing 1 extended": f"0005070e{_AV1_ID}1e09551901ff01",
+}
+
+
+@pytest.mark.parametrize("apdu", _NON_CANONICAL.values(), ids=list(_NON_CANONICAL))
+def test_non_canonical_tags_decode_as_the_reference_decodes_them(apdu):
+    datagram = wrap(bytes.fromhex(apdu), False)
+    apdu = datagram[6:]
+    is_request = apdu[0] >> 4 == encoding.PDU_CONFIRMED
+    ref = reference_bacnet.decode_rpm_request if is_request else reference_bacnet.decode_rpm_ack
+    ref(apdu)  # each case is one the reference accepts
+    assert_decoders_agree(datagram, 7)
+
+
+class TestPresentValueRequest:
+    """The steady poll sends one request encoded once per discovery."""
+
+    @pytest.fixture
+    def pv_encodings(self, monkeypatch):
+        """The query count of every present-value request the client encodes."""
+        counts = []
+        encode = encoding.encode_rpm_request
+
+        def counting(invoke, queries, *args):
+            if all(q.prop == PV for q in queries):
+                counts.append(len(queries))
+            return encode(invoke, queries, *args)
+
+        monkeypatch.setattr(encoding, "encode_rpm_request", counting)
+        return counts
+
+    def test_encoded_once_for_five_polls(self, pv_encodings):
+        with BacnetSim(2001, rector_controller_objects()) as sim:
+            with BacnetClient(endpoint(sim)) as c:
+                polls = [c.read_points(None, "ctrl-1") for _ in range(5)]
+                assert len(sim.request_log) == 8 + 5  # one discovery, then one read per poll
+        assert pv_encodings == [77]
+        assert [len(p) for p in polls] == [77] * 5
+
+    def test_encoded_again_after_a_failed_poll(self, pv_encodings):
+        with BacnetSim(2001, rector_controller_objects()) as sim:
+            with BacnetClient(endpoint(sim, timeout_ms=200, retries=1)) as c:
+                c.read_points(None, "ctrl-1")
+                sim.drop_requests(2)  # both attempts of the next poll
+                with pytest.raises(Timeout):
+                    c.read_points(None, "ctrl-1")
+                assert len(c.read_points(None, "ctrl-1")) == 77
+        assert pv_encodings == [77, 77]
+
+    def test_split_read_yields_the_points_of_a_whole_read(self):
+        def two_polls(sim):
+            with BacnetClient(endpoint(sim)) as c:
+                c.clock_ns = lambda: 1
+                return [c.read_points(None, "ctrl-1") for _ in range(2)]
+
+        objs = rector_controller_objects()
+        with BacnetSim(2001, objs) as big:
+            whole = two_polls(big)
+        with BacnetSim(2001, objs, max_response=480) as small:
+            parts = two_polls(small)
+            assert small.request_log.count(77) == 2  # each poll's whole read was aborted
+        assert parts == whole
+        assert len(whole[1]) == 77

@@ -15,8 +15,9 @@ import requests
 from telegw.bacnet import BacnetClient, BacnetEndpoint, Timeout
 from telegw.cli import main
 from telegw.config import load_config
+from telegw import daemon
 from telegw.daemon import IDLE_TIMEOUT_S, Gateway
-from telegw.modbus import RegisterCodec
+from telegw.modbus import ModbusClient, RegisterCodec
 from telegw.pipeline import PollSchedule
 from telegw.mqtt import MqttClient
 from telegw.sim import BacnetSim, ModbusSim, MqttBroker, SimObject
@@ -561,6 +562,41 @@ def test_stop_wakes_a_poll_blocked_on_a_silent_device(tmp_path, protocol):
     assert elapsed < 1.0, f"stop() took {elapsed:.2f} s"
     # the woken poll was cancelled by the stop; the device did not fail it
     assert gw.scheduler.job_errors == {"dead-1": 0}
+
+
+def test_stop_closes_a_persistent_modbus_connection(tmp_path, meter_sim, monkeypatch):
+    clients = []
+
+    class RecordedClient(ModbusClient):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            clients.append(self)
+
+    monkeypatch.setattr(daemon, "ModbusClient", RecordedClient)
+    cfg = load_config(
+        write_config(
+            tmp_path,
+            f"""
+            gateway: {{health_port: 0, jitter: 0}}
+            sink: {{mode: file, path: {tmp_path}/out.lp}}
+            devices:
+              - {{id: meter-1, protocol: modbus, host: 127.0.0.1, port: {meter_sim.port},
+                  interval_s: 0.05, mode: persistent,
+                  registers: [{{name: voltage_l1, addr: 6, dtype: u32, scale: 0.1}}]}}
+            """,
+        )
+    )
+    gw = Gateway(cfg).start()
+    deadline = time.monotonic() + 3
+    while gw.scheduler.job_runs["meter-1"] < 3 and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert clients[0]._sock is not None  # the connection is kept between polls
+    t0 = time.monotonic()
+    gw.stop()
+    elapsed = time.monotonic() - t0
+    assert elapsed < 1.0, f"stop() took {elapsed:.2f} s"
+    assert clients[0]._sock is None
+    assert gw.scheduler.job_errors == {"meter-1": 0}
 
 
 # ------------------------------------------------------------ health endpoint
