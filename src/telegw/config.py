@@ -335,13 +335,25 @@ class _Walker:
             return [self.env(v, f"{path}[{i}]") for i, v in enumerate(value)]
         return value
 
-    def env_ref(self, name: str | None, path: str) -> None:
-        """A type-checked field that names an environment variable: when
-        present it is a non-empty string, and that variable is set now."""
+    def env_ref(self, d: dict, key: str, path: str) -> None:
+        """``d[key]`` names an environment variable: when it is a string, it
+        is non-empty and that variable is set now (``read`` reports any
+        other type)."""
+        name = d.get(key)
         if name == "":
-            self.fail(f"{path} must be a non-empty string")
-        elif name is not None and os.environ.get(name) is None:
-            self.fail(f"{path}: environment variable {name!r} is not set")
+            self.fail(f"{path}.{key} must be a non-empty string")
+        elif isinstance(name, str) and os.environ.get(name) is None:
+            self.fail(f"{path}.{key}: environment variable {name!r} is not set")
+
+    def make(self, cls, d: dict, table: dict, path: str, required=(), defaults=(), **given):
+        """``cls`` built from ``read(d, table, path, required, defaults)``
+        and ``given``; None once the reason it refused is recorded."""
+        kw = self.read(d, table, path, required, defaults)
+        try:
+            return cls(**kw, **given)
+        except (ValueError, ProtocolViolation) as e:
+            self.fail(f"{path}: {e}")
+            return None
 
 
 def _parse_gateway(w: _Walker, raw) -> GatewaySettings:
@@ -357,13 +369,8 @@ def _parse_sink(w: _Walker, raw) -> SinkConfig | None:
     if not d:
         w.fail("sink section is required")
         return None
-    kw = w.read(d, _SINK, "sink", required={"mode": "file"})
-    w.env_ref(kw.get("token_env"), "sink.token_env")
-    try:
-        return SinkConfig(**kw)
-    except ValueError as e:
-        w.fail(f"sink: {e}")
-        return None
+    w.env_ref(d, "token_env", "sink")
+    return w.make(SinkConfig, d, _SINK, "sink", {"mode": "file"})
 
 
 def _parse_field_map(w: _Walker, raw, path: str) -> dict[str, FieldSpec]:
@@ -374,10 +381,8 @@ def _parse_field_map(w: _Walker, raw, path: str) -> dict[str, FieldSpec]:
     for pointer, spec in raw.items():
         p = f"{path}.fields[{pointer}]"
         d = w.section(spec, p, _FIELD)
-        try:
-            out[pointer] = FieldSpec(**w.read(d, _FIELD, p, required={"parameter": "x"}))
-        except ValueError as e:
-            w.fail(f"{p}: {e}")
+        if built := w.make(FieldSpec, d, _FIELD, p, {"parameter": "x"}):
+            out[pointer] = built
     return out or {"/x": FieldSpec("x")}
 
 
@@ -386,27 +391,20 @@ def _parse_brokers(w: _Walker, raw) -> tuple[BrokerEntry, ...]:
     for i, item in enumerate(w.items(raw, "brokers")):
         path = f"brokers[{i}]"
         d = w.section(item, path, _BROKER, ("bindings",))
-        kw = w.read(
-            d, _BROKER, path, required={"host": "127.0.0.1"}, defaults={"client_id": f"gateway-{i}"}
-        )
-        w.env_ref(kw.get("username_env"), f"{path}.username_env")
-        w.env_ref(kw.get("password_env"), f"{path}.password_env")
-        try:
-            cfg = BrokerConfig(**kw)
-        except ValueError as e:
-            w.fail(f"{path}: {e}")
+        w.env_ref(d, "username_env", path)
+        w.env_ref(d, "password_env", path)
+        required, defaults = {"host": "127.0.0.1"}, {"client_id": f"gateway-{i}"}
+        cfg = w.make(BrokerConfig, d, _BROKER, path, required, defaults)
+        if cfg is None:
             continue
         bindings = []
         for j, b in enumerate(w.items(d.get("bindings"), f"{path}.bindings")):
             bp = f"{path}.bindings[{j}]"
             bd = w.section(b, bp, _BINDING, ("fields",))
-            kw = w.read(bd, _BINDING, bp, required={"topic": "#", "entity": "{0}"})
-            try:
-                bindings.append(
-                    TopicBinding(field_map=_parse_field_map(w, bd.get("fields"), bp), **kw)
-                )
-            except (ValueError, ProtocolViolation) as e:
-                w.fail(f"{bp}: {e}")
+            fields = _parse_field_map(w, bd.get("fields"), bp)
+            required = {"topic": "#", "entity": "{0}"}
+            if binding := w.make(TopicBinding, bd, _BINDING, bp, required, field_map=fields):
+                bindings.append(binding)
         if not bindings:
             w.fail(f"{path}: at least one binding is required")
             continue
@@ -419,20 +417,15 @@ def _parse_http_polls(w: _Walker, raw) -> tuple[HttpPollSpec, ...]:
     for i, item in enumerate(w.items(raw, "http_polls")):
         path = f"http_polls[{i}]"
         d = w.section(item, path, _HTTP_POLL, ("fields",))
-        kw = w.read(
-            d,
-            _HTTP_POLL,
-            path,
-            required={
-                "url": "http://invalid", "entity_array_pointer": "/x", "entity_id_pointer": "/id"
-            },
-            defaults={"interval_s": 300.0},
-        )
-        w.env_ref(kw.get("auth_value_env"), f"{path}.auth_value_env")
-        try:
-            polls.append(HttpPollSpec(field_map=_parse_field_map(w, d.get("fields"), path), **kw))
-        except ValueError as e:
-            w.fail(f"{path}: {e}")
+        w.env_ref(d, "auth_value_env", path)
+        fields = _parse_field_map(w, d.get("fields"), path)
+        required = {
+            "url": "http://invalid", "entity_array_pointer": "/x", "entity_id_pointer": "/id"
+        }
+        if poll := w.make(
+            HttpPollSpec, d, _HTTP_POLL, path, required, {"interval_s": 300.0}, field_map=fields
+        ):
+            polls.append(poll)
     return tuple(polls)
 
 
@@ -441,17 +434,12 @@ def _parse_registers(w: _Walker, raw, path: str) -> tuple[RegisterBinding, ...]:
     for i, item in enumerate(w.items(raw, path)):
         p = f"{path}[{i}]"
         d = w.section(item, p, _REGISTER, _CODEC)
-        kw = w.read(
-            d, _REGISTER, p, required={"name": f"reg{i}", "addr": 0}, defaults={"fc": "holding"}
-        )
-        if kw["function"] not in ("holding", "input"):
-            w.fail(f"{p}.fc must be 'holding' or 'input'")
-        try:
-            codec = RegisterCodec(**w.read(d, _CODEC, p, required={"dtype": "u16"}))
-        except ValueError as e:
-            w.fail(f"{p}: {e}")
-            codec = RegisterCodec("u16")
-        out.append(RegisterBinding(codec=codec, **kw))
+        codec = w.make(RegisterCodec, d, _CODEC, p, {"dtype": "u16"}) or RegisterCodec("u16")
+        required, defaults = {"name": f"reg{i}", "addr": 0}, {"fc": "holding"}
+        if b := w.make(RegisterBinding, d, _REGISTER, p, required, defaults, codec=codec):
+            if b.function not in ("holding", "input"):
+                w.fail(f"{p}.fc must be 'holding' or 'input'")
+            out.append(b)
     return tuple(out)
 
 
@@ -479,11 +467,7 @@ def _parse_devices(
         if protocol == "modbus":
             nested = ("id", "protocol", "registers", "historical")
             d = w.section(item, path, _MODBUS, _POLICY, nested)
-            try:
-                policy = ConnectionPolicy(**w.read(d, _POLICY, path))
-            except ValueError as e:
-                w.fail(f"{path}: {e}")
-                policy = ConnectionPolicy()
+            policy = w.make(ConnectionPolicy, d, _POLICY, path) or ConnectionPolicy()
             registers = _parse_registers(w, d.get("registers"), f"{path}.registers")
             historical = None
             if "historical" in d:
@@ -492,32 +476,26 @@ def _parse_devices(
                 hist_regs = _parse_registers(w, hd.get("registers"), f"{hp}.registers")
                 if not hist_regs:
                     w.fail(f"{hp}.registers is required")
-                historical = HistoricalSpec(
-                    config=HistoricalReadConfig(**w.read(hd, _HISTORICAL, hp)),
-                    bindings=hist_regs,
-                    **w.read(hd, _HISTORICAL_SPEC, hp),
-                )
+                config = w.make(HistoricalReadConfig, hd, _HISTORICAL, hp)
+                historical = HistoricalSpec(config, hist_regs, **w.read(hd, _HISTORICAL_SPEC, hp))
             if not registers and historical is None:
                 w.fail(f"{path}: needs registers or a historical block")
-            modbus.append(
-                ModbusDeviceSpec(
-                    id=dev_id,
-                    policy=policy,
-                    bindings=registers,
-                    historical=historical,
-                    **w.read(d, _MODBUS, path, required={"host": "127.0.0.1"}),
-                )
-            )
+            if spec := w.make(
+                ModbusDeviceSpec, d, _MODBUS, path, {"host": "127.0.0.1"},
+                id=dev_id, policy=policy, bindings=registers, historical=historical,
+            ):
+                modbus.append(spec)
         elif protocol == "bacnet":
             d = w.section(item, path, _BACNET, ("id", "protocol", "names"))
             names_raw = w.items(d.get("names"), f"{path}.names")
             names = tuple(n for n in names_raw if isinstance(n, str))
             if len(names) != len(names_raw):
                 w.fail(f"{path}.names must all be strings")
-            kw = w.read(d, _BACNET, path, required={"host": "127.0.0.1"})
-            if not names and not kw.get("discover"):
+            if not names and d.get("discover") is not True:
                 w.fail(f"{path}: needs names or discover: true")
-            bacnet.append(BacnetDeviceSpec(id=dev_id, names=names, **kw))
+            required = {"host": "127.0.0.1"}
+            if spec := w.make(BacnetDeviceSpec, d, _BACNET, path, required, id=dev_id, names=names):
+                bacnet.append(spec)
         else:
             w.fail(f"{path}.protocol must be 'modbus' or 'bacnet', got {protocol!r}")
     return tuple(modbus), tuple(bacnet)
@@ -528,20 +506,13 @@ def _parse_alerts(
 ) -> tuple[tuple[AlertRule, ...], tuple[NotifierSpec, ...]]:
     d = w.section(raw, "alerts", ("rules", "notifiers"))
     rules = []
-    seen_ids: set[str] = set()
     for i, item in enumerate(w.items(d.get("rules"), "alerts.rules")):
         path = f"alerts.rules[{i}]"
-        rd = w.section(item, path, _RULE)
         required = {"id": f"rule-{i}", "parameter": "x", "predicate": "gt"}
-        try:
-            rule = AlertRule(**w.read(rd, _RULE, path, required=required))
-        except ValueError as e:
-            w.fail(f"{path}: {e}")
-            continue
-        if rule.id in seen_ids:
-            w.fail(f"{path}: duplicate rule id {rule.id!r}")
-        seen_ids.add(rule.id)
-        rules.append(rule)
+        if rule := w.make(AlertRule, w.section(item, path, _RULE), _RULE, path, required):
+            if any(r.id == rule.id for r in rules):
+                w.fail(f"{path}: duplicate rule id {rule.id!r}")
+            rules.append(rule)
     notifiers = []
     for i, item in enumerate(w.items(d.get("notifiers"), "alerts.notifiers")):
         path = f"alerts.notifiers[{i}]"
@@ -569,23 +540,14 @@ def _parse_simulate(w: _Walker, raw) -> SimulateSpec | None:
         for j, p in enumerate(w.items(fd.get("parameters"), f"{path}.parameters")):
             pp = f"{path}.parameters[{j}]"
             required = {"name": f"p{j}", "lo": 0.0, "hi": 1.0, "step": 0.1}
-            kw = w.read(w.section(p, pp, _PARAM), _PARAM, pp, required=required)
-            try:
-                params.append(ParamSpec(**kw))
-            except ValueError as e:
-                w.fail(f"{pp}: {e}")
-        kw = w.read(
-            fd,
-            _FLEET,
-            path,
-            required={"kind": f"fleet{i}"},
-            defaults={"count": 1, "interval_s": 60.0, "change_prob": 1.0},
-        )
-        try:
-            fleets.append(DeviceClass(parameters=tuple(params), **kw))
-        except ValueError as e:
-            w.fail(f"{path}: {e}")
-    return SimulateSpec(fleets=tuple(fleets), **w.read(d, _SIMULATE, "simulate"))
+            if param := w.make(ParamSpec, w.section(p, pp, _PARAM), _PARAM, pp, required):
+                params.append(param)
+        defaults = {"count": 1, "interval_s": 60.0, "change_prob": 1.0}
+        if fleet := w.make(
+            DeviceClass, fd, _FLEET, path, {"kind": f"fleet{i}"}, defaults, parameters=tuple(params)
+        ):
+            fleets.append(fleet)
+    return w.make(SimulateSpec, d, _SIMULATE, "simulate", fleets=tuple(fleets))
 
 
 _TOP_LEVEL = {"gateway", "sink", "brokers", "http_polls", "devices", "alerts", "simulate"}
