@@ -4,13 +4,16 @@ for the real hardware.
 
 Each section is described once, by a table from YAML key to type (and to
 the attribute name where the two differ). The table gives the section's
-allowed keys, and the walker turns the keys present with the right type into
-keyword arguments for the dataclass the section builds. An absent key takes
-that dataclass's default; the only defaults kept here are those that belong
-to the config itself (a broker's ``client_id`` is ``gateway-<index>``, an
-HTTP poll runs every 300 s, a simulated fleet is one device every 60 s that
-always changes) and the placeholders that let the walk go on past a missing
-required key.
+allowed keys, and one step, ``_Walker.make``, builds every section: the keys
+present with the right type, plus what the parser supplies (a device's
+registers, a binding's field map), become the keyword arguments of the
+section's dataclass. The dataclass checks its own values; when it refuses
+them, the reason is recorded against the section's path and the walk goes
+on. An absent key takes that dataclass's default; the only defaults kept
+here are those that belong to the config itself (a broker's ``client_id``
+is ``gateway-<index>``, an HTTP poll runs every 300 s, a simulated fleet is
+one device every 60 s that always changes) and the placeholders that let
+the walk go on past a missing required key.
 
 Validation is exhaustive: the loader walks the whole document and reports
 every problem it finds in a single :class:`InvariantViolation` instead of
@@ -28,6 +31,7 @@ integration changes. A syntax error reports the same line under either.
 from __future__ import annotations
 
 import fnmatch
+import math
 import os
 import re
 from dataclasses import dataclass, field
@@ -36,6 +40,7 @@ import yaml
 
 from telegw.alerts import AlertRule
 from telegw.ingest import BrokerConfig, FieldSpec, HttpPollSpec, TopicBinding
+from telegw.model import check_breaks, check_identifier, check_tags
 from telegw.modbus import (
     ConnectionPolicy,
     HistoricalReadConfig,
@@ -108,6 +113,11 @@ class ModbusDeviceSpec:
     bindings: tuple[RegisterBinding, ...] = ()
     historical: HistoricalSpec | None = None
 
+    def __post_init__(self):
+        _check_device(self)
+        if not 0 <= self.unit <= 0xFF:
+            raise ValueError(f"unit {self.unit} outside 0..255")
+
 
 @dataclass(frozen=True)
 class BacnetDeviceSpec:
@@ -121,6 +131,21 @@ class BacnetDeviceSpec:
     discover: bool = False
     names: tuple[str, ...] = ()
     tags: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        _check_device(self)
+        if not 0 <= self.device_instance <= 0x3FFFFF:
+            raise ValueError(f"device_instance {self.device_instance} outside 0..4194303")
+        for name in self.names:
+            check_breaks(name, "object name")
+
+
+def _check_device(spec) -> None:
+    """What the poller and the line renderer need of every polled device."""
+    check_identifier(spec.id, "device id")
+    check_tags(spec.tags)
+    if not 0 < spec.interval_s < math.inf:
+        raise ValueError("interval must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -361,6 +386,9 @@ def _parse_gateway(w: _Walker, raw) -> GatewaySettings:
     if not 0.0 <= kw.get("jitter", 0.0) < 1.0:
         w.fail("gateway.jitter must be in [0, 1)")
         del kw["jitter"]
+    if not 0.0 <= kw.get("heartbeat_s", 0.0) < math.inf:
+        w.fail("gateway.heartbeat_s must be finite and >= 0")
+        del kw["heartbeat_s"]
     return GatewaySettings(**kw)
 
 

@@ -23,7 +23,7 @@ from string import Formatter
 from typing import Callable, MutableMapping
 from urllib.parse import urlsplit
 
-from telegw.model import FLAG, KINDS, REAL, DataPoint, Value
+from telegw.model import FLAG, KINDS, REAL, DataPoint, Value, check_identifier, check_tags
 from telegw.mqtt import protocol as mp
 from telegw.mqtt.client import AuthRejected, MqttClient
 
@@ -68,8 +68,7 @@ class FieldSpec:
             raise ValueError(f"unknown field kind {self.kind!r}")
         if self.scale is not None and self.kind != REAL:
             raise ValueError("scale applies to real fields only")
-        if not self.parameter:
-            raise ValueError("parameter name must be non-empty")
+        check_identifier(self.parameter, "parameter name")
 
 
 def _split_pointer(pointer: str, what: str = "JSON pointer") -> tuple[str, ...]:
@@ -149,6 +148,7 @@ class TopicBinding:
         _keep_split(self, "timestamp_pointer")
         if self.timestamp_unit not in _TS_FACTORS:
             raise ValueError(f"timestamp_unit must be one of {sorted(_TS_FACTORS)}")
+        check_tags(self.tags)
         levels = self.topic_filter.split("/")
         bound = levels.index("#") if "#" in levels else len(levels)
         for n in _template_captures(self.entity_template):
@@ -409,6 +409,7 @@ class HttpPollSpec:
         _keep_split(self, "entity_array_pointer", "entity_id_pointer")
         if (self.auth_header is None) != (self.auth_value_env is None):
             raise ValueError("auth header and value env must be given together")
+        check_tags(self.tags)
 
 
 def _default_getter(url: str, headers: dict[str, str]) -> tuple[int, bytes]:

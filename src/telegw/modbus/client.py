@@ -2,7 +2,7 @@
 
 Many metering devices accept a single TCP connection at a time and drop or
 refuse anything beyond it. The default policy therefore opens a fresh
-connection per poll cycle and closes it as soon as the response is in, so
+connection per request and closes it as soon as the response is in, so
 several pollers (or a second gateway) can interleave against the same meter.
 ``persistent`` keeps the socket open for devices that tolerate it.
 """
@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from datetime import date as _date
 from typing import Callable, Iterable, Optional
 
-from ..model import DataPoint, Value
+from ..model import DataPoint, Value, check_breaks
 from . import protocol
 from .protocol import (
     ExceptionResponse,
@@ -79,6 +79,9 @@ class RegisterBinding:
     address: int
     codec: RegisterCodec
     unit_label: str = ""
+
+    def __post_init__(self):
+        check_breaks(self.parameter, "register name")
 
     @property
     def end(self) -> int:

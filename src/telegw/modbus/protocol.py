@@ -72,7 +72,9 @@ class ExceptionResponse(ModbusError):
 
 
 def _mbap(tx: int, unit: int, pdu_len: int) -> bytes:
-    return struct.pack(">HHHB", tx & 0xFFFF, 0, pdu_len + 1, unit & 0xFF)
+    if not 0 <= unit <= 0xFF:
+        raise ValueError(f"unit {unit} outside 0..0xFF")
+    return struct.pack(">HHHB", tx & 0xFFFF, 0, pdu_len + 1, unit)
 
 
 def encode_read(tx: int, unit: int, function: str, address: int, count: int) -> bytes:

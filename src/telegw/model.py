@@ -105,7 +105,8 @@ class DataPoint:
     tags: Mapping[str, str] = field(default_factory=dict)
 
 
-def _check_breaks(s: str, what: str) -> None:
+def check_breaks(s: str, what: str) -> None:
+    """No line breaks, which line protocol cannot carry; may be empty."""
     if "\n" in s or "\r" in s:
         raise BadIdentifier(f"{what} cannot contain line breaks")
 
@@ -116,7 +117,7 @@ def check_identifier(s: str, what: str) -> None:
         raise ModelError(f"{what} must be a string")
     if not s:
         raise EmptyIdentifier(f"{what} must be non-empty")
-    _check_breaks(s, what)
+    check_breaks(s, what)
 
 
 def check_tags(tags: Mapping[str, str]) -> None:
@@ -124,7 +125,7 @@ def check_tags(tags: Mapping[str, str]) -> None:
         check_identifier(k, "tag key")
         if not isinstance(v, str):
             raise ModelError(f"tag {k!r} has non-string value")
-        _check_breaks(v, f"tag {k!r}")
+        check_breaks(v, f"tag {k!r}")
 
 
 def _check_value(value: Value, what: str) -> None:
@@ -151,7 +152,7 @@ def _check_value(value: Value, what: str) -> None:
             raise ModelError(f"{what}: text value must be str")
         if len(raw) > MAX_TEXT_LEN:
             raise TextTooLong(f"{what}: text length {len(raw)} exceeds {MAX_TEXT_LEN}")
-        _check_breaks(raw, f"{what}: text value")
+        check_breaks(raw, f"{what}: text value")
     else:
         raise ModelError(f"{what}: value kind must be one of {KINDS}, got {kind!r}")
 

@@ -360,3 +360,137 @@ def test_wrong_typed_auth_value_env_is_reported_once(tmp_path):
         load_config(path)
     problems = [str(p) for p in exc.value.problems]
     assert problems.count("http_polls[0].auth_value_env must be str") == 1
+
+
+MODBUS_DEVICE = """
+sink: {mode: file, path: out.lp}
+gateway: {heartbeat_s: %(heartbeat_s)s}
+devices:
+  - id: %(id)s
+    protocol: modbus
+    host: h
+    unit: %(unit)s
+    interval_s: %(interval_s)s
+    tags: %(tags)s
+    registers: [{name: %(name)s, addr: 0, dtype: u16}]
+"""
+MODBUS_OK = dict(heartbeat_s=0, id="m", unit=1, interval_s=60, tags="{k: v}", name="v")
+
+BACNET_DEVICE = """
+sink: {mode: file, path: out.lp}
+devices:
+  - id: b
+    protocol: bacnet
+    host: h
+    device_instance: %(device_instance)s
+    interval_s: %(interval_s)s
+    names: [%(names)s]
+"""
+BACNET_OK = dict(device_instance=4194303, interval_s=60, names="zone-temp")
+
+BROKER = """
+sink: {mode: file, path: out.lp}
+brokers:
+  - host: localhost
+    bindings:
+      - {topic: a/+, entity: "{1}", tags: %(binding_tags)s, fields: {/v: {parameter: %(parameter)s}}}
+http_polls:
+  - url: http://127.0.0.1:8900/v1
+    entity_array_pointer: /items
+    entity_id_pointer: /id
+    tags: %(poll_tags)s
+    fields: {/v: {parameter: v}}
+"""
+BROKER_OK = dict(binding_tags="{k: v}", parameter="v", poll_tags="{k: v}")
+
+
+def _doc(template, ok, **change):
+    return template % {**ok, **change}
+
+
+# values that used to load and then failed in Gateway(), in Gateway.start(),
+# on every poll, or read a different device than the one configured
+RUNTIME_FAILURES = {
+    "modbus interval 0": (
+        _doc(MODBUS_DEVICE, MODBUS_OK, interval_s=0),
+        "devices[0]: interval must be positive and finite",
+    ),
+    "bacnet interval 0": (
+        _doc(BACNET_DEVICE, BACNET_OK, interval_s=0),
+        "devices[0]: interval must be positive and finite",
+    ),
+    "negative heartbeat": (
+        _doc(MODBUS_DEVICE, MODBUS_OK, heartbeat_s=-1),
+        "gateway.heartbeat_s must be finite and >= 0",
+    ),
+    "unit 257": (_doc(MODBUS_DEVICE, MODBUS_OK, unit=257), "devices[0]: unit 257 outside 0..255"),
+    "unit -1": (_doc(MODBUS_DEVICE, MODBUS_OK, unit=-1), "devices[0]: unit -1 outside 0..255"),
+    "device instance 4194304": (
+        _doc(BACNET_DEVICE, BACNET_OK, device_instance=4194304),
+        "devices[0]: device_instance 4194304 outside 0..4194303",
+    ),
+}
+
+# a line break in a name that line protocol must carry: every point using it
+# used to be dropped at intake as unrenderable
+BREAK = '"a\\nb"'
+LINE_BREAKS = {
+    "field parameter": (
+        _doc(BROKER, BROKER_OK, parameter=BREAK),
+        "brokers[0].bindings[0].fields[/v]: parameter name cannot contain line breaks",
+    ),
+    "register name": (
+        _doc(MODBUS_DEVICE, MODBUS_OK, name=BREAK),
+        "devices[0].registers[0]: register name cannot contain line breaks",
+    ),
+    "device id": (
+        _doc(MODBUS_DEVICE, MODBUS_OK, id=BREAK),
+        "devices[0]: device id cannot contain line breaks",
+    ),
+    "bacnet object name": (
+        _doc(BACNET_DEVICE, BACNET_OK, names=BREAK),
+        "devices[0]: object name cannot contain line breaks",
+    ),
+    "binding tag key": (
+        _doc(BROKER, BROKER_OK, binding_tags="{%s: v}" % BREAK),
+        "brokers[0].bindings[0]: tag key cannot contain line breaks",
+    ),
+    "binding tag value": (
+        _doc(BROKER, BROKER_OK, binding_tags="{k: %s}" % BREAK),
+        "brokers[0].bindings[0]: tag 'k' cannot contain line breaks",
+    ),
+    "device tag value": (
+        _doc(MODBUS_DEVICE, MODBUS_OK, tags="{k: %s}" % BREAK),
+        "devices[0]: tag 'k' cannot contain line breaks",
+    ),
+    "poll tag key": (
+        _doc(BROKER, BROKER_OK, poll_tags="{%s: v}" % BREAK),
+        "http_polls[0]: tag key cannot contain line breaks",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "template, ok",
+    [(MODBUS_DEVICE, MODBUS_OK), (BACNET_DEVICE, BACNET_OK), (BROKER, BROKER_OK)],
+    ids=["modbus", "bacnet", "broker"],
+)
+def test_rejected_documents_differ_from_a_loading_one_in_one_value(tmp_path, template, ok):
+    load_config(write(tmp_path, _doc(template, ok)))
+
+
+@pytest.mark.parametrize("case", sorted(RUNTIME_FAILURES))
+def test_value_the_gateway_would_fail_on_is_rejected_at_load(tmp_path, case):
+    text, problem = RUNTIME_FAILURES[case]
+    with pytest.raises(InvariantViolation) as exc:
+        load_config(write(tmp_path, text))
+    assert exc.value.problems == [problem]
+
+
+@pytest.mark.parametrize("case", sorted(LINE_BREAKS))
+def test_name_line_protocol_cannot_carry_is_rejected_at_load(tmp_path, case):
+    text, problem = LINE_BREAKS[case]
+    with pytest.raises(InvariantViolation) as exc:
+        load_config(write(tmp_path, text))
+    # a dropped binding or register may also leave its parent with none
+    assert problem in exc.value.problems

@@ -42,7 +42,7 @@ ENV = {
 # names the corpus uses as variables that must stay unset
 UNSET = ("x",)
 
-WRONG = (0, 7, 1.5, True, False, "", "x", [1], {"k": 1})
+WRONG = (0, 7, -1, 70000, 1.5, True, False, "", "x", "a\nb", [1], {"k": 1})
 
 FULL = {
     "gateway": {

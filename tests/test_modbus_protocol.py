@@ -53,6 +53,14 @@ class TestEncodeRead:
         with pytest.raises(ValueError):
             encode_read(1, 1, "coils", 0, 1)
 
+    @pytest.mark.parametrize("unit", [-1, 256, 257])
+    def test_unit_outside_a_byte_is_rejected_not_masked(self, unit):
+        # 257 used to go out as unit 1 and -1 as unit 255: a read of the wrong device
+        with pytest.raises(ValueError, match="unit"):
+            encode_read(1, unit, "holding", 0, 1)
+        with pytest.raises(ValueError, match="unit"):
+            encode_write_multiple(1, unit, 0, [1])
+
     @settings(max_examples=200)
     @given(
         tx=st.integers(0, 0xFFFF),
