@@ -21,6 +21,7 @@ import threading
 from dataclasses import dataclass, field
 from fnmatch import fnmatchcase
 from pathlib import Path
+from urllib.parse import urlsplit
 
 from telegw.model import FLAG, REAL, DataPoint, Value
 
@@ -272,12 +273,14 @@ class LogNotifier:
 
 class WebhookNotifier:
     def __init__(self, url: str, timeout_s: float = 10.0):
-        from urllib.parse import urlsplit
-
-        if urlsplit(url).scheme not in ("http", "https"):
-            raise ValueError("webhook url scheme must be http or https")
+        self.check_url(url)
         self.url = url
         self.timeout_s = timeout_s
+
+    @staticmethod
+    def check_url(url: str) -> None:
+        if urlsplit(url).scheme not in ("http", "https"):
+            raise ValueError("webhook url scheme must be http or https")
 
     def notify(self, event: AlertEvent) -> bool:
         import requests

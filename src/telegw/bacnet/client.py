@@ -285,9 +285,10 @@ class BacnetClient:
     def _read_named(self, names: Optional[Sequence[str]]) -> tuple[list, list[PropResult]]:
         """The objects ``names`` resolve to (all for None) and their present
         values. The request is encoded once per discovery and names, and
-        sent again with a fresh invoke id on each later read. Any failed
-        read clears the name cache and that request: the device may have
-        changed, so the next read discovers again."""
+        sent again with a fresh invoke id on each later read. A failed read,
+        or an answer naming an object the device no longer has, clears the
+        name cache and that request: the device has changed, so the next
+        read discovers again."""
         if names is not None and not names:
             raise EmptyQuery("no names given")
         key = None if names is None else tuple(names)
@@ -298,11 +299,15 @@ class BacnetClient:
                 self._present = (key, *self._present_request(key))
             _, objs, queries, apdu = self._present
             with self._lock:
-                return objs, self._read_locked(queries, apdu)
+                results = self._read_locked(queries, apdu)
         except Exception:
             self._name_cache = {}
             self._present = None
             raise
+        if any(r.error is not None and r.error[1] == "unknown-object" for r in results):
+            self._name_cache = {}
+            self._present = None
+        return objs, results
 
     def _present_request(self, names: Optional[tuple]) -> tuple[list, list, bytes]:
         """The objects ``names`` (all for None) resolve to, their present-value

@@ -38,9 +38,9 @@ from dataclasses import dataclass, field
 
 import yaml
 
-from telegw.alerts import AlertRule
+from telegw.alerts import AlertRule, LogNotifier, SmtpStubNotifier, WebhookNotifier
 from telegw.ingest import BrokerConfig, FieldSpec, HttpPollSpec, TopicBinding
-from telegw.model import check_breaks, check_identifier, check_tags
+from telegw.model import check_identifier, check_tags
 from telegw.modbus import (
     ConnectionPolicy,
     HistoricalReadConfig,
@@ -137,7 +137,7 @@ class BacnetDeviceSpec:
         if not 0 <= self.device_instance <= 0x3FFFFF:
             raise ValueError(f"device_instance {self.device_instance} outside 0..4194303")
         for name in self.names:
-            check_breaks(name, "object name")
+            check_identifier(name, "object name")
 
 
 def _check_device(spec) -> None:
@@ -146,6 +146,8 @@ def _check_device(spec) -> None:
     check_tags(spec.tags)
     if not 0 < spec.interval_s < math.inf:
         raise ValueError("interval must be positive and finite")
+    if not 0 < spec.port <= 0xFFFF:
+        raise ValueError(f"port {spec.port} outside 1..65535")
 
 
 @dataclass(frozen=True)
@@ -159,6 +161,24 @@ class NotifierSpec:
     type: str  # log | webhook | smtp_spool
     url: str | None = None
     spool_dir: str | None = None
+
+    def __post_init__(self):
+        if self.type not in ("log", "webhook", "smtp_spool"):
+            raise ValueError("type must be log, webhook, or smtp_spool")
+        if self.type == "webhook":
+            if not self.url:
+                raise ValueError("webhook needs url")
+            WebhookNotifier.check_url(self.url)
+        if self.type == "smtp_spool" and not self.spool_dir:
+            raise ValueError("smtp_spool needs spool_dir")
+
+    def build(self):
+        """The notifier this describes; a spool notifier creates its directory."""
+        if self.type == "log":
+            return LogNotifier()
+        if self.type == "webhook":
+            return WebhookNotifier(self.url)
+        return SmtpStubNotifier(self.spool_dir)
 
 
 @dataclass(frozen=True, slots=True)
@@ -389,6 +409,9 @@ def _parse_gateway(w: _Walker, raw) -> GatewaySettings:
     if not 0.0 <= kw.get("heartbeat_s", 0.0) < math.inf:
         w.fail("gateway.heartbeat_s must be finite and >= 0")
         del kw["heartbeat_s"]
+    if not 0 <= kw.get("health_port", 0) <= 0xFFFF:  # 0 picks a free port
+        w.fail("gateway.health_port must be in 0..65535")
+        del kw["health_port"]
     return GatewaySettings(**kw)
 
 
@@ -544,15 +567,9 @@ def _parse_alerts(
     notifiers = []
     for i, item in enumerate(w.items(d.get("notifiers"), "alerts.notifiers")):
         path = f"alerts.notifiers[{i}]"
-        kw = w.read(w.section(item, path, _NOTIFIER), _NOTIFIER, path, required={"type": "log"})
-        if kw["type"] not in ("log", "webhook", "smtp_spool"):
-            w.fail(f"{path}.type must be log, webhook, or smtp_spool")
-            continue
-        if kw["type"] == "webhook" and not kw.get("url"):
-            w.fail(f"{path}: webhook needs url")
-        if kw["type"] == "smtp_spool" and not kw.get("spool_dir"):
-            w.fail(f"{path}: smtp_spool needs spool_dir")
-        notifiers.append(NotifierSpec(**kw))
+        nd = w.section(item, path, _NOTIFIER)
+        if notifier := w.make(NotifierSpec, nd, _NOTIFIER, path, {"type": "log"}):
+            notifiers.append(notifier)
     return tuple(rules), tuple(notifiers)
 
 

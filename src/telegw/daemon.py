@@ -27,9 +27,9 @@ from datetime import date, timedelta
 from http import HTTPStatus
 from typing import Callable
 
-from telegw.alerts import AlertEngine, LogNotifier, SmtpStubNotifier, WebhookNotifier
+from telegw.alerts import AlertEngine
 from telegw.bacnet import BacnetClient, BacnetEndpoint
-from telegw.config import BacnetDeviceSpec, GatewayConfig, ModbusDeviceSpec, NotifierSpec
+from telegw.config import BacnetDeviceSpec, GatewayConfig, ModbusDeviceSpec
 from telegw.ingest import Subscriber, poll_http
 from telegw.modbus import ModbusClient
 from telegw.pipeline import Pipeline, PollSchedule, Scheduler, stats_to_doc
@@ -43,24 +43,12 @@ MAX_HEADERS = 100
 IDLE_TIMEOUT_S = 2.0  # a connection that sends no whole request by then is closed
 
 
-def build_notifiers(specs: tuple[NotifierSpec, ...]) -> list:
-    out = []
-    for spec in specs:
-        if spec.type == "log":
-            out.append(LogNotifier())
-        elif spec.type == "webhook":
-            out.append(WebhookNotifier(spec.url))
-        else:
-            out.append(SmtpStubNotifier(spec.spool_dir))
-    return out
-
-
 class Gateway:
     def __init__(self, config: GatewayConfig, clock_ns=time.time_ns):
         self.config = config
         self.clock_ns = clock_ns
         self.alert_engine = AlertEngine(
-            list(config.alert_rules), build_notifiers(config.notifiers)
+            list(config.alert_rules), [spec.build() for spec in config.notifiers]
         )
         self.pipeline = Pipeline(
             config.sink,

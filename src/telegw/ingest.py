@@ -214,6 +214,14 @@ def _map_fields(node, fields, entity_id: str, timestamp: int, tags, stats) -> li
     return points
 
 
+def _load_json(data: bytes):
+    try:
+        return json.loads(data.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as e:
+        # RecursionError: nested deeper than the interpreter's recursion limit
+        raise MalformedJson(str(e)) from e
+
+
 def parse_payload(
     topic: str,
     payload: bytes,
@@ -229,10 +237,7 @@ def parse_payload(
     """
     if not mp.topic_matches(binding.topic_filter, topic):
         raise TemplateMismatch(f"{topic!r} does not match {binding.topic_filter!r}")
-    try:
-        doc = json.loads(payload.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
-        raise MalformedJson(str(e)) from e
+    doc = _load_json(payload)
 
     timestamp, ts_tokens = now_ns, binding._timestamp_pointer
     if ts_tokens is not None:
@@ -261,6 +266,8 @@ class BrokerConfig:
     backoff_multiplier: float = 2.0
 
     def __post_init__(self):
+        if not 0 < self.port <= 0xFFFF:
+            raise ValueError(f"port {self.port} outside 1..65535")
         if self.backoff_initial_s <= 0 or self.backoff_max_s <= 0:
             raise ValueError("backoff bounds must be positive")
         if self.backoff_initial_s > self.backoff_max_s:
@@ -298,7 +305,6 @@ class Subscriber:
         self.out = out
         self.clock_ns = clock_ns
         self._stop = threading.Event()
-        self._disconnected = threading.Event()
         self._client: MqttClient | None = None
         self._thread: threading.Thread | None = None
         self.stats = dict.fromkeys(("points", "ignored_fields", "type_errors", "bad_timestamps"), 0)
@@ -310,10 +316,10 @@ class Subscriber:
 
     def _on_message(self, topic: str, payload: bytes) -> None:
         for binding in self.bindings:
-            if not mp.topic_matches(binding.topic_filter, topic):
-                continue
             try:
                 points = parse_payload(topic, payload, binding, self.clock_ns(), self.stats)
+            except TemplateMismatch:  # another binding's topic
+                continue
             except IngestError:
                 self.parse_errors += 1
                 continue
@@ -326,7 +332,6 @@ class Subscriber:
         backoff = self.broker.backoff_initial_s
         while not self._stop.is_set():
             username, password = self.broker.credentials()
-            self._disconnected.clear()
             client = MqttClient(
                 self.broker.host,
                 self.broker.port,
@@ -334,7 +339,6 @@ class Subscriber:
                 username,
                 password,
                 on_message=self._on_message,
-                on_disconnect=self._disconnected.set,
             )
             try:
                 client.connect()
@@ -349,11 +353,10 @@ class Subscriber:
                 continue
             self._client = client
             backoff = self.broker.backoff_initial_s
-            # stop() sets _stop, then _disconnected: either the check sees the
-            # first or the wait wakes on the second, even if stop() ran
-            # before the clear() above
+            # stop() sets _stop, then closes the client it finds: either the
+            # check sees the first or stop() found this client
             if not self._stop.is_set():
-                self._disconnected.wait()
+                client.wait_closed()
             self._client = None
             client.close()
             if not self._stop.is_set():
@@ -375,7 +378,6 @@ class Subscriber:
 
     def stop(self) -> None:
         self._stop.set()
-        self._disconnected.set()
         client = self._client
         if client is not None:
             client.close()
@@ -434,10 +436,7 @@ def poll_http(
     status, content = getter(spec.url, headers)
     if not 200 <= status < 300:
         raise HttpStatus(status)
-    try:
-        doc = json.loads(content.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
-        raise MalformedJson(str(e)) from e
+    doc = _load_json(content)
     entities = _walk(doc, spec._entity_array_pointer)
     if entities is _ABSENT:
         raise SchemaMismatch(f"selector {spec.entity_array_pointer!r} absent")

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from datetime import date as _date
 from typing import Callable, Iterable, Optional
 
-from ..model import DataPoint, Value, check_breaks
+from ..model import DataPoint, Value, check_identifier
 from . import protocol
 from .protocol import (
     ExceptionResponse,
@@ -81,7 +81,11 @@ class RegisterBinding:
     unit_label: str = ""
 
     def __post_init__(self):
-        check_breaks(self.parameter, "register name")
+        check_identifier(self.parameter, "register name")
+        if self.address < 0 or self.end > 0x10000:
+            raise ValueError(
+                f"{self.codec.datatype} at address {self.address} does not fit in 0..65535"
+            )
 
     @property
     def end(self) -> int:
@@ -107,6 +111,16 @@ class HistoricalReadConfig:
     poll_interval_ms: int = 500
     max_polls: int = 20
     date_encoder: Callable[[_date], list[int]] = encode_date_y2k
+
+    def __post_init__(self):
+        words = len(self.date_encoder(_date(2000, 1, 1)))
+        if self.date_address < 0 or self.date_address + words > 0x10000:
+            raise ValueError(
+                f"date window at address {self.date_address} ({words} registers) "
+                "does not fit in 0..65535"
+            )
+        if not 0 <= self.ready_address <= 0xFFFF:
+            raise ValueError(f"ready address {self.ready_address} outside 0..65535")
 
 
 def coalesce(bindings: Iterable[RegisterBinding]) -> list[tuple[str, int, int, list[RegisterBinding]]]:

@@ -65,6 +65,12 @@ class SubscribeRefused(mp.MqttError):
         self.codes = codes
 
 
+class _Slot(threading.Event):
+    """A request's wait: set with ``payload`` by its ack, without by a loss."""
+
+    payload = None
+
+
 class MqttClient:
     def __init__(
         self,
@@ -77,7 +83,6 @@ class MqttClient:
         connect_timeout: float = 5.0,
         io_timeout: float = 5.0,
         on_message: Callable[[str, bytes], None] | None = None,
-        on_disconnect: Callable[[], None] | None = None,
     ):
         self.host = host
         self.port = port
@@ -88,14 +93,13 @@ class MqttClient:
         self.connect_timeout = connect_timeout
         self.io_timeout = io_timeout
         self.on_message = on_message
-        self.on_disconnect = on_disconnect
         self._sock: socket.socket | None = None
         self._send_lock = threading.Lock()
         self._reader: threading.Thread | None = None
         self._pinger: threading.Thread | None = None
         self._stop = threading.Event()
-        self._acks: dict[tuple[int, int], threading.Event] = {}
-        self._ack_payload: dict[tuple[int, int], object] = {}
+        # (ack type, packet id) -> the slot its requester waits on
+        self._pending: dict[tuple[int, int], _Slot] = {}
         self._ack_lock = threading.Lock()
         self._next_pid = 0
         self.callback_errors = 0
@@ -138,15 +142,17 @@ class MqttClient:
     def connected(self) -> bool:
         return self._sock is not None and not self._stop.is_set()
 
+    def wait_closed(self, timeout: float | None = None) -> bool:
+        """Block until the connection, once made, is closed or lost."""
+        return self._stop.wait(timeout)
+
     def close(self) -> None:
-        sock = self._sock
-        if sock is not None and not self._stop.is_set():
+        if self.connected:
             try:
-                with self._send_lock:
-                    sock.sendall(mp.encode_disconnect())
-            except OSError:
+                self._send(mp.encode_disconnect())
+            except mp.MqttError:
                 pass
-        self._teardown(notify=False)
+        self._teardown()
         if self._reader is not None and self._reader is not threading.current_thread():
             self._reader.join(timeout=5)
         self._reader = None
@@ -158,8 +164,7 @@ class MqttClient:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    def _teardown(self, notify: bool) -> None:
-        already_down = self._stop.is_set()
+    def _teardown(self) -> None:
         self._stop.set()
         sock, self._sock = self._sock, None
         if sock is not None:
@@ -169,12 +174,9 @@ class MqttClient:
                 pass
             sock.close()
         with self._ack_lock:
-            # wake all waiters; they will see the missing payload as a loss
-            for ev in self._acks.values():
-                ev.set()
-            self._acks.clear()
-        if notify and not already_down and self.on_disconnect is not None:
-            self.on_disconnect()
+            # wake every requester; each takes a missing payload as a loss
+            for slot in self._pending.values():
+                slot.set()
 
     # -- outbound -------------------------------------------------------
 
@@ -186,45 +188,38 @@ class MqttClient:
             with self._send_lock:
                 sock.sendall(data)
         except OSError as e:
-            self._teardown(notify=True)
+            self._teardown()
             raise ConnectionLost(str(e)) from e
 
-    def _alloc_pid(self) -> int:
+    def _request(self, ack_type: int, encode: Callable[[int], bytes]):
+        """Send ``encode(packet_id)`` under a fresh packet id and return the
+        payload of the ``ack_type`` packet answering it."""
+        slot = _Slot()
         with self._ack_lock:
             self._next_pid = self._next_pid % 0xFFFF + 1
-            return self._next_pid
-
-    def _wait_ack(self, key: tuple[int, int]):
-        ev = self._acks[key]
-        if not ev.wait(self.io_timeout):
+            key = (ack_type, self._next_pid)
+            self._pending[key] = slot
+        try:
+            self._send(encode(key[1]))
+            if not slot.wait(self.io_timeout):
+                raise AckTimeout(f"no ack for packet {key[1]}")
+        finally:
             with self._ack_lock:
-                self._acks.pop(key, None)
-            raise AckTimeout(f"no ack for packet {key[1]}")
-        with self._ack_lock:
-            payload = self._ack_payload.pop(key, None)
-            self._acks.pop(key, None)
-        if payload is None:
+                del self._pending[key]
+        if slot.payload is None:
             raise ConnectionLost("connection dropped while awaiting ack")
-        return payload
+        return slot.payload
 
     def publish(self, topic: str, payload: bytes, qos: int = 0) -> None:
         if qos == 0:
             self._send(mp.encode_publish(mp.PublishPacket(topic, payload, 0)))
-            return
-        pid = self._alloc_pid()
-        key = (mp.PUBACK, pid)
-        with self._ack_lock:
-            self._acks[key] = threading.Event()
-        self._send(mp.encode_publish(mp.PublishPacket(topic, payload, 1, pid)))
-        self._wait_ack(key)
+        else:
+            packet = lambda pid: mp.encode_publish(mp.PublishPacket(topic, payload, 1, pid))
+            self._request(mp.PUBACK, packet)
 
     def subscribe(self, filters: list[str], qos: int = 1) -> list[int]:
-        pid = self._alloc_pid()
-        key = (mp.SUBACK, pid)
-        with self._ack_lock:
-            self._acks[key] = threading.Event()
-        self._send(mp.encode_subscribe(pid, [(f, qos) for f in filters]))
-        codes = self._wait_ack(key)
+        packet = lambda pid: mp.encode_subscribe(pid, [(f, qos) for f in filters])
+        codes = self._request(mp.SUBACK, packet)
         if any(c == mp.SUBACK_FAILURE for c in codes):
             raise SubscribeRefused(codes)
         return codes
@@ -254,10 +249,10 @@ class MqttClient:
                     else:
                         pid, payload = mp.decode_suback(body)
                     with self._ack_lock:
-                        key = (ptype, pid)
-                        if key in self._acks:
-                            self._ack_payload[key] = payload
-                            self._acks[key].set()
+                        slot = self._pending.get((ptype, pid))
+                        if slot is not None:
+                            slot.payload = payload
+                            slot.set()
                 elif ptype == mp.PINGRESP:
                     _ack_now(sock)
                 else:
@@ -265,7 +260,7 @@ class MqttClient:
         except (ConnectionError, OSError, mp.MqttError):
             pass
         finally:
-            self._teardown(notify=True)
+            self._teardown()
 
     def _ping_loop(self) -> None:
         interval = max(1.0, self.keepalive / 2)

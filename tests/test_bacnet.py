@@ -332,6 +332,34 @@ class TestNamedReads:
         assert all(p.timestamp == 777 and dict(p.tags) == {"building": "B"} for p in pts)
 
 
+    def test_object_that_moved_is_read_again_from_the_next_poll(self):
+        names = ["co2-level", "zone-temp"]
+        with BacnetSim(100, small_inventory()) as sim:
+            with BacnetClient(endpoint(sim)) as c:
+                assert [p.parameter for p in c.read_points(names, "ctrl-1")] == names
+                old = ObjectRef.of("analog-input", 4)
+                co2 = sim.objects.pop(old)
+                co2.instance = 5
+                sim.objects[co2.ref] = co2
+                sim.order[sim.order.index(old)] = co2.ref
+                # this poll still delivers the object that stayed, and the next discovers again
+                assert [p.parameter for p in c.read_points(names, "ctrl-1")] == ["zone-temp"]
+                assert [p.parameter for p in c.read_points(names, "ctrl-1")] == names
+
+    def test_object_that_disappeared_fails_the_next_poll(self):
+        names = ["co2-level", "zone-temp"]
+        with BacnetSim(100, small_inventory()) as sim:
+            with BacnetClient(endpoint(sim)) as c:
+                c.read_points(names, "ctrl-1")
+                old = ObjectRef.of("analog-input", 4)
+                del sim.objects[old]
+                sim.order.remove(old)
+                assert [p.parameter for p in c.read_points(names, "ctrl-1")] == ["zone-temp"]
+                with pytest.raises(UnknownName) as e:
+                    c.read_points(names, "ctrl-1")
+                assert e.value.names == ["co2-level"]
+
+
 class TestJsonDocument:
     def test_document_shape(self):
         with BacnetSim(100, small_inventory()) as sim:

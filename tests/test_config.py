@@ -404,6 +404,37 @@ http_polls:
 BROKER_OK = dict(binding_tags="{k: v}", parameter="v", poll_tags="{k: v}")
 
 
+LOAD_TIME = """
+sink: {mode: file, path: out.lp}
+gateway: {health_port: %(health_port)s}
+brokers:
+  - host: localhost
+    port: %(broker_port)s
+    bindings: [{topic: a/+, entity: "{1}", fields: {/v: {parameter: v}}}]
+devices:
+  - id: m
+    protocol: modbus
+    host: h
+    port: %(modbus_port)s
+    registers: [{name: %(name)s, addr: %(addr)s, dtype: %(dtype)s}]
+    historical:
+      date_addr: %(date_addr)s
+      ready_addr: %(ready_addr)s
+      registers:
+        - {name: %(history_name)s, addr: %(history_addr)s, dtype: u16}
+        - {name: w, addr: 1, dtype: u16}
+  - {id: b, protocol: bacnet, host: h, port: %(bacnet_port)s, names: [%(names)s]}
+alerts:
+  notifiers: [{type: webhook, url: %(url)s}]
+"""
+# each value at the edge of its range
+LOAD_TIME_OK = dict(
+    health_port=0, broker_port=65535, modbus_port=1, name="v", addr=65534, dtype="u32",
+    date_addr=65533, ready_addr=65535, history_name="e", history_addr=0, bacnet_port=65535,
+    names="zone-temp", url="https://hook.example/",
+)
+
+
 def _doc(template, ok, **change):
     return template % {**ok, **change}
 
@@ -428,6 +459,75 @@ RUNTIME_FAILURES = {
     "device instance 4194304": (
         _doc(BACNET_DEVICE, BACNET_OK, device_instance=4194304),
         "devices[0]: device_instance 4194304 outside 0..4194303",
+    ),
+    "health port 70000": (
+        _doc(LOAD_TIME, LOAD_TIME_OK, health_port=70000),
+        "gateway.health_port must be in 0..65535",
+    ),
+    "health port -1": (
+        _doc(LOAD_TIME, LOAD_TIME_OK, health_port=-1),
+        "gateway.health_port must be in 0..65535",
+    ),
+    "broker port -1": (
+        _doc(LOAD_TIME, LOAD_TIME_OK, broker_port=-1),
+        "brokers[0]: port -1 outside 1..65535",
+    ),
+    "broker port 65536": (
+        _doc(LOAD_TIME, LOAD_TIME_OK, broker_port=65536),
+        "brokers[0]: port 65536 outside 1..65535",
+    ),
+    "modbus port 70000": (
+        _doc(LOAD_TIME, LOAD_TIME_OK, modbus_port=70000),
+        "devices[0]: port 70000 outside 1..65535",
+    ),
+    "modbus port 0": (
+        _doc(LOAD_TIME, LOAD_TIME_OK, modbus_port=0),
+        "devices[0]: port 0 outside 1..65535",
+    ),
+    "bacnet port 70000": (
+        _doc(LOAD_TIME, LOAD_TIME_OK, bacnet_port=70000),
+        "devices[1]: port 70000 outside 1..65535",
+    ),
+    "register addr -1": (
+        _doc(LOAD_TIME, LOAD_TIME_OK, addr=-1, dtype="u16"),
+        "devices[0].registers[0]: u16 at address -1 does not fit in 0..65535",
+    ),
+    "u32 at addr 65535": (
+        _doc(LOAD_TIME, LOAD_TIME_OK, addr=65535),
+        "devices[0].registers[0]: u32 at address 65535 does not fit in 0..65535",
+    ),
+    "history register addr 70000": (
+        _doc(LOAD_TIME, LOAD_TIME_OK, history_addr=70000),
+        "devices[0].historical.registers[0]: u16 at address 70000 does not fit in 0..65535",
+    ),
+    "date_addr -5": (
+        _doc(LOAD_TIME, LOAD_TIME_OK, date_addr=-5),
+        "devices[0].historical: date window at address -5 (3 registers) does not fit in 0..65535",
+    ),
+    "date window past 0xFFFF": (
+        _doc(LOAD_TIME, LOAD_TIME_OK, date_addr=65534),
+        "devices[0].historical: date window at address 65534 (3 registers) "
+        "does not fit in 0..65535",
+    ),
+    "ready_addr 70000": (
+        _doc(LOAD_TIME, LOAD_TIME_OK, ready_addr=70000),
+        "devices[0].historical: ready address 70000 outside 0..65535",
+    ),
+    "empty register name": (
+        _doc(LOAD_TIME, LOAD_TIME_OK, name='""'),
+        "devices[0].registers[0]: register name must be non-empty",
+    ),
+    "empty history register name": (
+        _doc(LOAD_TIME, LOAD_TIME_OK, history_name='""'),
+        "devices[0].historical.registers[0]: register name must be non-empty",
+    ),
+    "empty bacnet object name": (
+        _doc(LOAD_TIME, LOAD_TIME_OK, names='""'),
+        "devices[1]: object name must be non-empty",
+    ),
+    "webhook url ftp": (
+        _doc(LOAD_TIME, LOAD_TIME_OK, url="ftp://example.org/hook"),
+        "alerts.notifiers[0]: webhook url scheme must be http or https",
     ),
 }
 
@@ -472,8 +572,11 @@ LINE_BREAKS = {
 
 @pytest.mark.parametrize(
     "template, ok",
-    [(MODBUS_DEVICE, MODBUS_OK), (BACNET_DEVICE, BACNET_OK), (BROKER, BROKER_OK)],
-    ids=["modbus", "bacnet", "broker"],
+    [
+        (MODBUS_DEVICE, MODBUS_OK), (BACNET_DEVICE, BACNET_OK), (BROKER, BROKER_OK),
+        (LOAD_TIME, LOAD_TIME_OK),
+    ],
+    ids=["modbus", "bacnet", "broker", "load-time"],
 )
 def test_rejected_documents_differ_from_a_loading_one_in_one_value(tmp_path, template, ok):
     load_config(write(tmp_path, _doc(template, ok)))

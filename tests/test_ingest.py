@@ -184,6 +184,15 @@ class TestParsePayload:
         assert (sub.parse_errors, sub.points_out) == (0, 2)
         assert (c["received"], c["rejected_non_finite"], c["emitted"]) == (2, 1, 1)
 
+    def test_deeply_nested_payload_is_a_parse_error(self, tmp_path):
+        pipe = Pipeline(SinkConfig(path=str(tmp_path / "out.lp")))  # not started: writes nothing
+        binding = TopicBinding("t/+", "{1}", {"/v": FieldSpec("v")})
+        sub = Subscriber(BrokerConfig("127.0.0.1"), [binding], pipe.submit)
+        sub._on_message("t/d", b"[" * 100_000)  # deeper than the recursion limit
+        sub._on_message("u/d", b'{"v": 1}')  # another binding's topic: not an error
+        sub._on_message("t/d", b'{"v": 1}')
+        assert (sub.parse_errors, sub.points_out) == (1, 1)
+
     def test_timestamp_beyond_range_falls_back_to_now(self):
         binding = TopicBinding(
             "t/+", "{1}", {"/v": FieldSpec("v")},
@@ -381,6 +390,11 @@ class TestHttpPoll:
         handler.script = [(200, b"<html>")]
         with pytest.raises(MalformedJson):
             poll_http(_spec(server))
+
+    def test_deeply_nested_body_is_malformed_json(self):
+        spec = HttpPollSpec("http://x/api", 10, {"/v": FieldSpec("v")}, "/s", "/id")
+        with pytest.raises(MalformedJson):
+            poll_http(spec, getter=lambda url, headers: (200, b"[" * 100_000))
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):

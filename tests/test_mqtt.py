@@ -1,7 +1,9 @@
 """MQTT codec round-trips, wildcard matching, and client/broker behavior."""
 
+import contextlib
 import socket
 import statistics
+import sys
 import threading
 import time
 
@@ -12,7 +14,13 @@ from hypothesis import strategies as st
 from telegw import ingest
 from telegw.ingest import BrokerConfig, Subscriber
 from telegw.mqtt import protocol as mp
-from telegw.mqtt.client import AckTimeout, AuthRejected, MqttClient
+from telegw.mqtt.client import (
+    AckTimeout,
+    AuthRejected,
+    ConnectionLost,
+    MqttClient,
+    NotConnected,
+)
 from telegw.sim.broker import MqttBroker
 
 from ingest_fixtures import aranet_binding
@@ -143,6 +151,37 @@ class Collector:
         return len(self.messages) >= n
 
 
+@contextlib.contextmanager
+def silent_broker():
+    """The port of a raw TCP server that accepts a CONNECT, then reads
+    whatever arrives and answers nothing."""
+    srv = socket.socket()
+    srv.bind(("127.0.0.1", 0))
+    srv.listen(1)
+
+    def serve():
+        while True:  # one connection at a time, until srv is closed
+            try:
+                conn, _ = srv.accept()
+            except OSError:
+                return
+            try:
+                mp.read_packet(conn)
+                conn.sendall(mp.encode_connack(0))
+                while True:
+                    mp.read_packet(conn)
+            except (ConnectionError, OSError, mp.MqttError):
+                pass
+            finally:
+                conn.close()
+
+    threading.Thread(target=serve, daemon=True).start()
+    try:
+        yield srv.getsockname()[1]
+    finally:
+        srv.close()
+
+
 class TestClientBroker:
     def test_publish_subscribe_qos0(self):
         with MqttBroker() as broker:
@@ -187,33 +226,35 @@ class TestClientBroker:
                 MqttClient("127.0.0.1", broker.port, "c").connect()  # missing creds
 
     def test_qos1_publish_times_out_without_broker_ack(self):
-        # raw TCP server that accepts the CONNECT but never acks publishes
-        import socket
-
-        srv = socket.socket()
-        srv.bind(("127.0.0.1", 0))
-        srv.listen(1)
-
-        def serve():
-            conn, _ = srv.accept()
-            mp.read_packet(conn)
-            conn.sendall(mp.encode_connack(0))
+        with silent_broker() as port:
+            c = MqttClient("127.0.0.1", port, "c", io_timeout=0.2)
+            c.connect()
             try:
-                while True:
-                    mp.read_packet(conn)
-            except (ConnectionError, OSError, mp.MqttError):
-                pass
+                with pytest.raises(AckTimeout):
+                    c.publish("t", b"x", qos=1)
+            finally:
+                c.close()
 
-        t = threading.Thread(target=serve, daemon=True)
-        t.start()
-        c = MqttClient("127.0.0.1", srv.getsockname()[1], "c", io_timeout=0.2)
-        c.connect()
-        try:
-            with pytest.raises(AckTimeout):
-                c.publish("t", b"x", qos=1)
-        finally:
-            c.close()
-            srv.close()
+    def test_connection_lost_between_send_and_wait_is_reported_as_such(self):
+        operations = [lambda c: c.subscribe(["a/#"]), lambda c: c.publish("t", b"x", qos=1)]
+        with silent_broker() as port:
+            for request in operations:
+                c = MqttClient("127.0.0.1", port, "c")
+                c.connect()
+                send = c._send
+
+                def send_then_close(data):
+                    send(data)
+                    if data[0] >> 4 in (mp.SUBSCRIBE, mp.PUBLISH):  # as another thread may
+                        c.close()
+
+                c._send = send_then_close
+                try:
+                    with pytest.raises(ConnectionLost):
+                        request(c)
+                    assert c._pending == {}
+                finally:
+                    c.close()
 
     def test_broker_restart_same_port(self):
         broker = MqttBroker().start()
@@ -246,14 +287,56 @@ class TestClientBroker:
             finally:
                 c.close()
 
-    def test_disconnect_callback_fires_on_broker_stop(self):
+    def test_concurrent_requests_each_end_when_the_broker_goes(self):
+        # four requesters on two cores, switching often, while the broker stops
+        outcomes = []
+
+        def requester(c):
+            while True:  # until a request finds the connection down
+                try:
+                    c.publish("t", b"x", qos=1)
+                    outcomes.append("acked")
+                except ConnectionLost:
+                    outcomes.append("ConnectionLost")
+                except NotConnected:
+                    outcomes.append("NotConnected")
+                    return
+                except Exception as e:  # noqa: BLE001 - any other ending is the failure
+                    outcomes.append(repr(e))
+                    return
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
         broker = MqttBroker().start()
-        dropped = threading.Event()
-        c = MqttClient("127.0.0.1", broker.port, "c", on_disconnect=dropped.set)
+        c = MqttClient("127.0.0.1", broker.port, "c", io_timeout=5)
+        try:
+            c.connect()
+            threads = [
+                threading.Thread(target=requester, args=(c,), daemon=True) for _ in range(4)
+            ]
+            for t in threads:
+                t.start()
+            time.sleep(0.05)
+            broker.stop()
+            for t in threads:
+                t.join(timeout=10)
+            assert not any(t.is_alive() for t in threads)
+        finally:
+            sys.setswitchinterval(interval)
+            c.close()
+            broker.stop()
+        assert set(outcomes) <= {"acked", "ConnectionLost", "NotConnected"}
+        assert outcomes.count("NotConnected") == 4 and "acked" in outcomes
+        assert c._pending == {}
+
+    def test_wait_closed_returns_on_broker_stop(self):
+        broker = MqttBroker().start()
+        c = MqttClient("127.0.0.1", broker.port, "c")
         c.connect()
         try:
+            assert not c.wait_closed(0.05)
             broker.stop()
-            assert dropped.wait(5.0)
+            assert c.wait_closed(5.0)
             assert not c.connected
         finally:
             c.close()
