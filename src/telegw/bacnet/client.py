@@ -17,6 +17,7 @@ from datetime import datetime, timezone
 from typing import Optional, Sequence, Union
 
 from ..model import DataPoint, Value
+from ..netio import shut
 from . import encoding
 from .encoding import (
     Aborted,
@@ -88,13 +89,8 @@ class BacnetClient:
 
     def close(self) -> None:
         """Close the socket, first waking a read blocked on it in another
-        thread: close() alone does not wake recvfrom(), shutdown() does (and
-        raises ENOTCONN on a UDP socket)."""
-        try:
-            self._sock.shutdown(socket.SHUT_RDWR)
-        except OSError:
-            pass
-        self._sock.close()
+        thread."""
+        shut(self._sock)
 
     def __enter__(self) -> "BacnetClient":
         return self

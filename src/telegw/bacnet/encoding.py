@@ -540,7 +540,7 @@ def _group_consecutive(items, key):
     return groups
 
 
-def encode_rpm_request(invoke_id: int, queries: list[PropertyQuery], max_apdu: int = MAX_APDU) -> bytes:
+def encode_rpm_request(invoke_id: int, queries: list[PropertyQuery]) -> bytes:
     if not queries:
         raise ValueError("queries must be non-empty")
     if not 0 <= invoke_id <= 255:
@@ -555,8 +555,8 @@ def encode_rpm_request(invoke_id: int, queries: list[PropertyQuery], max_apdu: i
                 parts.append(context_unsigned(1, q.array_index))
         parts.append(_closing(1))
     apdu = b"".join(parts)
-    if len(apdu) > max_apdu:
-        raise TooLarge(f"request APDU {len(apdu)} bytes exceeds {max_apdu}")
+    if len(apdu) > MAX_APDU:
+        raise TooLarge(f"request APDU {len(apdu)} bytes exceeds {MAX_APDU}")
     return apdu
 
 
@@ -686,8 +686,8 @@ def encode_reject(invoke_id: int, reason: int) -> bytes:
     return bytes([PDU_REJECT << 4, invoke_id, reason])
 
 
-def encode_abort(invoke_id: int, reason: int, from_server: bool = True) -> bytes:
-    return bytes([(PDU_ABORT << 4) | (1 if from_server else 0), invoke_id, reason])
+def encode_abort(invoke_id: int, reason: int) -> bytes:
+    return bytes([(PDU_ABORT << 4) | 1, invoke_id, reason])  # sent by the server
 
 
 def apdu_invoke_id(apdu: bytes) -> Optional[int]:

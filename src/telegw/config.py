@@ -35,6 +35,7 @@ import math
 import os
 import re
 from dataclasses import dataclass, field
+from datetime import date
 
 import yaml
 
@@ -99,6 +100,12 @@ class HistoricalSpec:
     config: HistoricalReadConfig
     bindings: tuple[RegisterBinding, ...]
     days_back: int = 1
+
+    def __post_init__(self):
+        # a poll asks for the day days_back before today; the date window
+        # (encode_date_y2k) holds no day before 2000-01-01
+        if not 0 <= self.days_back <= (date.today() - date(2000, 1, 1)).days:
+            raise ValueError(f"days_back {self.days_back} must name a day from 2000-01-01 to today")
 
 
 @dataclass(frozen=True)
@@ -521,15 +528,18 @@ def _parse_devices(
             policy = w.make(ConnectionPolicy, d, _POLICY, path) or ConnectionPolicy()
             registers = _parse_registers(w, d.get("registers"), f"{path}.registers")
             historical = None
-            if "historical" in d:
+            if d.get("historical") is not None:
                 hp = f"{path}.historical"
                 hd = w.section(d["historical"], hp, _HISTORICAL, _HISTORICAL_SPEC, ("registers",))
                 hist_regs = _parse_registers(w, hd.get("registers"), f"{hp}.registers")
-                if not hist_regs:
+                # a rejected entry or a wrong type is reported where it is
+                if isinstance(d["historical"], dict) and hd.get("registers") in (None, []):
                     w.fail(f"{hp}.registers is required")
                 config = w.make(HistoricalReadConfig, hd, _HISTORICAL, hp)
-                historical = HistoricalSpec(config, hist_regs, **w.read(hd, _HISTORICAL_SPEC, hp))
-            if not registers and historical is None:
+                historical = w.make(
+                    HistoricalSpec, hd, _HISTORICAL_SPEC, hp, config=config, bindings=hist_regs
+                )
+            if d.get("registers") in (None, []) and d.get("historical") is None:
                 w.fail(f"{path}: needs registers or a historical block")
             if spec := w.make(
                 ModbusDeviceSpec, d, _MODBUS, path, {"host": "127.0.0.1"},

@@ -65,21 +65,21 @@ class Gateway:
 
     def _modbus_job(self, dev: ModbusDeviceSpec, client: ModbusClient):
         def job() -> None:
+            # the live points go out before the history handshake, so a
+            # failed handshake fails the poll without costing them
             try:
-                points = []
                 if dev.bindings:
                     report = client.read_parameters(list(dev.bindings), dev.id, dev.tags)
-                    points.extend(report.points)
+                    self.pipeline.submit_many(report.points)
                 if dev.historical is not None:
                     day = date.today() - timedelta(days=dev.historical.days_back)
                     report = client.read_historical_block(
                         day, dev.historical.config, list(dev.historical.bindings), dev.id, dev.tags
                     )
-                    points.extend(report.points)
+                    self.pipeline.submit_many(report.points)
             except Exception:
                 client.close()
                 raise
-            self.pipeline.submit_many(points)
 
         return job
 

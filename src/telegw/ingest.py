@@ -310,7 +310,6 @@ class Subscriber:
         self.stats = dict.fromkeys(("points", "ignored_fields", "type_errors", "bad_timestamps"), 0)
         self.parse_errors = 0
         self.reconnects = 0
-        self.points_out = 0
         # why the broker refused the login, once start()'s thread gave up
         self.auth_failure: str | None = None
 
@@ -325,7 +324,10 @@ class Subscriber:
                 continue
             for dp in points:
                 self.out(dp)
-                self.points_out += 1
+
+    @property
+    def points_out(self) -> int:
+        return self.stats["points"]
 
     def run(self) -> None:
         """Blocks until stop(); raises only AuthFailure."""
@@ -340,6 +342,11 @@ class Subscriber:
                 password,
                 on_message=self._on_message,
             )
+            # stop() sets _stop, then closes the client it finds: either this
+            # check sees the first, or the close wakes a connect or SUBSCRIBE
+            self._client = client
+            if self._stop.is_set():
+                return
             try:
                 client.connect()
                 client.subscribe([b.topic_filter for b in self.bindings], qos=1)
@@ -351,13 +358,8 @@ class Subscriber:
                     return
                 backoff = min(backoff * self.broker.backoff_multiplier, self.broker.backoff_max_s)
                 continue
-            self._client = client
             backoff = self.broker.backoff_initial_s
-            # stop() sets _stop, then closes the client it finds: either the
-            # check sees the first or stop() found this client
-            if not self._stop.is_set():
-                client.wait_closed()
-            self._client = None
+            client.wait_closed()
             client.close()
             if not self._stop.is_set():
                 self.reconnects += 1

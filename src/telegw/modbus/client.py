@@ -18,6 +18,7 @@ from datetime import date as _date
 from typing import Callable, Iterable, Optional
 
 from ..model import DataPoint, Value, check_identifier
+from ..netio import recv_exact
 from . import protocol
 from .protocol import (
     ExceptionResponse,
@@ -165,7 +166,6 @@ class ModbusClient:
         self.unit = unit
         self.policy = policy or ConnectionPolicy()
         self.clock_ns: Callable[[], int] = time.time_ns
-        self._sleep: Callable[[float], None] = time.sleep
         self._sock: Optional[socket.socket] = None
         self._tx = 0
         self._interrupted = False
@@ -250,18 +250,14 @@ class ModbusClient:
 
     def _recv_exact(self, n: int) -> bytes:
         assert self._sock is not None
-        buf = b""
-        while len(buf) < n:
-            try:
-                chunk = self._sock.recv(n - len(buf))
-            except socket.timeout as e:
-                raise IoTimeout(f"no response from {self.host}:{self.port}") from e
-            except (ConnectionResetError, ConnectionAbortedError, BrokenPipeError) as e:
-                raise ConnectionReset(f"{self.host}:{self.port} reset the connection") from e
-            if not chunk:
-                raise ConnectionReset(f"{self.host}:{self.port} closed the connection")
-            buf += chunk
-        return buf
+        try:
+            return recv_exact(self._sock, n)
+        except socket.timeout as e:
+            raise IoTimeout(f"no response from {self.host}:{self.port}") from e
+        except (ConnectionResetError, ConnectionAbortedError, BrokenPipeError) as e:
+            raise ConnectionReset(f"{self.host}:{self.port} reset the connection") from e
+        except ConnectionError as e:  # the stream ended
+            raise ConnectionReset(f"{self.host}:{self.port} closed the connection") from e
 
     def _read_frame(self) -> bytes:
         header = self._recv_exact(7)
@@ -345,7 +341,6 @@ class ModbusClient:
         bindings: list[RegisterBinding],
         entity_id: str,
         tags: Optional[dict[str, str]] = None,
-        extra_tags: Optional[dict[str, str]] = None,
     ) -> ReadReport:
         """Poll all bindings, coalescing contiguous spans into group reads.
 
@@ -356,8 +351,6 @@ class ModbusClient:
         """
         report = ReadReport()
         base_tags = dict(tags or {})
-        if extra_tags:
-            base_tags.update(extra_tags)
         for fn, start, count, members in coalesce(bindings):
             try:
                 words = self.read_registers(fn, start, count)
@@ -415,12 +408,10 @@ class ModbusClient:
             if flag == cfg.ready_value:
                 break
             if n + 1 < cfg.max_polls:
-                self._sleep(cfg.poll_interval_ms / 1000)
+                time.sleep(cfg.poll_interval_ms / 1000)
         else:
             raise ReadyTimeout(
                 f"ready flag at 0x{cfg.ready_address:04X} never became "
                 f"{cfg.ready_value} in {cfg.max_polls} polls"
             )
-        return self.read_parameters(
-            bindings, entity_id, tags, extra_tags={"date": day.isoformat()}
-        )
+        return self.read_parameters(bindings, entity_id, {**(tags or {}), "date": day.isoformat()})

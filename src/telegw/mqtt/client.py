@@ -24,6 +24,7 @@ import threading
 from typing import Callable
 
 from telegw.mqtt import protocol as mp
+from telegw.netio import shut
 
 _QUICKACK = getattr(socket, "TCP_QUICKACK", None)
 
@@ -107,9 +108,14 @@ class MqttClient:
     # -- connection lifecycle ------------------------------------------
 
     def connect(self) -> None:
+        """Connect; a client connects once. close() sets _stop, then shuts
+        the published socket down: either this check sees the first, or the
+        handshake wakes."""
         sock = socket.create_connection((self.host, self.port), self.connect_timeout)
-        sock.settimeout(self.connect_timeout)
+        self._sock = sock
         try:
+            if self._stop.is_set():
+                raise NotConnected("client was closed")
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             sock.sendall(
                 mp.encode_connect(
@@ -126,12 +132,10 @@ class MqttClient:
             _, code = mp.decode_connack(body)
             if code != mp.CONNACK_ACCEPTED:
                 raise AuthRejected(code)
+            sock.settimeout(None)
         except BaseException:
-            sock.close()
+            self._teardown()
             raise
-        sock.settimeout(None)
-        self._sock = sock
-        self._stop.clear()
         self._reader = threading.Thread(target=self._read_loop, daemon=True)
         self._reader.start()
         if self.keepalive > 0:
@@ -140,7 +144,7 @@ class MqttClient:
 
     @property
     def connected(self) -> bool:
-        return self._sock is not None and not self._stop.is_set()
+        return self._reader is not None and not self._stop.is_set()
 
     def wait_closed(self, timeout: float | None = None) -> bool:
         """Block until the connection, once made, is closed or lost."""
@@ -168,11 +172,7 @@ class MqttClient:
         self._stop.set()
         sock, self._sock = self._sock, None
         if sock is not None:
-            try:
-                sock.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-            sock.close()
+            shut(sock)
         with self._ack_lock:
             # wake every requester; each takes a missing payload as a loss
             for slot in self._pending.values():

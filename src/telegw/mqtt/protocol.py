@@ -10,6 +10,8 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 
+from telegw.netio import recv_exact
+
 CONNECT = 1
 CONNACK = 2
 PUBLISH = 3
@@ -300,16 +302,6 @@ def topic_matches(topic_filter: str, topic: str) -> bool:
         if pattern != "+" and pattern != topic_levels[i]:
             return False
     return len(topic_levels) == len(filter_levels)
-
-
-def recv_exact(sock, n: int) -> bytes:
-    buf = bytearray()
-    while len(buf) < n:
-        chunk = sock.recv(n - len(buf))
-        if not chunk:
-            raise ConnectionError("connection closed mid-packet")
-        buf.extend(chunk)
-    return bytes(buf)
 
 
 def read_packet(sock) -> tuple[int, int, bytes]:

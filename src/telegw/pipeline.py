@@ -460,10 +460,8 @@ class Pipeline:
         return False
 
     def _dead_letter(self, lines: list[str], status: int) -> None:
-        header = f"# quarantined batch: sink returned {status}, {len(lines)} lines\n"
-        data = header + "\n".join(lines) + "\n"
-        with open(self.config.dead_letter_path, "a", encoding="utf-8") as f:
-            f.write(data)
+        header = f"# quarantined batch: sink returned {status}, {len(lines)} lines"
+        FileSink(self.config.dead_letter_path).write([header, *lines])
 
     # -- accounting --------------------------------------------------------
 
@@ -518,8 +516,8 @@ class Scheduler:
     that raises once :meth:`stop` has begun was cancelled, most likely woken
     out of its I/O by the wake it was added with, and is not recorded."""
 
-    def __init__(self, seed: int = 0):
-        self._rng = random.Random(seed)
+    def __init__(self):
+        self._rng = random.Random(0)  # the same jitter draws in every run
         self._jobs: list[tuple[PollSchedule, Job, str]] = []
         self._wakes: list[Job] = []
         self._stop = threading.Event()

@@ -26,7 +26,7 @@ from ..bacnet.encoding import (
     property_id,
     unit_id,
 )
-from .broker import shut
+from ..netio import shut
 
 _DEVICE = object_type_id("device")
 _ANALOG = {object_type_id(t) for t in ("analog-input", "analog-output", "analog-value")}

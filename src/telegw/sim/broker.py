@@ -13,20 +13,7 @@ import socket
 import threading
 
 from telegw.mqtt import protocol as mp
-
-
-def shut(sock: socket.socket) -> None:
-    """Close ``sock``, first waking any thread blocked on it: close() alone
-    wakes neither accept() nor recv(), shutdown() wakes both. On a UDP
-    socket shutdown() raises ENOTCONN but still wakes recvfrom()."""
-    try:
-        sock.shutdown(socket.SHUT_RDWR)
-    except OSError:
-        pass
-    try:
-        sock.close()
-    except OSError:
-        pass
+from telegw.netio import shut
 
 
 class _Session:

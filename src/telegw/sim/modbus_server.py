@@ -33,7 +33,7 @@ from ..modbus.protocol import (
     FC_WRITE_MULTIPLE,
     RegisterCodec,
 )
-from .broker import shut
+from ..netio import recv_exact, shut
 
 NONE = "none"
 SINGLE_CONNECTION = "single_connection_limit"
@@ -234,25 +234,15 @@ class ModbusSim:
 
     @staticmethod
     def _read_frame(conn: socket.socket) -> Optional[bytes]:
-        def recv_exact(n: int) -> Optional[bytes]:
-            buf = b""
-            while len(buf) < n:
-                chunk = conn.recv(n - len(buf))
-                if not chunk:
-                    return None
-                buf += chunk
-            return buf
-
-        header = recv_exact(7)
-        if header is None:
+        """The next request frame; None at the stream's end or a bad length."""
+        try:
+            header = recv_exact(conn, 7)
+            length = struct.unpack(">H", header[4:6])[0]
+            if not 2 <= length <= 256:
+                return None
+            return header + recv_exact(conn, length - 1)
+        except ConnectionError:
             return None
-        length = struct.unpack(">H", header[4:6])[0]
-        if not 2 <= length <= 256:
-            return None
-        body = recv_exact(length - 1)
-        if body is None:
-            return None
-        return header + body
 
     def _dispatch(self, req: protocol.Request) -> bytes:
         if req.fc in (FC_READ_HOLDING, FC_READ_INPUT):

@@ -17,10 +17,10 @@ from telegw.cli import main
 from telegw.config import load_config
 from telegw import daemon
 from telegw.daemon import IDLE_TIMEOUT_S, Gateway
-from telegw.modbus import ModbusClient, RegisterCodec
+from telegw.modbus import ModbusClient, ReadyTimeout, RegisterCodec
 from telegw.pipeline import PollSchedule
 from telegw.mqtt import MqttClient
-from telegw.sim import BacnetSim, ModbusSim, MqttBroker, SimObject
+from telegw.sim import BacnetSim, FaultModel, ModbusSim, MqttBroker, SimObject
 
 
 def free_port() -> int:
@@ -337,6 +337,41 @@ def test_bacnet_device_is_discovered_once_and_again_after_a_failed_poll(tmp_path
             assert gw.pipeline.counters()["received"] == 8
         finally:
             client.close()
+
+
+def test_failed_history_handshake_keeps_the_live_points_of_its_poll(tmp_path):
+    sim = ModbusSim(unit=1, fault=FaultModel.delayed_ready(100))
+    sim.load_value(6, RegisterCodec("u32", scale=0.1), 230.4)
+    sim.load_value(20, RegisterCodec("f32"), 3.25)
+    with sim:
+        cfg = load_config(
+            write_config(
+                tmp_path,
+                f"""
+                gateway: {{health_port: 0}}
+                sink: {{mode: file, path: {tmp_path}/out.lp}}
+                devices:
+                  - id: meter-1
+                    protocol: modbus
+                    host: 127.0.0.1
+                    port: {sim.port}
+                    registers:
+                      - {{name: voltage_l1, addr: 6, dtype: u32, scale: 0.1, unit: V}}
+                    historical:
+                      poll_interval_ms: 1
+                      max_polls: 2
+                      registers:
+                        - {{name: energy, addr: 20, dtype: f32, unit: kWh}}
+                """,
+            )
+        )
+        gw = Gateway(cfg)  # not started: the test runs the poll job itself
+        dev = cfg.modbus_devices[0]
+        job = gw._modbus_job(dev, ModbusClient(dev.host, dev.port, dev.unit, dev.policy))
+        with pytest.raises(ReadyTimeout):
+            job()  # the ready flag never comes up: the poll fails ...
+        # ... but the live reading taken before the handshake is not lost
+        assert gw.pipeline.counters()["received"] == 1
 
 
 def test_bacnet_device_with_names_recovers_once_a_missing_object_appears(tmp_path):

@@ -1,5 +1,6 @@
 import pathlib
 import textwrap
+from datetime import date
 
 import pytest
 import yaml
@@ -597,3 +598,79 @@ def test_name_line_protocol_cannot_carry_is_rejected_at_load(tmp_path, case):
         load_config(write(tmp_path, text))
     # a dropped binding or register may also leave its parent with none
     assert problem in exc.value.problems
+
+
+HISTORY_DEVICE = """
+sink: {mode: file, path: out.lp}
+devices:
+  - id: m
+    protocol: modbus
+    host: h
+    registers: [%(registers)s]
+    historical:
+      days_back: %(days_back)s
+      registers: [%(history_registers)s]
+"""
+HISTORY_OK = dict(
+    registers="{name: v, addr: 0, dtype: u16}",
+    days_back=0,
+    history_registers="{name: e, addr: 1, dtype: u16}",
+)
+# the oldest day the date window holds, counted back from the load date
+OLDEST = (date.today() - date(2000, 1, 1)).days
+
+
+def test_days_back_naming_2000_01_01_loads(tmp_path):
+    cfg = load_config(write(tmp_path, _doc(HISTORY_DEVICE, HISTORY_OK, days_back=OLDEST)))
+    assert cfg.modbus_devices[0].historical.days_back == OLDEST
+
+
+@pytest.mark.parametrize(
+    "days_back, problem",
+    [
+        (-1, "days_back -1"),
+        (OLDEST + 1, f"days_back {OLDEST + 1}"),
+        (70000, "days_back 70000"),
+    ],
+    ids=["tomorrow", "1999-12-31", "1835"],
+)
+def test_days_back_the_date_window_cannot_hold_is_rejected_at_load(tmp_path, days_back, problem):
+    # -1 asked for tomorrow's block; 70000 wrote year -165 into the window,
+    # which the request encoder refused on every poll
+    with pytest.raises(InvariantViolation) as exc:
+        load_config(write(tmp_path, _doc(HISTORY_DEVICE, HISTORY_OK, days_back=days_back)))
+    assert exc.value.problems == [
+        f"devices[0].historical: {problem} must name a day from 2000-01-01 to today"
+    ]
+
+
+BAD_REGISTER = "{name: x, addr: -1, dtype: u16}"
+BAD_REGISTER_PROBLEM = "u16 at address -1 does not fit in 0..65535"
+ONE_DEVICE = "sink: {mode: file, path: out.lp}\ndevices: [{id: m, protocol: modbus, host: h%s}]\n"
+# a rejected entry is reported where it is, not again as a missing list
+LIST_PROBLEMS = {
+    "only history register rejected": (
+        _doc(HISTORY_DEVICE, HISTORY_OK, history_registers=BAD_REGISTER),
+        [f"devices[0].historical.registers[0]: {BAD_REGISTER_PROBLEM}"],
+    ),
+    "only register rejected, no history": (
+        ONE_DEVICE % f", registers: [{BAD_REGISTER}]",
+        [f"devices[0].registers[0]: {BAD_REGISTER_PROBLEM}"],
+    ),
+    "history with an empty register list": (
+        ONE_DEVICE % ", historical: {registers: []}",
+        ["devices[0].historical.registers is required"],
+    ),
+    "neither registers nor history": (
+        ONE_DEVICE % ", registers: []",
+        ["devices[0]: needs registers or a historical block"],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LIST_PROBLEMS))
+def test_a_list_is_reported_missing_only_when_it_was_not_given(tmp_path, case):
+    text, problems = LIST_PROBLEMS[case]
+    with pytest.raises(InvariantViolation) as exc:
+        load_config(write(tmp_path, text))
+    assert exc.value.problems == problems

@@ -2,6 +2,9 @@
 
 import json
 import math
+import random
+import socket
+import sys
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -26,7 +29,9 @@ from telegw.ingest import (
     resolve_pointer,
 )
 from telegw.model import Value
+from telegw.mqtt import protocol as mp
 from telegw.mqtt.client import MqttClient
+from telegw.netio import shut
 from telegw.pipeline import Pipeline, SinkConfig
 from telegw.sim.broker import MqttBroker
 
@@ -410,6 +415,38 @@ def _fast_broker_cfg(broker, **kw):
     return BrokerConfig("127.0.0.1", broker.port, **kw)
 
 
+class _QuietBroker:
+    """Takes one client's CONNECT and, when ``answers_connect``, accepts it
+    and takes its SUBSCRIBE; then reads and answers nothing more."""
+
+    def __init__(self, answers_connect: bool):
+        self.answers_connect = answers_connect
+        self.request_in = threading.Event()  # the request left unanswered
+        self._listener = socket.create_server(("127.0.0.1", 0))
+        self.port = self._listener.getsockname()[1]
+
+    def __enter__(self) -> "_QuietBroker":
+        threading.Thread(target=self._serve, daemon=True).start()
+        return self
+
+    def __exit__(self, *exc) -> None:
+        shut(self._listener)
+
+    def _serve(self) -> None:
+        try:
+            conn, _ = self._listener.accept()
+            with conn:
+                mp.read_packet(conn)
+                if self.answers_connect:
+                    conn.sendall(mp.encode_connack(mp.CONNACK_ACCEPTED))
+                    mp.read_packet(conn)
+                self.request_in.set()
+                while conn.recv(4096):
+                    pass
+        except OSError:
+            pass
+
+
 class TestSubscriber:
     def test_points_flow_end_to_end(self):
         out, got_six = [], threading.Event()
@@ -464,6 +501,41 @@ class TestSubscriber:
                 sub.stop()
             assert not thread.is_alive()
             assert elapsed < 0.05
+
+    @pytest.mark.parametrize("answers_connect", [False, True], ids=["no-connack", "no-suback"])
+    def test_stop_wakes_a_request_the_broker_never_answers(self, answers_connect):
+        with _QuietBroker(answers_connect) as quiet:
+            cfg = BrokerConfig("127.0.0.1", quiet.port, client_id="test-sub")
+            sub = Subscriber(cfg, [aranet_binding()], lambda dp: None).start()
+            thread = sub._thread
+            try:
+                assert quiet.request_in.wait(5.0)
+                t0 = time.monotonic()
+                sub.stop()
+                elapsed = time.monotonic() - t0
+            finally:
+                sub.stop()
+            assert not thread.is_alive()
+            assert elapsed < 0.5  # not the client's 5 s timeout
+
+    def test_stop_at_any_moment_is_prompt(self):
+        # stop() lands before, during or after the connect and the SUBSCRIBE;
+        # a short switch interval lets the two threads interleave finely
+        rng = random.Random(5)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with MqttBroker() as broker:
+                for _ in range(40):
+                    sub = Subscriber(_fast_broker_cfg(broker), [aranet_binding()], lambda dp: None)
+                    thread = sub.start()._thread
+                    time.sleep(rng.uniform(0, 0.004))
+                    t0 = time.monotonic()
+                    sub.stop()
+                    assert time.monotonic() - t0 < 0.5
+                    assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
 
     def test_wrong_password_is_terminal(self, monkeypatch):
         monkeypatch.setenv("MQ_USER", "gw")

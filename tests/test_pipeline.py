@@ -350,6 +350,58 @@ sink.write(lines)
             f"m,device=d{i} value={i}.5 1700000000000000000" for i in range(200)
         ]
 
+    def test_failed_quarantine_write_leaves_the_dead_letter_file_as_it_was(self, tmp_path):
+        # As above, the child lowers its file size limit so that quarantining
+        # a rejected batch fails part way; the flusher's 1 s backoff leaves
+        # time to read the file and lift the limit before the retry.
+        child = """
+import os, resource, signal, sys, time
+from telegw.model import DataPoint, Value
+from telegw.pipeline import Pipeline, SinkConfig
+
+class Rejecting:
+    def write(self, lines):
+        return 400
+
+def wait_for(counter, n):
+    deadline = time.monotonic() + 10
+    while p.counters()[counter] < n:
+        assert time.monotonic() < deadline, p.counters()
+        time.sleep(0.01)
+
+dead = sys.argv[1]
+signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+soft, hard = resource.getrlimit(resource.RLIMIT_FSIZE)
+resource.setrlimit(resource.RLIMIT_FSIZE, (os.path.getsize(dead) + 1000, hard))
+cfg = SinkConfig(path=os.devnull, batch_size=200, retry_attempts=1, retry_backoff_ms=1000,
+                 dead_letter_path=dead)
+p = Pipeline(cfg, sink=Rejecting())
+for i in range(200):
+    p.submit(DataPoint(f"d{i}", "m", Value.real(i + 0.5), "", 1700000000000000000, {}))
+p.start()
+wait_for("dead_letter_errors", 1)
+print(os.path.getsize(dead))
+resource.setrlimit(resource.RLIMIT_FSIZE, (soft, hard))
+wait_for("dead_lettered", 200)
+assert p.stop()
+"""
+        path = tmp_path / "dead.lp"
+        before = "# quarantined batch: sink returned 400, 1 lines\nm,device=d value=0 1\n"
+        path.write_text(before)
+        src = os.path.dirname(os.path.dirname(telegw.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-c", child, str(path)],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == [str(len(before))]
+        assert path.read_text().splitlines() == before.splitlines() + [
+            "# quarantined batch: sink returned 400, 200 lines"
+        ] + [f"m,device=d{i} value={i}.5 1700000000000000000" for i in range(200)]
+
 
 class TestIntakeRejects:
     def test_non_finite_reals_are_rejected(self, tmp_path):
