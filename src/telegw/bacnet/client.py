@@ -12,9 +12,10 @@ import json
 import socket
 import threading
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from typing import Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 from ..model import DataPoint, Value
 from ..netio import shut
@@ -75,9 +76,9 @@ class DiscoveredObject:
 
 
 class BacnetClient:
-    def __init__(self, endpoint: BacnetEndpoint):
+    def __init__(self, endpoint: BacnetEndpoint, clock_ns: Callable[[], int] = time.time_ns):
         self.endpoint = endpoint
-        self.clock_ns = time.time_ns
+        self.clock_ns = clock_ns
         self._sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
         self._sock.bind(("0.0.0.0", 0))
         self._invoke = 0
@@ -326,14 +327,21 @@ class BacnetClient:
         names: Optional[Sequence[str]],
         entity_id: str,
         tags: Optional[dict[str, str]] = None,
+        dropped: Optional[Counter] = None,
     ) -> list[DataPoint]:
-        """Poll named objects (all for None) into data points (analog -> real, binary -> flag)."""
+        """Poll named objects (all for None) into data points (analog -> real,
+        binary -> flag). An object answered with an error, or with no value or
+        one no point can carry, is left out and counted in ``dropped`` under
+        the error's code (e.g. ``unknown-object``), ``no-value`` or
+        ``unsupported-value``."""
         objs, results = self._read_named(names)
         stamp = self.clock_ns()
         tags = dict(tags or {})  # one mapping shared by this poll's points
         points = []
         for disc, res in zip(objs, results):
             if res.error is not None or not res.values:
+                if dropped is not None:
+                    dropped[res.error[1] if res.error else "no-value"] += 1
                 continue
             raw = res.values[0]
             if res.obj.type_id in BINARY_TYPES:
@@ -347,6 +355,8 @@ class BacnetClient:
             else:
                 value = None
             if value is None:
+                if dropped is not None:
+                    dropped["unsupported-value"] += 1
                 continue
             points.append(
                 DataPoint(

@@ -2,9 +2,10 @@
 alert, and the sink, plus an optional simulation section that can stand in
 for the real hardware.
 
-Each section is described once, by a table from YAML key to type (and to
-the attribute name where the two differ). The table gives the section's
-allowed keys, and one step, ``_Walker.make``, builds every section: the keys
+Each section is described once, by its dataclass: the section's allowed
+keys and their types are read off the dataclass's fields, and only the YAML
+names that differ from their attribute, and the fields no key sets, are
+written here. One step, ``_Walker.make``, builds every section: the keys
 present with the right type, plus what the parser supplies (a device's
 registers, a binding's field map), become the keyword arguments of the
 section's dataclass. The dataclass checks its own values; when it refuses
@@ -30,10 +31,12 @@ integration changes. A syntax error reports the same line under either.
 
 from __future__ import annotations
 
+import dataclasses
 import fnmatch
 import math
 import os
 import re
+import typing
 from dataclasses import dataclass, field
 from datetime import date
 
@@ -145,6 +148,8 @@ class BacnetDeviceSpec:
             raise ValueError(f"device_instance {self.device_instance} outside 0..4194303")
         for name in self.names:
             check_identifier(name, "object name")
+        if not self.names and not self.discover:
+            raise ValueError("needs names or discover: true")
 
 
 def _check_device(spec) -> None:
@@ -249,59 +254,49 @@ class GatewayConfig:
     warnings: tuple[str, ...] = ()
 
 
-def _table(**fields) -> dict:
-    """YAML key -> (type, attribute); a bare type keeps the key's name."""
-    return {k: v if isinstance(v, tuple) else (v, k) for k, v in fields.items()}
+def _table(cls, skip=(), **renamed) -> dict:
+    """YAML key -> (type, attribute) for each field of the dataclass ``cls``
+    that a key sets: one typed ``int``, ``float``, ``str``, ``bool``, ``dict``
+    or ``dict[str, str]``, each optionally ``| None``. The key is the
+    attribute's name unless ``renamed`` maps another key to it; ``skip``
+    names the fields no key sets. The parser supplies every other field."""
+    keys = {attr: key for key, attr in renamed.items()}
+    hints = typing.get_type_hints(cls)
+    table = {}
+    for f in dataclasses.fields(cls):
+        typ = hints[f.name]
+        if type(None) in typing.get_args(typ):  # X | None
+            (typ,) = (a for a in typing.get_args(typ) if a is not type(None))
+        if typ == dict[str, str]:
+            typ = dict
+        if typ in (int, float, str, bool, dict) and f.name not in skip:
+            table[keys.get(f.name, f.name)] = (typ, f.name)
+    return table
 
 
-# One table per section. An absent or wrong-typed key is left out of the
-# keyword arguments, so the dataclass default applies.
-_GATEWAY = _table(
-    heartbeat_s=float, jitter=float, health_host=str, health_port=int, stats_path=str,
-    drain_timeout_s=float,
-)
-_SINK = _table(
-    mode=str, url=str, token_env=str, path=str, batch_size=int, batch_age_ms=int,
-    retry_attempts=int, retry_backoff_ms=int, buffer_capacity=int, dead_letter_path=str,
-)
-_FIELD = _table(parameter=str, unit=str, kind=str, scale=float)
-_BROKER = _table(
-    host=str, port=int, client_id=str, username_env=str, password_env=str,
-    backoff_initial_s=float, backoff_max_s=float,
-)
-_BINDING = _table(
-    topic=(str, "topic_filter"), entity=(str, "entity_template"), timestamp_pointer=str,
-    timestamp_unit=str, tags=dict,
-)
-_HTTP_POLL = _table(
-    url=str, interval_s=float, entity_array_pointer=str, entity_id_pointer=str,
-    auth_header=str, auth_value_env=str, tags=dict,
-)
+# One table per section, read off its dataclass. An absent or wrong-typed
+# key is left out of the keyword arguments, so the dataclass default applies.
+_GATEWAY = _table(GatewaySettings)
+_SINK = _table(SinkConfig)
+_FIELD = _table(FieldSpec)
+_BROKER = _table(BrokerConfig, skip=("backoff_multiplier",))
+_BINDING = _table(TopicBinding, topic="topic_filter", entity="entity_template")
+_HTTP_POLL = _table(HttpPollSpec)
 _REGISTER = _table(
-    name=(str, "parameter"), fc=(str, "function"), addr=(int, "address"), unit=(str, "unit_label")
+    RegisterBinding, name="parameter", fc="function", addr="address", unit="unit_label"
 )
-_CODEC = _table(dtype=(str, "datatype"), word_order=str, scale=float, offset=float)
-_MODBUS = _table(host=str, port=int, unit=int, interval_s=float, tags=dict)
-_POLICY = _table(
-    mode=str, connect_timeout_ms=int, io_timeout_ms=int, retries=(int, "request_retries")
-)
-_HISTORICAL = _table(
-    date_addr=(int, "date_address"), ready_addr=(int, "ready_address"), ready_value=int,
-    poll_interval_ms=int, max_polls=int,
-)
-_HISTORICAL_SPEC = _table(days_back=int)
-_BACNET = _table(
-    host=str, port=int, device_instance=int, interval_s=float, timeout_ms=int, retries=int,
-    discover=bool, tags=dict,
-)
-_RULE = _table(
-    id=str, parameter=str, predicate=str, threshold=float, entity=str, tags=dict,
-    for_duration_s=(float, "for_duration"), cooldown_s=(float, "cooldown"), clear_margin=float,
-)
-_NOTIFIER = _table(type=str, url=str, spool_dir=str)
-_SIMULATE = _table(compression=float, seed=int)
-_FLEET = _table(kind=str, count=int, interval_s=float, change_prob=float, topic_template=str)
-_PARAM = _table(name=str, lo=float, hi=float, step=float, quantum=float, decimals=int)
+_CODEC = _table(RegisterCodec, dtype="datatype")
+_MODBUS = _table(ModbusDeviceSpec, skip=("id",))  # _parse_devices reads the id itself
+_POLICY = _table(ConnectionPolicy, retries="request_retries")
+_HISTORICAL = _table(HistoricalReadConfig, date_addr="date_address", ready_addr="ready_address")
+_HISTORICAL_SPEC = _table(HistoricalSpec)
+_BACNET = _table(BacnetDeviceSpec, skip=("id",))
+_RULE = _table(AlertRule, for_duration_s="for_duration", cooldown_s="cooldown")
+_NOTIFIER = _table(NotifierSpec)
+_SIMULATE = _table(SimulateSpec)
+_FLEET = _table(DeviceClass)
+_PARAM = _table(ParamSpec)
+
 
 class _Walker:
     """Accumulates problems while pulling typed values out of nested dicts."""
@@ -552,8 +547,6 @@ def _parse_devices(
             names = tuple(n for n in names_raw if isinstance(n, str))
             if len(names) != len(names_raw):
                 w.fail(f"{path}.names must all be strings")
-            if not names and d.get("discover") is not True:
-                w.fail(f"{path}: needs names or discover: true")
             required = {"host": "127.0.0.1"}
             if spec := w.make(BacnetDeviceSpec, d, _BACNET, path, required, id=dev_id, names=names):
                 bacnet.append(spec)

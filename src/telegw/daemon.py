@@ -23,9 +23,10 @@ import os
 import socketserver
 import threading
 import time
+from collections import Counter
 from datetime import date, timedelta
 from http import HTTPStatus
-from typing import Callable
+from typing import Callable, Mapping
 
 from telegw.alerts import AlertEngine
 from telegw.bacnet import BacnetClient, BacnetEndpoint
@@ -56,8 +57,11 @@ class Gateway:
             alert_engine=self.alert_engine,
             clock_ns=clock_ns,
         )
-        self.scheduler = Scheduler()
+        self.scheduler = Scheduler(clock_ns)
         self.subscribers: list[Subscriber] = []
+        # job -> reason -> items its polls read but could not hand on
+        self._drops: dict[str, Counter] = {}
+        self._drops_lock = threading.Lock()
         self._server: HealthServer | None = None
         self._started_ns: int | None = None
 
@@ -71,12 +75,15 @@ class Gateway:
                 if dev.bindings:
                     report = client.read_parameters(list(dev.bindings), dev.id, dev.tags)
                     self.pipeline.submit_many(report.points)
+                    self._count_drops(dev.id, Counter(report.errors.values()))
                 if dev.historical is not None:
-                    day = date.today() - timedelta(days=dev.historical.days_back)
+                    today = date.fromtimestamp(self.clock_ns() // 1_000_000_000)
+                    day = today - timedelta(days=dev.historical.days_back)
                     report = client.read_historical_block(
                         day, dev.historical.config, list(dev.historical.bindings), dev.id, dev.tags
                     )
                     self.pipeline.submit_many(report.points)
+                    self._count_drops(dev.id, Counter(report.errors.values()))
             except Exception:
                 client.close()
                 raise
@@ -85,15 +92,28 @@ class Gateway:
 
     def _bacnet_job(self, dev: BacnetDeviceSpec, client: BacnetClient):
         def job() -> None:
-            self.pipeline.submit_many(client.read_points(dev.names or None, dev.id, dev.tags))
+            dropped = Counter()
+            self.pipeline.submit_many(
+                client.read_points(dev.names or None, dev.id, dev.tags, dropped)
+            )
+            self._count_drops(dev.id, dropped)
 
         return job
 
-    def _http_job(self, poll):
+    def _http_job(self, poll, name: str):
         def job() -> None:
-            self.pipeline.submit_many(poll_http(poll, now_ns=self.clock_ns()))
+            stats: dict[str, int] = {}
+            self.pipeline.submit_many(poll_http(poll, now_ns=self.clock_ns(), stats=stats))
+            del stats["points"]
+            self._count_drops(name, stats)
 
         return job
+
+    def _count_drops(self, job: str, counts: Mapping[str, int]) -> None:
+        """Add one poll's losses, by reason, to ``job``'s counts."""
+        if counts:
+            with self._drops_lock:
+                self._drops.setdefault(job, Counter()).update(counts)
 
     # -- lifecycle --------------------------------------------------------------
 
@@ -101,21 +121,23 @@ class Gateway:
         self._started_ns = self.clock_ns()
         self.pipeline.start()
         for entry in self.config.brokers:
-            sub = Subscriber(entry.config, list(entry.bindings), self.pipeline.submit)
+            bindings = list(entry.bindings)
+            sub = Subscriber(entry.config, bindings, self.pipeline.submit, self.clock_ns)
             self.subscribers.append(sub.start())
         # a device job's wake: interrupt for Modbus, whose close wakes no read; close for BACnet
         jitter = self.config.gateway.jitter
         for dev in self.config.modbus_devices:
-            client = ModbusClient(dev.host, dev.port, dev.unit, dev.policy)
+            client = ModbusClient(dev.host, dev.port, dev.unit, dev.policy, self.clock_ns)
             schedule = PollSchedule(dev.interval_s, jitter)
             self.scheduler.add(dev.id, schedule, self._modbus_job(dev, client), client.interrupt)
         for dev in self.config.bacnet_devices:
             ep = BacnetEndpoint(dev.host, dev.port, dev.device_instance, dev.timeout_ms, dev.retries)
-            client = BacnetClient(ep)
+            client = BacnetClient(ep, self.clock_ns)
             schedule = PollSchedule(dev.interval_s, jitter)
             self.scheduler.add(dev.id, schedule, self._bacnet_job(dev, client), client.close)
         for i, poll in enumerate(self.config.http_polls):
-            self.scheduler.add(f"http-{i}", PollSchedule(poll.interval_s, jitter), self._http_job(poll))
+            name, schedule = f"http-{i}", PollSchedule(poll.interval_s, jitter)
+            self.scheduler.add(name, schedule, self._http_job(poll, name))
         if self.config.gateway.stats_path:
             self.scheduler.add(STATS_JOB, PollSchedule(30.0, 0.0), self.dump_stats)
         self.scheduler.start()
@@ -178,9 +200,12 @@ class Gateway:
         }
 
     def metrics_snapshot(self) -> dict:
+        with self._drops_lock:
+            polls = {job: dict(counts) for job, counts in self._drops.items()}
         return {
             "pipeline": self.pipeline.counters(),
             "scheduler": {"runs": self.scheduler.job_runs, "errors": self.scheduler.job_errors},
+            "polls": polls,
             "brokers": {f"{s.broker.host}:{s.broker.port}": dict(s.stats) for s in self.subscribers},
             "alerts": {
                 "delivery_failures": self.alert_engine.delivery_failures,

@@ -160,12 +160,13 @@ class ModbusClient:
         port: int = 502,
         unit: int = 1,
         policy: Optional[ConnectionPolicy] = None,
+        clock_ns: Callable[[], int] = time.time_ns,
     ):
         self.host = host
         self.port = port
         self.unit = unit
         self.policy = policy or ConnectionPolicy()
-        self.clock_ns: Callable[[], int] = time.time_ns
+        self.clock_ns = clock_ns
         self._sock: Optional[socket.socket] = None
         self._tx = 0
         self._interrupted = False

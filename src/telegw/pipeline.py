@@ -516,7 +516,8 @@ class Scheduler:
     that raises once :meth:`stop` has begun was cancelled, most likely woken
     out of its I/O by the wake it was added with, and is not recorded."""
 
-    def __init__(self):
+    def __init__(self, clock_ns: Callable[[], int] = time.time_ns):
+        self.clock_ns = clock_ns  # stamps each record's last success
         self._rng = random.Random(0)  # the same jitter draws in every run
         self._jobs: list[tuple[PollSchedule, Job, str]] = []
         self._wakes: list[Job] = []
@@ -583,7 +584,7 @@ class Scheduler:
                 record.last_error = error
                 if error is None:
                     record.runs += 1
-                    record.last_success_ns = time.time_ns()
+                    record.last_success_ns = self.clock_ns()
                     record.consecutive_failures = 0
                 else:
                     record.errors += 1

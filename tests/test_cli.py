@@ -1,5 +1,7 @@
+import http.server
 import json
 import os
+import pathlib
 import queue
 import signal
 import socket
@@ -8,6 +10,7 @@ import sys
 import textwrap
 import threading
 import time
+from datetime import date, timedelta
 
 import pytest
 import requests
@@ -372,6 +375,149 @@ def test_failed_history_handshake_keeps_the_live_points_of_its_poll(tmp_path):
             job()  # the ready flag never comes up: the poll fails ...
         # ... but the live reading taken before the handshake is not lost
         assert gw.pipeline.counters()["received"] == 1
+
+
+def test_the_gateway_clock_stamps_every_point_the_history_day_and_health(tmp_path, meter_sim):
+    # noon UTC: the local date is the same day in every zone from -12 to +11 h
+    fake_ns = 1_614_859_200_000_000_000  # 2021-03-04T12:00:00Z
+    with MqttBroker() as broker:
+        path = pathlib.Path(daemon_config(tmp_path, meter_sim.port, broker.port, interval=60))
+        history = (  # meter-1's, after its registers
+            "    historical:\n"
+            "      registers:\n"
+            "        - {name: energy, addr: 0x1000, dtype: f32, unit: kWh}\n"
+        )
+        path.write_text(path.read_text().replace("unit: V}\n", "unit: V}\n" + history))
+        gw = Gateway(load_config(str(path)), clock_ns=lambda: fake_ns).start()
+        try:
+            assert wait_until(lambda: gw.scheduler.job_runs["meter-1"] == 1, 5)
+            assert wait_until(lambda: broker.session_count == 1, 5)
+            pub = MqttClient("127.0.0.1", broker.port, "pub")
+            pub.connect()
+            pub.publish("radon/r1/report", b'{"radon": 120}', qos=1)  # no timestamp pointer
+            pub.close()
+            assert wait_until(lambda: gw.pipeline.received >= 3, 5)
+            health = requests.get(f"http://127.0.0.1:{gw.health_port}/health", timeout=2).json()
+            assert health["devices"]["meter-1"]["last_success_ns"] == fake_ns
+        finally:
+            gw.stop()
+    lines = (tmp_path / "out.lp").read_text(encoding="utf-8").splitlines()
+    assert sorted(line.split(",")[0] for line in lines) == ["energy", "radon", "voltage_l1"]
+    assert {line.rsplit(" ", 1)[1] for line in lines} == {str(fake_ns)}
+    day = date.fromtimestamp(fake_ns // 10**9) - timedelta(days=1)
+    assert f"date={day.isoformat()}" in next(line for line in lines if line.startswith("energy"))
+
+
+def test_poll_losses_are_counted_by_job_and_reason_in_metrics(tmp_path):
+    sim = ModbusSim(unit=1, fault=FaultModel.exception_on(8))
+    sim.load_value(6, RegisterCodec("u16"), 230)
+    sim.load_value(8, RegisterCodec("u16"), 5)
+    objects = [
+        SimObject("analog-value", 1, "zone-temp", value=21.5),
+        SimObject("binary-input", 2, "occupancy", value=True),
+    ]
+    served = {"inverters": [{"sn": "a", "power": "high"}, {"power": 5}, {"sn": "b", "power": 7}]}
+
+    class Plant(http.server.BaseHTTPRequestHandler):
+        def do_GET(self):
+            body = json.dumps(served).encode()
+            self.send_response(200)
+            self.send_header("Content-Length", str(len(body)))
+            self.end_headers()
+            self.wfile.write(body)
+
+        def log_message(self, *args):
+            pass
+
+    plant = http.server.HTTPServer(("127.0.0.1", 0), Plant)
+    threading.Thread(target=plant.serve_forever, daemon=True).start()
+    with sim, BacnetSim(55004, objects) as bsim:
+        cfg = load_config(
+            write_config(
+                tmp_path,
+                f"""
+                gateway: {{health_port: 0}}
+                sink: {{mode: file, path: {tmp_path}/out.lp}}
+                devices:
+                  - id: meter-1
+                    protocol: modbus
+                    host: 127.0.0.1
+                    port: {sim.port}
+                    registers:
+                      - {{name: voltage, addr: 6, dtype: u16}}
+                      - {{name: current, addr: 8, dtype: u16}}
+                  - id: hvac-1
+                    protocol: bacnet
+                    host: 127.0.0.1
+                    port: {bsim.port}
+                    device_instance: 55004
+                    timeout_ms: 200
+                    discover: true
+                http_polls:
+                  - url: http://127.0.0.1:{plant.server_address[1]}/v1/plant
+                    interval_s: 60
+                    entity_array_pointer: /inverters
+                    entity_id_pointer: /sn
+                    fields:
+                      /power: {{parameter: power}}
+                """,
+            )
+        )
+        gw = Gateway(cfg)  # not started: the test runs the poll jobs itself
+        modbus_dev, bacnet_dev = cfg.modbus_devices[0], cfg.bacnet_devices[0]
+        client = BacnetClient(BacnetEndpoint(bsim.host, bsim.port, 55004, 200, 0))
+        jobs = [
+            gw._modbus_job(modbus_dev, ModbusClient(sim.host, sim.port)),
+            gw._bacnet_job(bacnet_dev, client),
+            gw._http_job(cfg.http_polls[0], "http-0"),
+        ]
+        try:
+            for job in jobs:
+                job()
+            del bsim.objects[objects[1].ref]  # gone after discovery: answered with an error
+            for job in jobs:
+                job()
+        finally:
+            client.close()
+            plant.shutdown()
+            plant.server_close()
+    assert gw.metrics_snapshot()["polls"] == {
+        "meter-1": {"illegal-data-address": 2},
+        "hvac-1": {"unknown-object": 1},
+        "http-0": {"type_errors": 2, "missing_entity_ids": 2},
+    }
+    # voltage twice, zone-temp twice and occupancy once, inverter b twice
+    assert gw.pipeline.counters()["received"] == 7
+
+
+def test_drop_counts_lose_no_update_across_job_threads(tmp_path):
+    gw = Gateway(load_config(write_config(tmp_path, "sink: {mode: file, path: out.lp}\n")))
+    jobs, polls = [f"job-{i}" for i in range(8)], 5000
+    reasons = dict(zip("abcdef", range(1, 7)))
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [
+            threading.Thread(
+                target=lambda job=job: [
+                    gw._count_drops(job, reasons) for _ in range(polls)
+                ]
+            )
+            for job in jobs
+        ]
+        for t in threads:
+            t.start()
+        while any(t.is_alive() for t in threads):
+            for counts in gw.metrics_snapshot()["polls"].values():
+                # one poll's counts land together
+                assert counts == {k: n * counts["a"] for k, n in reasons.items()}
+        for t in threads:
+            t.join(timeout=10)
+            assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(old)
+    totals = {k: n * polls for k, n in reasons.items()}
+    assert gw.metrics_snapshot()["polls"] == {job: totals for job in jobs}
 
 
 def test_bacnet_device_with_names_recovers_once_a_missing_object_appears(tmp_path):

@@ -25,6 +25,7 @@ import pathlib
 import sys
 import tempfile
 
+from telegw import config
 from telegw.config import InvariantViolation, UnknownField, load_config
 
 HERE = pathlib.Path(__file__).resolve().parent
@@ -293,6 +294,43 @@ def test_corpus_outcomes_are_pinned(monkeypatch):
     assert not differ, "\n".join(
         f"{k}:\n  expected {e}\n  got      {g}" for k, (e, g) in differ.items()
     )
+
+
+def test_full_sets_every_key_the_loader_accepts():
+    """Each section's key table is read off its dataclass, so a field that
+    quietly becomes a YAML key fails here until FULL (and the corpus) take
+    it on purpose."""
+    modbus, bacnet = FULL["devices"]
+    fleet = FULL["simulate"]["fleets"][0]
+    binding = FULL["brokers"][0]["bindings"][0]
+    sections = {
+        "_GATEWAY": [FULL["gateway"]],
+        "_SINK": [FULL["sink"]],
+        "_FIELD": [*binding["fields"].values(), *FULL["http_polls"][0]["fields"].values()],
+        "_BROKER": FULL["brokers"],
+        "_BINDING": [binding],
+        "_HTTP_POLL": FULL["http_polls"],
+        "_REGISTER": modbus["registers"],
+        "_CODEC": modbus["registers"],
+        "_MODBUS": [modbus],
+        "_POLICY": [modbus],
+        "_HISTORICAL": [modbus["historical"]],
+        "_HISTORICAL_SPEC": [modbus["historical"]],
+        "_BACNET": [bacnet],
+        "_RULE": FULL["alerts"]["rules"],
+        "_NOTIFIER": FULL["alerts"]["notifiers"],
+        "_SIMULATE": [FULL["simulate"]],
+        "_FLEET": [fleet],
+        "_PARAM": fleet["parameters"],
+    }
+    tables = {
+        name: table for name, table in vars(config).items()
+        if name.isupper() and name.startswith("_") and isinstance(table, dict)
+    }
+    assert tables.keys() == sections.keys()
+    for name, docs in sections.items():
+        unset = set(tables[name]) - set().union(*docs)
+        assert not unset, f"{name} accepts keys FULL never sets: {sorted(unset)}"
 
 
 if __name__ == "__main__":
