@@ -271,11 +271,13 @@ class LogNotifier:
         return True
 
 
+HTTP_TIMEOUT_S = 10.0
+
+
 class WebhookNotifier:
-    def __init__(self, url: str, timeout_s: float = 10.0):
+    def __init__(self, url: str):
         self.check_url(url)
         self.url = url
-        self.timeout_s = timeout_s
 
     @staticmethod
     def check_url(url: str) -> None:
@@ -295,7 +297,7 @@ class WebhookNotifier:
         }
         for _ in range(2):  # one retry
             try:
-                resp = requests.post(self.url, json=body, timeout=self.timeout_s)
+                resp = requests.post(self.url, json=body, timeout=HTTP_TIMEOUT_S)
             except requests.RequestException:
                 continue
             if 200 <= resp.status_code < 300:

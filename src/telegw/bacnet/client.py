@@ -8,14 +8,12 @@ large to return whole is walked by array index instead.
 
 from __future__ import annotations
 
-import json
 import socket
 import threading
 import time
 from collections import Counter
-from dataclasses import dataclass, field
-from datetime import datetime, timezone
-from typing import Callable, Optional, Sequence, Union
+from dataclasses import dataclass
+from typing import Callable, Optional, Sequence
 
 from ..model import DataPoint, Value
 from ..netio import shut
@@ -23,7 +21,6 @@ from . import encoding
 from .encoding import (
     Aborted,
     BacnetError,
-    Enumerated,
     MalformedTag,
     ObjectRef,
     PropertyQuery,
@@ -33,7 +30,6 @@ from .encoding import (
     TooLarge,
     object_type_id,
     property_id,
-    property_name,
     unit_token,
 )
 
@@ -167,46 +163,6 @@ class BacnetClient:
                 raise
             mid = len(queries) // 2
             return self._read_locked(queries[:mid]) + self._read_locked(queries[mid:])
-
-    def read_properties_json(self, queries: Sequence[PropertyQuery]) -> str:
-        """One JSON document per exchange, stable key order, ready to log."""
-        results = self.read_properties(queries)
-        doc = {
-            "device": {
-                "host": self.endpoint.host,
-                "port": self.endpoint.port,
-                "instance": self.endpoint.device_instance,
-            },
-            "timestamp": datetime.now(timezone.utc).isoformat(timespec="milliseconds"),
-            "results": [self._result_json(r) for r in results],
-        }
-        return json.dumps(doc, separators=(", ", ": "))
-
-    @staticmethod
-    def _json_value(v):
-        if isinstance(v, Enumerated):
-            return int(v)
-        if isinstance(v, ObjectRef):
-            return {"type": v.type_name, "instance": v.instance}
-        if isinstance(v, bytes):
-            return v.hex()
-        return v
-
-    @classmethod
-    def _result_json(cls, r: PropResult) -> dict:
-        out: dict = {
-            "object_type": r.obj.type_name,
-            "instance": r.obj.instance,
-            "property": property_name(r.prop),
-        }
-        if r.array_index is not None:
-            out["array_index"] = r.array_index
-        if r.error is not None:
-            out["error"] = {"class": r.error[0], "code": r.error[1]}
-        else:
-            vals = [cls._json_value(v) for v in (r.values or ())]
-            out["value"] = vals[0] if len(vals) == 1 else vals
-        return out
 
     # -- discovery -------------------------------------------------------------
 

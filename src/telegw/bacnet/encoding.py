@@ -68,7 +68,6 @@ PROPERTY_IDS = {
     "status-flags": 111,
     "units": 117,
 }
-_PROPERTY_NAMES = {v: k for k, v in PROPERTY_IDS.items()}
 
 # engineering units the configs actually use; anything else renders unit-<n>
 UNITS = {
@@ -196,10 +195,6 @@ def property_id(name: Union[str, int]) -> int:
     if name not in PROPERTY_IDS:
         raise ValueError(f"unknown property {name!r}")
     return PROPERTY_IDS[name]
-
-
-def property_name(pid: int) -> str:
-    return _PROPERTY_NAMES.get(pid, f"property-{pid}")
 
 
 def unit_token(n: int) -> str:

@@ -279,7 +279,7 @@ def _table(cls, skip=(), **renamed) -> dict:
 _GATEWAY = _table(GatewaySettings)
 _SINK = _table(SinkConfig)
 _FIELD = _table(FieldSpec)
-_BROKER = _table(BrokerConfig, skip=("backoff_multiplier",))
+_BROKER = _table(BrokerConfig)
 _BINDING = _table(TopicBinding, topic="topic_filter", entity="entity_template")
 _HTTP_POLL = _table(HttpPollSpec)
 _REGISTER = _table(

@@ -263,7 +263,6 @@ class BrokerConfig:
     password_env: str | None = None
     backoff_initial_s: float = 0.5
     backoff_max_s: float = 30.0
-    backoff_multiplier: float = 2.0
 
     def __post_init__(self):
         if not 0 < self.port <= 0xFFFF:
@@ -272,8 +271,6 @@ class BrokerConfig:
             raise ValueError("backoff bounds must be positive")
         if self.backoff_initial_s > self.backoff_max_s:
             raise ValueError("backoff initial exceeds max")
-        if self.backoff_multiplier < 1.0:
-            raise ValueError("backoff multiplier must be >= 1")
 
     def credentials(self) -> tuple[str | None, str | None]:
         username = os.environ.get(self.username_env) if self.username_env else None
@@ -356,7 +353,7 @@ class Subscriber:
                 client.close()
                 if self._stop.wait(backoff):
                     return
-                backoff = min(backoff * self.broker.backoff_multiplier, self.broker.backoff_max_s)
+                backoff = min(backoff * 2, self.broker.backoff_max_s)
                 continue
             backoff = self.broker.backoff_initial_s
             client.wait_closed()

@@ -101,8 +101,3 @@ def to_line(rec: LineRecord) -> str:
         fields.append(f"{_escape_key(k)}={_render_field(v)}")
     segment = tag_segment(rec.tags)
     return f"{_escape_measurement(rec.measurement)}{segment} {','.join(fields)} {int(rec.timestamp)}"
-
-
-def to_lines(records) -> str:
-    """Serialize a batch, one record per line, trailing newline included."""
-    return "".join(to_line(r) + "\n" for r in records)

@@ -100,7 +100,7 @@ class ReadReport:
 
 
 def encode_date_y2k(d: _date) -> list[int]:
-    """Default date packing for history windows: [year-2000, month, day]."""
+    """Date packing for history windows: [year-2000, month, day]."""
     return [d.year - 2000, d.month, d.day]
 
 
@@ -111,10 +111,9 @@ class HistoricalReadConfig:
     ready_value: int = 1
     poll_interval_ms: int = 500
     max_polls: int = 20
-    date_encoder: Callable[[_date], list[int]] = encode_date_y2k
 
     def __post_init__(self):
-        words = len(self.date_encoder(_date(2000, 1, 1)))
+        words = len(encode_date_y2k(_date(2000, 1, 1)))
         if self.date_address < 0 or self.date_address + words > 0x10000:
             raise ValueError(
                 f"date window at address {self.date_address} ({words} registers) "
@@ -401,7 +400,7 @@ class ModbusClient:
         then reads the data bindings. Returned points carry a ``date`` tag.
         """
         try:
-            self.write_registers(cfg.date_address, cfg.date_encoder(day))
+            self.write_registers(cfg.date_address, encode_date_y2k(day))
         except ExceptionResponse as e:
             raise WriteRejected(e.code) from e
         for n in range(cfg.max_polls):

@@ -27,6 +27,7 @@ from telegw.mqtt import protocol as mp
 from telegw.netio import shut
 
 _QUICKACK = getattr(socket, "TCP_QUICKACK", None)
+CONNECT_TIMEOUT_S = 5.0
 
 
 def _ack_now(sock: socket.socket) -> None:
@@ -81,7 +82,6 @@ class MqttClient:
         username: str | None = None,
         password: str | None = None,
         keepalive: float = 60.0,
-        connect_timeout: float = 5.0,
         io_timeout: float = 5.0,
         on_message: Callable[[str, bytes], None] | None = None,
     ):
@@ -91,7 +91,6 @@ class MqttClient:
         self.username = username
         self.password = password
         self.keepalive = keepalive
-        self.connect_timeout = connect_timeout
         self.io_timeout = io_timeout
         self.on_message = on_message
         self._sock: socket.socket | None = None
@@ -111,7 +110,7 @@ class MqttClient:
         """Connect; a client connects once. close() sets _stop, then shuts
         the published socket down: either this check sees the first, or the
         handshake wakes."""
-        sock = socket.create_connection((self.host, self.port), self.connect_timeout)
+        sock = socket.create_connection((self.host, self.port), CONNECT_TIMEOUT_S)
         self._sock = sock
         try:
             if self._stop.is_set():

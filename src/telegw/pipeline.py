@@ -44,6 +44,7 @@ parameter set from the filter.
 from __future__ import annotations
 
 import logging
+import math
 import os
 import random
 import threading
@@ -148,11 +149,13 @@ class FileSink:
         return 204
 
 
+HTTP_TIMEOUT_S = 10.0
+
+
 class HttpSink:
-    def __init__(self, url: str, token: str | None = None, timeout_s: float = 10.0):
+    def __init__(self, url: str, token: str | None = None):
         self.url = url
         self.token = token
-        self.timeout_s = timeout_s
 
     def write(self, lines: list[str]) -> int:
         import requests
@@ -161,7 +164,7 @@ class HttpSink:
         if self.token:
             headers["Authorization"] = f"Token {self.token}"
         body = ("\n".join(lines) + "\n").encode("utf-8")
-        resp = requests.post(self.url, data=body, headers=headers, timeout=self.timeout_s)
+        resp = requests.post(self.url, data=body, headers=headers, timeout=HTTP_TIMEOUT_S)
         return resp.status_code
 
 
@@ -221,7 +224,7 @@ def report_rates(stats: RateStats, window_s: float | None = None) -> list[dict]:
     exact sum of the per-kind rates."""
     if window_s is None:
         window_s = (stats.window_end_ns - stats.window_start_ns) / 1e9
-    if window_s <= 0:
+    if not 0 < window_s < math.inf:  # NaN too
         raise EmptyWindow(f"window of {window_s} s")
     window_h = window_s / 3600.0
 
@@ -340,11 +343,9 @@ class Pipeline:
                 self._cond.notify_all()
             return not shed
 
-    def submit_many(self, points: Iterable[DataPoint]) -> int:
-        shed_before = self.shed
+    def submit_many(self, points: Iterable[DataPoint]) -> None:
         for dp in points:
             self.submit(dp)
-        return self.shed - shed_before
 
     def _entity(self, dp: DataPoint) -> _Entity:
         """The point's entity record, its tags checked and rendered once: a
@@ -494,6 +495,7 @@ class Pipeline:
 
 
 Job = Callable[[], None]  # a poll job, or the wake that unblocks one
+STOP_JOIN_S = 5.0  # Scheduler.stop() waits this long for all job threads together
 
 
 @dataclass(slots=True)
@@ -557,12 +559,13 @@ class Scheduler:
 
     def stop(self) -> None:
         """Set the stop flag, call every job's wake to unblock it from I/O,
-        then join every job thread."""
+        then join every job thread, all within one STOP_JOIN_S budget."""
         self._stop.set()
         for wake in self._wakes:
             wake()
+        deadline = time.monotonic() + STOP_JOIN_S
         for t in self._threads:
-            t.join(timeout=5)
+            t.join(timeout=max(0.0, deadline - time.monotonic()))
         self._threads = []
 
     def _run_job(self, schedule: PollSchedule, job: Job, name: str) -> None:

@@ -1,6 +1,5 @@
 """BACnet encoding against frozen wire bytes, plus client/simulator behavior."""
 
-import json
 import random
 import struct
 
@@ -358,39 +357,6 @@ class TestNamedReads:
                 with pytest.raises(UnknownName) as e:
                     c.read_points(names, "ctrl-1")
                 assert e.value.names == ["co2-level"]
-
-
-class TestJsonDocument:
-    def test_document_shape(self):
-        with BacnetSim(100, small_inventory()) as sim:
-            with BacnetClient(endpoint(sim)) as c:
-                doc = json.loads(
-                    c.read_properties_json(
-                        [
-                            PropertyQuery(AV1, PV),
-                            PropertyQuery(ObjectRef.of("analog-value", 999), PV),
-                        ]
-                    )
-                )
-        assert doc["device"] == {"host": "127.0.0.1", "port": sim.port, "instance": 100}
-        assert doc["timestamp"].endswith("+00:00")
-        ok, bad = doc["results"]
-        assert ok == {
-            "object_type": "analog-value",
-            "instance": 1,
-            "property": "present-value",
-            "value": 43.0,
-        }
-        assert bad["error"] == {"class": "object", "code": "unknown-object"}
-
-    def test_key_order_is_stable(self):
-        with BacnetSim(100, small_inventory()) as sim:
-            with BacnetClient(endpoint(sim)) as c:
-                a = c.read_properties_json([PropertyQuery(AV1, PV)])
-                b = c.read_properties_json([PropertyQuery(AV1, PV)])
-        strip = lambda s: s[: s.index('"timestamp"')]
-        assert strip(a) == strip(b)
-        assert a.index('"device"') < a.index('"timestamp"') < a.index('"results"')
 
 
 def _canon(x):

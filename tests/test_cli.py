@@ -556,6 +556,48 @@ def test_bacnet_device_with_names_recovers_once_a_missing_object_appears(tmp_pat
             gw.stop()
 
 
+def test_modbus_device_recovers_after_its_connection_drops(tmp_path):
+    codec = RegisterCodec("u32", scale=0.1)
+    first = ModbusSim(unit=1)
+    first.load_value(6, codec, 230.4)
+    first.start()
+    cfg = load_config(
+        write_config(
+            tmp_path,
+            f"""
+            gateway: {{health_port: 0, jitter: 0}}
+            sink: {{mode: file, path: {tmp_path}/out.lp, batch_age_ms: 20}}
+            devices:
+              - {{id: meter-1, protocol: modbus, host: 127.0.0.1, port: {first.port},
+                  interval_s: 0.05, mode: persistent, retries: 0,
+                  connect_timeout_ms: 200, io_timeout_ms: 200,
+                  registers: [{{name: voltage_l1, addr: 6, dtype: u32, scale: 0.1}}]}}
+            """,
+        )
+    )
+    gw = Gateway(cfg).start()
+    second = None
+    try:
+        assert wait_until(lambda: gw.scheduler.job_runs["meter-1"] >= 2, 5)
+        first.stop()  # drops the kept connection and refuses new ones
+        assert wait_until(lambda: gw.scheduler.job_errors["meter-1"] >= 1, 5)
+        runs = gw.scheduler.job_runs["meter-1"]
+        second = ModbusSim(unit=1, port=first.port)
+        second.load_value(6, codec, 231.5)
+        second.start()
+        assert wait_until(lambda: gw.scheduler.job_runs["meter-1"] >= runs + 3, 5)
+        health = gw.health_snapshot()["devices"]["meter-1"]
+        assert health["consecutive_failures"] == 0
+        assert health["last_error"] is None
+        out = tmp_path / "out.lp"
+        assert wait_until(lambda: "value=231.5 " in out.read_text(encoding="utf-8"), 5)
+    finally:
+        gw.stop()
+        if second is not None:
+            second.stop()
+        first.stop()
+
+
 def test_stats_path_is_written_on_stop_and_read_by_the_stats_command(tmp_path, meter_sim):
     path = tmp_path / "stats.json"
     cfg = load_config(
@@ -1076,6 +1118,16 @@ def test_stats_zero_window_fails(tmp_path, capsys):
     path.write_text(json.dumps(doc))
     assert main(["stats", "--file", str(path)]) == 1
     assert "empty window" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("window", ["nan", "inf", "infh"])
+def test_stats_window_that_is_not_finite_fails(tmp_path, capsys, window):
+    path = tmp_path / "stats.json"
+    path.write_text(json.dumps(STATS_DOC))
+    assert main(["stats", "--file", str(path), "--window", window]) == 1
+    captured = capsys.readouterr()
+    assert "empty window" in captured.err
+    assert captured.out == ""
 
 
 def test_stats_needs_exactly_one_source(capsys):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from telegw.lineproto import BadIdentifier, LineRecord, NoFields, to_line, to_lines
+from telegw.lineproto import BadIdentifier, LineRecord, NoFields, to_line
 from telegw.model import FLAG, REAL, TEXT, Value
 
 from lp_parser import parse_line
@@ -66,10 +66,6 @@ class TestFrozenForms:
     def test_newline_in_text_rejected(self):
         with pytest.raises(BadIdentifier):
             to_line(rec(fields={"v": Value.text("a\nb")}))
-
-    def test_to_lines_batch(self):
-        out = to_lines([rec(ts=1), rec(ts=2)])
-        assert out == "co2 value=1 1\nco2 value=1 2\n"
 
 
 _name = st.text(

@@ -1008,6 +1008,30 @@ class TestScheduler:
             (logging.INFO, "poll flaky recovered after 5 failed polls"),
         ]
 
+    def test_stop_waits_one_budget_for_all_jobs(self, monkeypatch):
+        """Jobs their wake cannot unblock (an HTTP request in flight) share
+        one join budget: k of them do not make stop() wait k times."""
+        monkeypatch.setattr(telegw.pipeline, "STOP_JOIN_S", 0.3, raising=False)
+        release = threading.Event()
+        started = [threading.Event(), threading.Event()]
+        sched = Scheduler()
+        for i, entered in enumerate(started):
+
+            def blocked(entered=entered):
+                entered.set()
+                release.wait()
+
+            sched.add(f"blocked-{i}", PollSchedule(0.01), blocked, wake=lambda: None)
+        sched.start()
+        try:
+            assert all(entered.wait(2) for entered in started)
+            t0 = time.monotonic()
+            sched.stop()
+            elapsed = time.monotonic() - t0
+        finally:
+            release.set()
+        assert elapsed < 1.0
+
     def test_validation(self):
         with pytest.raises(ValueError):
             PollSchedule(0)
