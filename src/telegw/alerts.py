@@ -14,6 +14,7 @@ a stream reproduces the exact event sequence.
 from __future__ import annotations
 
 import itertools
+import json
 import logging
 import math
 import queue
@@ -271,9 +272,6 @@ class LogNotifier:
         return True
 
 
-HTTP_TIMEOUT_S = 10.0
-
-
 class WebhookNotifier:
     def __init__(self, url: str):
         self.check_url(url)
@@ -285,9 +283,9 @@ class WebhookNotifier:
             raise ValueError("webhook url scheme must be http or https")
 
     def notify(self, event: AlertEvent) -> bool:
-        import requests
+        from telegw.httpio import HttpClient
 
-        body = {
+        doc = {
             "rule": event.rule_id,
             "entity": event.entity,
             "parameter": event.parameter,
@@ -295,12 +293,14 @@ class WebhookNotifier:
             "value": event.value,
             "timestamp": event.timestamp,
         }
+        body = json.dumps(doc, allow_nan=False).encode("utf-8")
+        headers = {"Content-Type": "application/json"}
         for _ in range(2):  # one retry
             try:
-                resp = requests.post(self.url, json=body, timeout=HTTP_TIMEOUT_S)
-            except requests.RequestException:
+                status, _ = HttpClient().request("POST", self.url, headers, body)
+            except ConnectionError:
                 continue
-            if 200 <= resp.status_code < 300:
+            if 200 <= status < 300:
                 return True
         return False
 

@@ -25,8 +25,6 @@ from .encoding import (
     ObjectRef,
     PropertyQuery,
     PropResult,
-    Rejected,
-    ServiceError,
     TooLarge,
     object_type_id,
     property_id,

@@ -180,11 +180,18 @@ def cmd_stats(args) -> int:
         with open(args.file, "r", encoding="utf-8") as f:
             doc = json.load(f)
     else:
-        import requests
+        from telegw.httpio import HttpClient
 
-        resp = requests.get(f"{args.url.rstrip('/')}/stats", timeout=5)
-        resp.raise_for_status()
-        doc = resp.json()
+        url = f"{args.url.rstrip('/')}/stats"
+        try:
+            status, body = HttpClient(5.0).request("GET", url)
+        except ConnectionError as e:
+            print(f"stats: {e}", file=sys.stderr)
+            return 1
+        if not 200 <= status < 300:
+            print(f"stats: GET {url} answered {status}", file=sys.stderr)
+            return 1
+        doc = json.loads(body)
     stats = stats_from_doc(doc)
     window_s = _parse_window(args.window) if args.window else None
     try:

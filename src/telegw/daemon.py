@@ -1,18 +1,20 @@
 """Process supervisor: one validated config in, a running gateway out.
 
 The gateway owns a pipeline, an alert engine, one subscriber per broker,
-and a scheduler thread per polled device. A device's poll job owns its
-client, whose wake lets a stop cut short a poll waiting on a silent device.
-A job returns when it delivered its points and raises when it did not; the
-scheduler records either against that device, and ``/health`` reads those
-records. No failure escapes a poller's thread; the process outlives any
-single dead dependency. Shutdown is two-phase: intake stops first, then the
-pipeline drains into the sink bounded by the configured timeout.
+and a scheduler thread per polled device and HTTP poll. Each poll job owns
+its client, whose wake lets a stop cut short a poll waiting on a silent
+device or server. A job returns when it delivered its points and raises
+when it did not; the scheduler records either against that job, and
+``/health`` reads those records. No failure escapes a poller's thread; the
+process outlives any single dead dependency. Shutdown is two-phase: intake
+stops first, then the pipeline drains into the sink bounded by the
+configured timeout.
 
 ``/health``, ``/metrics`` and ``/stats`` are served as HTTP/1.0 by a
 ``socketserver`` handler rather than ``http.server``, which would load
 ``http.client`` and with it ``ssl``, libssl and libcrypto: about 5 MB of a
-process that otherwise needs no TLS.
+process that otherwise needs no TLS. A gateway with an HTTP poll loads
+them, through :mod:`telegw.httpio`, when it starts.
 """
 
 from __future__ import annotations
@@ -25,13 +27,14 @@ import threading
 import time
 from collections import Counter
 from datetime import date, timedelta
+from functools import partial
 from http import HTTPStatus
 from typing import Callable, Mapping
 
 from telegw.alerts import AlertEngine
 from telegw.bacnet import BacnetClient, BacnetEndpoint
 from telegw.config import BacnetDeviceSpec, GatewayConfig, ModbusDeviceSpec
-from telegw.ingest import Subscriber, poll_http
+from telegw.ingest import POLL_TIMEOUT_S, Subscriber, _default_getter, poll_http
 from telegw.modbus import ModbusClient
 from telegw.pipeline import Pipeline, PollSchedule, Scheduler, stats_to_doc
 
@@ -100,10 +103,11 @@ class Gateway:
 
         return job
 
-    def _http_job(self, poll, name: str):
+    def _http_job(self, poll, name: str, getter=_default_getter):
         def job() -> None:
             stats: dict[str, int] = {}
-            self.pipeline.submit_many(poll_http(poll, now_ns=self.clock_ns(), stats=stats))
+            points = poll_http(poll, now_ns=self.clock_ns(), getter=getter, stats=stats)
+            self.pipeline.submit_many(points)
             del stats["points"]
             self._count_drops(name, stats)
 
@@ -124,7 +128,7 @@ class Gateway:
             bindings = list(entry.bindings)
             sub = Subscriber(entry.config, bindings, self.pipeline.submit, self.clock_ns)
             self.subscribers.append(sub.start())
-        # a device job's wake: interrupt for Modbus, whose close wakes no read; close for BACnet
+        # a job's wake: interrupt for Modbus, whose close wakes no read; close for BACnet and HTTP
         jitter = self.config.gateway.jitter
         for dev in self.config.modbus_devices:
             client = ModbusClient(dev.host, dev.port, dev.unit, dev.policy, self.clock_ns)
@@ -136,8 +140,12 @@ class Gateway:
             schedule = PollSchedule(dev.interval_s, jitter)
             self.scheduler.add(dev.id, schedule, self._bacnet_job(dev, client), client.close)
         for i, poll in enumerate(self.config.http_polls):
+            from telegw.httpio import HttpClient  # loads http.client and ssl: only when polling
+
+            http = HttpClient(POLL_TIMEOUT_S)
             name, schedule = f"http-{i}", PollSchedule(poll.interval_s, jitter)
-            self.scheduler.add(name, schedule, self._http_job(poll, name))
+            job = self._http_job(poll, name, partial(http.request, "GET"))
+            self.scheduler.add(name, schedule, job, http.close)
         if self.config.gateway.stats_path:
             self.scheduler.add(STATS_JOB, PollSchedule(30.0, 0.0), self.dump_stats)
         self.scheduler.start()

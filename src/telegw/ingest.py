@@ -413,11 +413,13 @@ class HttpPollSpec:
         check_tags(self.tags)
 
 
-def _default_getter(url: str, headers: dict[str, str]) -> tuple[int, bytes]:
-    import requests
+POLL_TIMEOUT_S = 30.0
 
-    resp = requests.get(url, headers=headers, timeout=30)
-    return resp.status_code, resp.content
+
+def _default_getter(url: str, headers: dict[str, str]) -> tuple[int, bytes]:
+    from telegw.httpio import HttpClient
+
+    return HttpClient(POLL_TIMEOUT_S).request("GET", url, headers)
 
 
 def poll_http(

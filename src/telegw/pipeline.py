@@ -52,6 +52,7 @@ import time
 from collections import deque
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable
+from urllib.parse import urlsplit
 
 # Bound as to_line: the benchmark traces telegw.pipeline.to_line as the per-line render.
 from telegw.lineproto import render_point as to_line, tag_segment
@@ -104,8 +105,12 @@ class SinkConfig:
     def __post_init__(self):
         if self.mode not in ("http", "file"):
             raise ValueError(f"sink mode must be http or file, got {self.mode!r}")
-        if self.mode == "http" and not self.url:
-            raise ValueError("http sink requires url")
+        if self.mode == "http":
+            if not self.url:
+                raise ValueError("http sink requires url")
+            scheme = urlsplit(self.url).scheme
+            if scheme not in ("http", "https"):
+                raise ValueError(f"http sink url scheme must be http or https, got {scheme!r}")
         if self.mode == "file" and not self.path:
             raise ValueError("file sink requires path")
         if self.batch_size < 1:
@@ -149,23 +154,20 @@ class FileSink:
         return 204
 
 
-HTTP_TIMEOUT_S = 10.0
-
-
 class HttpSink:
     def __init__(self, url: str, token: str | None = None):
         self.url = url
         self.token = token
 
     def write(self, lines: list[str]) -> int:
-        import requests
+        from telegw.httpio import HttpClient
 
         headers = {"Content-Type": "text/plain; charset=utf-8"}
         if self.token:
             headers["Authorization"] = f"Token {self.token}"
         body = ("\n".join(lines) + "\n").encode("utf-8")
-        resp = requests.post(self.url, data=body, headers=headers, timeout=HTTP_TIMEOUT_S)
-        return resp.status_code
+        status, _ = HttpClient().request("POST", self.url, headers, body)
+        return status
 
 
 @dataclass(slots=True)

@@ -787,6 +787,35 @@ def test_stop_wakes_a_poll_blocked_on_a_silent_device(tmp_path, protocol):
     assert gw.scheduler.job_errors == {"dead-1": 0}
 
 
+def test_stop_wakes_an_http_poll_blocked_on_a_silent_server(tmp_path):
+    # connects succeed from the listener's backlog; no request is ever read
+    with socket.create_server(("127.0.0.1", 0), backlog=1) as server:
+        port = server.getsockname()[1]
+        cfg = load_config(
+            write_config(
+                tmp_path,
+                f"""
+                gateway: {{health_port: 0, jitter: 0}}
+                sink: {{mode: file, path: {tmp_path}/out.lp}}
+                http_polls:
+                  - url: http://127.0.0.1:{port}/v1/plant
+                    interval_s: 60
+                    entity_array_pointer: /items
+                    entity_id_pointer: /id
+                    fields: {{/v: {{parameter: v}}}}
+                """,
+            )
+        )
+        gw = Gateway(cfg).start()
+        time.sleep(0.3)  # the poll is now blocked waiting for an answer
+        t0 = time.monotonic()
+        gw.stop()
+        elapsed = time.monotonic() - t0
+    assert elapsed < 1.0, f"stop() took {elapsed:.2f} s"
+    # the woken poll was cancelled by the stop; the poll did not fail
+    assert gw.scheduler.job_errors == {"http-0": 0}
+
+
 def test_stop_closes_a_persistent_modbus_connection(tmp_path, meter_sim, monkeypatch):
     clients = []
 
@@ -1147,6 +1176,33 @@ def test_stats_from_running_daemon(tmp_path, meter_sim):
         finally:
             gw.stop()
     assert rc == 0
+
+
+def test_stats_url_that_gives_no_stats_fails_with_one_line(tmp_path, capsys):
+    # a port nothing listens on, and a daemon path its health server answers with 404
+    cfg = load_config(
+        write_config(
+            tmp_path,
+            f"""
+            gateway: {{health_port: 0}}
+            sink: {{mode: file, path: {tmp_path}/out.lp}}
+            """,
+        )
+    )
+    gw = Gateway(cfg).start()
+    try:
+        urls = {
+            "ConnectionRefusedError": f"http://127.0.0.1:{free_port()}",
+            "answered 404": f"http://127.0.0.1:{gw.health_port}/nope",
+        }
+        for reason, url in urls.items():
+            assert main(["stats", "--url", url]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("stats: ") and captured.err.count("\n") == 1
+            assert reason in captured.err
+    finally:
+        gw.stop()
 
 
 # ----------------------------------------------------------------- simulate

@@ -530,6 +530,10 @@ RUNTIME_FAILURES = {
         _doc(LOAD_TIME, LOAD_TIME_OK, url="ftp://example.org/hook"),
         "alerts.notifiers[0]: webhook url scheme must be http or https",
     ),
+    "http sink url without scheme": (
+        'sink: {mode: http, url: "influx:8086/api/v2/write"}\n',
+        "sink: http sink url scheme must be http or https, got 'influx'",
+    ),
 }
 
 # a line break in a name that line protocol must carry: every point using it

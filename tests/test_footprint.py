@@ -1,14 +1,16 @@
 """The gateway process loads no HTTP client library, no TLS and no simulator.
 
 The health endpoint is plain HTTP/1.0 on a stdlib socket server, and the
-code paths that need ``requests`` (HTTP sink, webhook notifier, HTTP poll,
-``gateway stats --url``) import it when they first run. A module-level
-import of any of them would map libssl and libcrypto into every gateway,
-which this test catches. The simulators (:mod:`telegw.sim`) are for
-``gateway simulate`` and the tests only; the config types a simulated fleet
-is parsed into live in :mod:`telegw.config`. The test runs in a fresh
-interpreter, since the test process itself has long since imported
-``requests`` and the simulators.
+code paths that send HTTP (HTTP sink, webhook notifier, HTTP poll,
+``gateway stats --url``) import :mod:`telegw.httpio`, and with it
+``http.client``, when they first run. A module-level import of it would map
+libssl and libcrypto into every gateway, which the first test catches. None
+of those paths needs ``requests``, a test-only dependency, which the second
+test checks. The simulators (:mod:`telegw.sim`) are for ``gateway
+simulate`` and the tests only; the config types a simulated fleet is parsed
+into live in :mod:`telegw.config`. Both tests run in a fresh interpreter,
+since the test process itself has long since imported ``requests``,
+``http.client`` and the simulators.
 """
 
 import os
@@ -73,3 +75,60 @@ def test_gateway_process_loads_no_http_client_or_tls(tmp_path):
     assert "telegw.daemon" in loaded
     assert [name for name in NOT_LOADED if name in loaded] == []
     assert sorted(name for name in loaded if name.split(".")[:2] == ["telegw", "sim"]) == []
+
+
+NO_REQUESTS = textwrap.dedent(
+    """
+    import json, sys, threading
+
+    sys.modules["requests"] = None  # any import of requests now raises ImportError
+    from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+
+    from telegw import cli
+    from telegw.alerts import AlertEvent, WebhookNotifier
+    from telegw.ingest import FieldSpec, HttpPollSpec, poll_http
+    from telegw.pipeline import HttpSink
+
+    ENTITY = {"kind": "meter", "params": ["v"], "received": 2, "emitted": 1}
+    STATS = {"window_start_ns": 0, "window_end_ns": 3600 * 10**9, "entities": {"d1": ENTITY}}
+    GETS = {"/stats": STATS, "/plant": {"items": [{"id": "d1", "v": 1.5}]}}
+
+    class Stub(BaseHTTPRequestHandler):
+        def do_GET(self):
+            self.answer(200, json.dumps(GETS[self.path]).encode())
+
+        def do_POST(self):
+            self.rfile.read(int(self.headers["Content-Length"]))
+            self.answer(204, b"")
+
+        def answer(self, status, body):
+            self.send_response(status)
+            self.send_header("Content-Length", str(len(body)))
+            self.end_headers()
+            self.wfile.write(body)
+
+        def log_message(self, *args):
+            pass
+
+    server = ThreadingHTTPServer(("127.0.0.1", 0), Stub)
+    threading.Thread(target=server.serve_forever, daemon=True).start()
+    url = f"http://127.0.0.1:{server.server_address[1]}"
+    try:
+        assert HttpSink(f"{url}/write").write(["v,device=d1 value=1.5 1"]) == 204
+        spec = HttpPollSpec(f"{url}/plant", 10, {"/v": FieldSpec("v")}, "/items", "/id")
+        assert [(p.entity_id, p.parameter) for p in poll_http(spec)] == [("d1", "v")]
+        event = AlertEvent("hot", "d1", "v", "fired", 1.5, 1)
+        assert WebhookNotifier(f"{url}/hook").notify(event) is True
+        assert cli.main(["stats", "--url", url]) == 0
+    finally:
+        server.shutdown()
+    """
+)
+
+
+def test_no_http_path_needs_requests():
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    done = subprocess.run(
+        [sys.executable, "-c", NO_REQUESTS], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr

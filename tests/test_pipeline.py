@@ -11,6 +11,7 @@ import sys
 import threading
 import time
 import tracemalloc
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +19,8 @@ from hypothesis import strategies as st
 
 import telegw
 from telegw.alerts import GT, LT, AlertEngine, AlertRule
+from telegw.config import load_config
+from telegw.daemon import Gateway
 from telegw.lineproto import LineRecord, to_line
 from telegw.model import (
     MAX_TEXT_LEN,
@@ -31,6 +34,7 @@ from telegw.pipeline import (
     EmptyWindow,
     EntityCounts,
     FileSink,
+    HttpSink,
     Pipeline,
     PollSchedule,
     RateStats,
@@ -867,6 +871,69 @@ class TestConfigValidation:
             cfg.build_sink()
         monkeypatch.setenv("SINK_TOK", "t0k")
         assert cfg.build_sink().token == "t0k"
+
+
+class _WriteEndpoint(BaseHTTPRequestHandler):
+    """A line protocol write endpoint: records each POST, answers ``status``."""
+
+    status = 204
+    writes = []  # (headers, body) per request
+
+    def do_POST(self):
+        body = self.rfile.read(int(self.headers["Content-Length"]))
+        self.writes.append((dict(self.headers), body))
+        self.send_response(self.status)
+        self.send_header("Content-Length", "0")
+        self.end_headers()
+
+    def log_message(self, *args):
+        pass
+
+
+@pytest.fixture
+def write_endpoint():
+    server = ThreadingHTTPServer(("127.0.0.1", 0), _WriteEndpoint)
+    _WriteEndpoint.status = 204
+    _WriteEndpoint.writes = []
+    threading.Thread(target=server.serve_forever, daemon=True).start()
+    yield f"http://127.0.0.1:{server.server_address[1]}/api/v2/write", _WriteEndpoint
+    server.shutdown()
+    server.server_close()
+
+
+class TestHttpSink:
+    def test_write_posts_the_lines_with_type_and_token(self, write_endpoint):
+        url, endpoint = write_endpoint
+        assert HttpSink(url, "t0k").write(["co2 value=612 1", "co2 value=613 2"]) == 204
+        [(headers, body)] = endpoint.writes
+        assert body == b"co2 value=612 1\nco2 value=613 2\n"
+        assert headers["Content-Type"] == "text/plain; charset=utf-8"
+        assert headers["Authorization"] == "Token t0k"
+
+    @pytest.mark.parametrize("status", [200, 400, 503])
+    def test_write_returns_the_status(self, write_endpoint, status):
+        url, endpoint = write_endpoint
+        endpoint.status = status
+        assert HttpSink(url).write(["co2 value=612 1"]) == status
+        [(headers, _)] = endpoint.writes
+        assert "Authorization" not in headers
+
+    def test_gateway_delivers_a_point_to_an_http_sink(self, write_endpoint, tmp_path):
+        url, endpoint = write_endpoint
+        config = tmp_path / "gw.yaml"
+        config.write_text(
+            f"gateway: {{health_port: 0}}\nsink: {{mode: http, url: '{url}', batch_age_ms: 20}}\n"
+        )
+        gw = Gateway(load_config(str(config))).start()
+        try:
+            assert gw.pipeline.submit(dp(value=612.0, ts=1))
+            deadline = time.monotonic() + 5
+            while gw.pipeline.counters()["delivered"] < 1 and time.monotonic() < deadline:
+                time.sleep(0.01)
+        finally:
+            gw.stop()
+        assert gw.pipeline.counters()["delivered"] == 1
+        assert [body for _, body in endpoint.writes] == [b"co2,device=dev-1 value=612 1\n"]
 
 
 TABLE_ROWS = [
