@@ -5,6 +5,9 @@ every problem), ``probe modbus``/``probe bacnet`` (ad-hoc reads printed as
 JSON), ``stats`` (rate table from a stats file or a running daemon), and
 ``simulate`` (start stand-in devices described by the same config file).
 
+The BACnet client (:mod:`telegw.bacnet`) is imported by ``probe bacnet``,
+and by a ``run`` whose config has a BACnet device, not with this module.
+
 Exit codes: 0 success, 1 runtime/protocol failure, 2 invalid configuration.
 """
 
@@ -19,18 +22,19 @@ import sys
 import threading
 import time
 
-from telegw.bacnet import BacnetClient, BacnetEndpoint, BacnetError
 from telegw.config import ConfigError, GatewayConfig, load_config
 from telegw.daemon import Gateway
 from telegw.modbus import ConnectionPolicy, ModbusClient, ModbusError, RegisterCodec
-from telegw.pipeline import EmptyWindow, report_rates, stats_from_doc
+from telegw.pipeline import EmptyWindow, RateStats, report_rates, stats_from_doc
 
 
 def _parse_window(text: str) -> float:
     units = {"s": 1.0, "m": 60.0, "h": 3600.0, "d": 86400.0}
-    if text and text[-1] in units:
-        return float(text[:-1]) * units[text[-1]]
-    return float(text)
+    number, scale = (text[:-1], units[text[-1]]) if text[-1:] in units else (text, 1.0)
+    try:
+        return float(number) * scale
+    except ValueError:
+        raise ValueError(f"--window {text}: not a duration such as 1h, 30m or 900s") from None
 
 
 def _render_table(rows: list[dict]) -> str:
@@ -139,6 +143,8 @@ def cmd_probe_modbus(args) -> int:
 
 
 def cmd_probe_bacnet(args) -> int:
+    from telegw.bacnet import BacnetClient, BacnetEndpoint, BacnetError
+
     endpoint = BacnetEndpoint(
         args.host, args.port, device_instance=args.device_instance, timeout_ms=args.timeout_ms
     )
@@ -172,32 +178,38 @@ def cmd_probe_bacnet(args) -> int:
     return 0
 
 
+def _read_stats(args) -> RateStats:
+    """The stats document ``--file`` or ``--url`` names; ``OSError`` or
+    ``ValueError`` when it cannot be read or is not one."""
+    if args.file:
+        source = args.file
+        with open(source, "rb") as f:
+            body = f.read()
+    else:
+        from telegw.httpio import HttpClient
+
+        source = f"{args.url.rstrip('/')}/stats"
+        status, body = HttpClient(5.0).request("GET", source)
+        if not 200 <= status < 300:
+            raise ValueError(f"GET {source} answered {status}")
+    try:
+        return stats_from_doc(json.loads(body))
+    except ValueError as e:
+        raise ValueError(f"{source}: {e}") from e
+
+
 def cmd_stats(args) -> int:
     if bool(args.file) == bool(args.url):
         print("stats needs exactly one of --file or --url", file=sys.stderr)
         return 2
-    if args.file:
-        with open(args.file, "r", encoding="utf-8") as f:
-            doc = json.load(f)
-    else:
-        from telegw.httpio import HttpClient
-
-        url = f"{args.url.rstrip('/')}/stats"
-        try:
-            status, body = HttpClient(5.0).request("GET", url)
-        except ConnectionError as e:
-            print(f"stats: {e}", file=sys.stderr)
-            return 1
-        if not 200 <= status < 300:
-            print(f"stats: GET {url} answered {status}", file=sys.stderr)
-            return 1
-        doc = json.loads(body)
-    stats = stats_from_doc(doc)
-    window_s = _parse_window(args.window) if args.window else None
     try:
-        rows = report_rates(stats, window_s)
+        window_s = _parse_window(args.window) if args.window else None
+        rows = report_rates(_read_stats(args), window_s)
     except EmptyWindow as e:
-        print(f"empty window: {e}", file=sys.stderr)
+        print(f"stats: empty window: {e}", file=sys.stderr)
+        return 1
+    except (OSError, ValueError) as e:
+        print(f"stats: {e}", file=sys.stderr)
         return 1
     if args.json:
         print(json.dumps(rows, indent=2))

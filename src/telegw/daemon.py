@@ -14,7 +14,8 @@ configured timeout.
 ``socketserver`` handler rather than ``http.server``, which would load
 ``http.client`` and with it ``ssl``, libssl and libcrypto: about 5 MB of a
 process that otherwise needs no TLS. A gateway with an HTTP poll loads
-them, through :mod:`telegw.httpio`, when it starts.
+them, through :mod:`telegw.httpio`, when it starts. Likewise only a gateway
+with a BACnet device loads :mod:`telegw.bacnet`, in :meth:`Gateway.start`.
 """
 
 from __future__ import annotations
@@ -29,14 +30,16 @@ from collections import Counter
 from datetime import date, timedelta
 from functools import partial
 from http import HTTPStatus
-from typing import Callable, Mapping
+from typing import TYPE_CHECKING, Callable, Mapping
 
 from telegw.alerts import AlertEngine
-from telegw.bacnet import BacnetClient, BacnetEndpoint
 from telegw.config import BacnetDeviceSpec, GatewayConfig, ModbusDeviceSpec
 from telegw.ingest import POLL_TIMEOUT_S, Subscriber, _default_getter, poll_http
 from telegw.modbus import ModbusClient
 from telegw.pipeline import Pipeline, PollSchedule, Scheduler, stats_to_doc
+
+if TYPE_CHECKING:
+    from telegw.bacnet import BacnetClient
 
 log = logging.getLogger(__name__)
 STATS_JOB = "stats-dump"  # writes stats_path; not a device
@@ -135,6 +138,8 @@ class Gateway:
             schedule = PollSchedule(dev.interval_s, jitter)
             self.scheduler.add(dev.id, schedule, self._modbus_job(dev, client), client.interrupt)
         for dev in self.config.bacnet_devices:
+            from telegw.bacnet import BacnetClient, BacnetEndpoint  # only with a BACnet device
+
             ep = BacnetEndpoint(dev.host, dev.port, dev.device_instance, dev.timeout_ms, dev.retries)
             client = BacnetClient(ep, self.clock_ns)
             schedule = PollSchedule(dev.interval_s, jitter)

@@ -18,7 +18,7 @@ from datetime import date as _date
 from typing import Callable, Iterable, Optional
 
 from ..model import DataPoint, Value, check_identifier
-from ..netio import recv_exact
+from ..netio import connect as tcp_connect, recv_exact
 from . import protocol
 from .protocol import (
     ExceptionResponse,
@@ -198,7 +198,7 @@ class ModbusClient:
                     f"within {self.policy.connect_timeout_ms} ms ({last})"
                 )
             try:
-                s = socket.create_connection((self.host, self.port), timeout=remaining)
+                s = tcp_connect(self.host, self.port, remaining)
                 s.settimeout(self.policy.io_timeout_ms / 1000)
                 self._sock = s
                 if self._interrupted:  # interrupt() ran before this socket was set

@@ -24,7 +24,7 @@ import threading
 from typing import Callable
 
 from telegw.mqtt import protocol as mp
-from telegw.netio import shut
+from telegw.netio import connect as tcp_connect, shut
 
 _QUICKACK = getattr(socket, "TCP_QUICKACK", None)
 CONNECT_TIMEOUT_S = 5.0
@@ -110,7 +110,7 @@ class MqttClient:
         """Connect; a client connects once. close() sets _stop, then shuts
         the published socket down: either this check sees the first, or the
         handshake wakes."""
-        sock = socket.create_connection((self.host, self.port), CONNECT_TIMEOUT_S)
+        sock = tcp_connect(self.host, self.port, CONNECT_TIMEOUT_S)
         self._sock = sock
         try:
             if self._stop.is_set():

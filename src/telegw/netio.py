@@ -1,8 +1,23 @@
-"""Socket helpers shared by the protocol clients and the simulators."""
+"""Socket helpers shared by the protocol clients and the simulators.
+
+:func:`connect` is the Modbus and MQTT clients' TCP connect. It hands an
+ASCII host to the resolver as ``bytes``: ``socket.getaddrinfo`` sends a
+``str`` host through the IDNA codec, which loads ``encodings.idna``,
+``stringprep`` and ``unicodedata`` even for ``"127.0.0.1"``. A non-ASCII
+host is still passed as ``str`` and IDNA-encoded as before. An ASCII host
+that IDNA would refuse (an empty or over-long label) fails in the resolver
+as ``socket.gaierror`` instead of as ``UnicodeError``.
+"""
 
 from __future__ import annotations
 
 import socket
+
+
+def connect(host: str, port: int, timeout: float) -> socket.socket:
+    """``socket.create_connection`` to ``host``, IDNA-encoding only a
+    non-ASCII one."""
+    return socket.create_connection((host.encode() if host.isascii() else host, port), timeout)
 
 
 def recv_exact(sock: socket.socket, n: int) -> bytes:

@@ -213,12 +213,17 @@ def stats_to_doc(stats: RateStats) -> dict:
     }
 
 
-def stats_from_doc(doc: dict) -> RateStats:
-    entities = {
-        e: EntityCounts(d["kind"], set(d["params"]), d["received"], d["emitted"])
-        for e, d in doc["entities"].items()
-    }
-    return RateStats(entities, doc["window_start_ns"], doc["window_end_ns"])
+def stats_from_doc(doc) -> RateStats:
+    """The inverse of :func:`stats_to_doc`; ``ValueError`` for a document
+    not shaped like its output."""
+    try:
+        entities = {
+            e: EntityCounts(str(d["kind"]), set(d["params"]), int(d["received"]), int(d["emitted"]))
+            for e, d in doc["entities"].items()
+        }
+        return RateStats(entities, int(doc["window_start_ns"]), int(doc["window_end_ns"]))
+    except (LookupError, TypeError, AttributeError, ValueError, OverflowError) as e:
+        raise ValueError(f"not a stats document ({type(e).__name__}: {e})") from e
 
 
 def report_rates(stats: RateStats, window_s: float | None = None) -> list[dict]:

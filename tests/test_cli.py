@@ -1205,6 +1205,67 @@ def test_stats_url_that_gives_no_stats_fails_with_one_line(tmp_path, capsys):
         gw.stop()
 
 
+ENTITY_WITH_TEXT_COUNT = {"kind": "aranet4", "params": ["co2"], "received": 1, "emitted": "x"}
+
+
+def _assert_one_stats_line(capsys, reason: str) -> None:
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("stats: ") and captured.err.count("\n") == 1
+    assert reason in captured.err
+
+
+@pytest.mark.parametrize(
+    "text, reason",
+    [
+        (None, "No such file or directory"),
+        ("not json", "Expecting value"),
+        ('{"x": 1}', "not a stats document (KeyError: 'entities')"),
+        (json.dumps(dict(STATS_DOC, entities={"a-1": ENTITY_WITH_TEXT_COUNT})), "not a stats document"),
+    ],
+    ids=["missing", "not json", "no entities", "text for a count"],
+)
+def test_stats_file_that_holds_no_stats_document_fails_with_one_line(tmp_path, capsys, text, reason):
+    path = tmp_path / "stats.json"
+    if text is not None:
+        path.write_text(text)
+    assert main(["stats", "--file", str(path)]) == 1
+    _assert_one_stats_line(capsys, reason)
+
+
+def test_stats_window_that_is_no_duration_fails_with_one_line(tmp_path, capsys):
+    path = tmp_path / "stats.json"
+    path.write_text(json.dumps(STATS_DOC))
+    assert main(["stats", "--file", str(path), "--window", "5x"]) == 1
+    _assert_one_stats_line(capsys, "--window 5x")
+
+
+def test_stats_url_answering_200_with_no_stats_document_fails_with_one_line(capsys):
+    bodies = iter([b"not json", b'{"x": 1}'])
+
+    class NotStats(http.server.BaseHTTPRequestHandler):
+        def do_GET(self):
+            body = next(bodies)
+            self.send_response(200)
+            self.send_header("Content-Length", str(len(body)))
+            self.end_headers()
+            self.wfile.write(body)
+
+        def log_message(self, *args):
+            pass
+
+    server = http.server.HTTPServer(("127.0.0.1", 0), NotStats)
+    threading.Thread(target=server.serve_forever, daemon=True).start()
+    try:
+        url = f"http://127.0.0.1:{server.server_address[1]}"
+        for reason in ("Expecting value", "not a stats document (KeyError: 'entities')"):
+            assert main(["stats", "--url", url]) == 1
+            _assert_one_stats_line(capsys, reason)
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
 # ----------------------------------------------------------------- simulate
 
 

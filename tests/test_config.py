@@ -620,11 +620,23 @@ HISTORY_OK = dict(
     days_back=0,
     history_registers="{name: e, addr: 1, dtype: u16}",
 )
+# the load date these tests pin, so that none of them straddles midnight
+TODAY = date(2026, 1, 15)
 # the oldest day the date window holds, counted back from the load date
-OLDEST = (date.today() - date(2000, 1, 1)).days
+OLDEST = (TODAY - date(2000, 1, 1)).days
 
 
-def test_days_back_naming_2000_01_01_loads(tmp_path):
+@pytest.fixture
+def pinned_today(monkeypatch):
+    class PinnedDate(date):
+        @classmethod
+        def today(cls):
+            return TODAY
+
+    monkeypatch.setattr(config, "date", PinnedDate)
+
+
+def test_days_back_naming_2000_01_01_loads(tmp_path, pinned_today):
     cfg = load_config(write(tmp_path, _doc(HISTORY_DEVICE, HISTORY_OK, days_back=OLDEST)))
     assert cfg.modbus_devices[0].historical.days_back == OLDEST
 
@@ -638,7 +650,9 @@ def test_days_back_naming_2000_01_01_loads(tmp_path):
     ],
     ids=["tomorrow", "1999-12-31", "1835"],
 )
-def test_days_back_the_date_window_cannot_hold_is_rejected_at_load(tmp_path, days_back, problem):
+def test_days_back_the_date_window_cannot_hold_is_rejected_at_load(
+    tmp_path, pinned_today, days_back, problem
+):
     # -1 asked for tomorrow's block; 70000 wrote year -165 into the window,
     # which the request encoder refused on every poll
     with pytest.raises(InvariantViolation) as exc:

@@ -8,9 +8,11 @@ libssl and libcrypto into every gateway, which the first test catches. None
 of those paths needs ``requests``, a test-only dependency, which the second
 test checks. The simulators (:mod:`telegw.sim`) are for ``gateway
 simulate`` and the tests only; the config types a simulated fleet is parsed
-into live in :mod:`telegw.config`. Both tests run in a fresh interpreter,
-since the test process itself has long since imported ``requests``,
-``http.client`` and the simulators.
+into live in :mod:`telegw.config`. Nor do the CLI and the daemon import
+the BACnet client, and a Modbus or MQTT connect to an ASCII host loads no
+IDNA codec. Every test runs in a fresh interpreter, since the test process
+itself has long since imported ``requests``, ``http.client``, the
+simulators, :mod:`telegw.bacnet` and the IDNA codec.
 """
 
 import os
@@ -132,3 +134,100 @@ def test_no_http_path_needs_requests():
         [sys.executable, "-c", NO_REQUESTS], env=env, capture_output=True, text=True, timeout=60
     )
     assert done.returncode == 0, done.stderr
+
+
+def _child(code: str, *args) -> set[str]:
+    """Run ``code`` in a fresh interpreter; the modules it ended with."""
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    done = subprocess.run(
+        [sys.executable, "-c", code, *map(str, args)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    return set(done.stdout.split())
+
+
+IDNA = ("encodings.idna", "stringprep", "unicodedata")
+PRINT_MODULES = 'print(" ".join(sys.modules))'
+
+
+def test_cli_and_daemon_load_no_bacnet():
+    loaded = _child(f"import sys, telegw.cli, telegw.daemon\n{PRINT_MODULES}")
+    assert "telegw.daemon" in loaded
+    assert sorted(name for name in loaded if name.startswith("telegw.bacnet")) == []
+
+
+ASCII_CONNECTS = textwrap.dedent(
+    f"""
+    import sys
+
+    from telegw.modbus import ModbusClient
+    from telegw.mqtt import MqttClient
+
+    modbus_port, broker_port = map(int, sys.argv[1:])
+    with ModbusClient("127.0.0.1", modbus_port) as client:
+        assert client.read_registers("holding", 0, 2) == [7, 8]
+    for host in ("127.0.0.1", "localhost"):
+        mqtt = MqttClient(host, broker_port, f"footprint-{{host}}")
+        mqtt.connect()
+        mqtt.close()
+    {PRINT_MODULES}
+    """
+)
+
+
+def test_modbus_and_mqtt_connects_to_an_ascii_host_load_no_idna_codec():
+    from telegw.sim import ModbusSim, MqttBroker
+
+    with ModbusSim() as sim, MqttBroker() as broker:
+        sim.load(0, [7, 8])
+        loaded = _child(ASCII_CONNECTS, sim.port, broker.port)
+    assert broker.connects == 2
+    assert {"telegw.modbus.client", "telegw.mqtt.client"} <= loaded
+    assert [name for name in IDNA if name in loaded] == []
+    assert sorted(name for name in loaded if name.split(".")[:2] == ["telegw", "sim"]) == []
+
+
+NON_ASCII_HOST = textwrap.dedent(
+    f"""
+    import socket, sys
+
+    from telegw.mqtt import MqttClient
+    from telegw.netio import connect
+
+    # full-width digits and dots: IDNA maps this host to 127.0.0.1
+    host = "\\uff11\\uff12\\uff17\\uff0e\\uff10\\uff0e\\uff10\\uff0e\\uff11"
+    listener = socket.socket()
+    listener.bind((b"127.0.0.1", 0))
+    listener.listen()
+    connect(host, listener.getsockname()[1], 5).close()
+    closed_port = listener.getsockname()[1]
+    listener.close()
+    for attempt in (
+        lambda: connect(host, closed_port, 5),
+        lambda: MqttClient(host, closed_port, "footprint").connect(),
+    ):
+        try:
+            attempt()
+        except OSError as e:
+            assert type(e) is ConnectionRefusedError, repr(e)
+        else:
+            raise AssertionError("connected to a closed port")
+    # an ASCII host IDNA would refuse reaches the resolver, which refuses it
+    try:
+        connect("a..b", closed_port, 5)
+    except socket.gaierror:
+        pass
+    else:
+        raise AssertionError("resolved a host with an empty label")
+    {PRINT_MODULES}
+    """
+)
+
+
+def test_non_ascii_host_still_goes_through_idna_and_fails_as_os_error():
+    loaded = _child(NON_ASCII_HOST)
+    assert "encodings.idna" in loaded
