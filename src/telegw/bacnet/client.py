@@ -4,6 +4,14 @@ One request is in flight per endpoint at a time (UDP gives no ordering, so
 responses are matched by invoke id and strays are ignored). Reads that the
 device aborts for size are split in half recursively; an object list too
 large to return whole is walked by array index instead.
+
+Discovery reads the object list, then names and units in chunks sized so
+that each answer fits ``encoding.MAX_APDU``: the first chunk at 40 octets
+per object, each later one at the octets per object the answers so far
+took. A 77-object controller named like ``room-temp-01`` takes 3 requests
+(the list, 36 objects, the other 41); an abort still halves a chunk. A
+poll is then one request, encoded once per discovery, and its ack is
+walked once (``encoding.rpm_ack_items``) straight into data points.
 """
 
 from __future__ import annotations
@@ -33,6 +41,10 @@ from .encoding import (
 
 ANALOG_TYPES = {0, 1, 2}
 BINARY_TYPES = {3, 4, 5}
+# octets an object's name and units take in a discovery answer, assumed
+# until an answer is seen: a name of up to 20 characters
+_FIRST_GUESS = 40
+_FLAGS = (Value.flag(False), Value.flag(True))  # shared, as a Value is immutable
 
 
 class Timeout(BacnetError):
@@ -81,6 +93,7 @@ class BacnetClient:
         # the last present-value read, built once per discovery: (names, or
         # None for all; their objects; queries; APDU with invoke id 0)
         self._present: Optional[tuple] = None
+        self._ack_octets = 0  # size of every ack decoded, for discovery's chunks
 
     def close(self) -> None:
         """Close the socket, first waking a read blocked on it in another
@@ -141,11 +154,12 @@ class BacnetClient:
         if not queries:
             raise EmptyQuery("query list is empty")
         with self._lock:
-            return self._read_locked(queries)
+            return encoding.prop_results(self._read_locked(queries))
 
-    def _read_locked(self, queries: list[PropertyQuery], apdu: bytes = b"") -> list[PropResult]:
-        """``apdu``, if given, is ``queries`` encoded with invoke id 0; a
-        split after an abort encodes its halves afresh."""
+    def _read_locked(self, queries: list[PropertyQuery], apdu: bytes = b"") -> list[tuple]:
+        """The walked items (``encoding.rpm_ack_items``) of the answers to
+        ``queries``. ``apdu``, if given, is ``queries`` encoded with invoke
+        id 0; a split after an abort encodes its halves afresh."""
         try:
             invoke = self._next_invoke()
             if apdu:  # the invoke id is the third octet of a confirmed request
@@ -153,7 +167,9 @@ class BacnetClient:
             else:
                 apdu = encoding.encode_rpm_request(invoke, queries)
             reply = self._transact(apdu, invoke)
-            return encoding.decode_rpm_ack(reply, invoke)
+            items = encoding.rpm_ack_items(reply, invoke)
+            self._ack_octets += len(reply)
+            return items
         except (TooLarge, Aborted) as e:
             if isinstance(e, Aborted) and not e.response_too_big:
                 raise
@@ -176,31 +192,27 @@ class BacnetClient:
         objs = [r for r in refs if r != dev]
         if not all(isinstance(r, ObjectRef) for r in objs):
             raise DiscoveryFailed("object list contains non-object entries")
+        objs.sort()
         discovered: list[DiscoveredObject] = []
-        for chunk in _chunks(sorted(objs), 12):
+        room = encoding.MAX_APDU - 3  # less an ack's header
+        per_object, octets = _FIRST_GUESS, self._ack_octets
+        while len(discovered) < len(objs):
+            chunk = objs[len(discovered) :][: max(1, room // per_object)]
             queries = []
-            slots = []
             for ref in chunk:
                 queries.append(PropertyQuery(ref, property_id("object-name")))
-                slots.append((ref, "name"))
                 if ref.type_id in ANALOG_TYPES:
                     queries.append(PropertyQuery(ref, property_id("units")))
-                    slots.append((ref, "units"))
-            results = self.read_properties(queries)
-            by_ref: dict[ObjectRef, dict] = {}
-            for (ref, what), res in zip(slots, results):
-                if res.error is not None:
-                    continue
-                v = res.values[0] if res.values else None
-                if what == "name" and isinstance(v, str):
-                    by_ref.setdefault(ref, {})["name"] = v
-                elif what == "units" and isinstance(v, int):
-                    by_ref.setdefault(ref, {})["units"] = unit_token(int(v))
+            results = iter(self.read_properties(queries))
             for ref in chunk:
-                info = by_ref.get(ref)
-                if info is None or "name" not in info:
+                name = _first(next(results, None), str)
+                units = _first(next(results, None), int) if ref.type_id in ANALOG_TYPES else None
+                if name is None:
                     raise DiscoveryFailed(f"object {ref} has no readable name")
-                discovered.append(DiscoveredObject(ref, info["name"], info.get("units")))
+                units = None if units is None else unit_token(int(units))
+                discovered.append(DiscoveredObject(ref, name, units))
+            # the octets per object of the answers so far, rounded up
+            per_object = -(-(self._ack_octets - octets) // len(discovered))
         self._name_cache = {d.name: d for d in discovered}
         self._present = None
         return discovered
@@ -219,8 +231,9 @@ class BacnetClient:
             raise DiscoveryFailed(f"cannot size object list: {res[0].error}")
         count = int(res[0].values[0])
         refs: list[ObjectRef] = []
-        for chunk in _chunks(list(range(1, count + 1)), 24):
-            queries = [PropertyQuery(dev, olist, array_index=i) for i in chunk]
+        for start in range(1, count + 1, 24):
+            stop = min(start + 24, count + 1)
+            queries = [PropertyQuery(dev, olist, array_index=i) for i in range(start, stop)]
             for r in self.read_properties(queries):
                 if r.error is not None:
                     raise DiscoveryFailed(f"object-list[{r.array_index}]: {r.error}")
@@ -231,15 +244,16 @@ class BacnetClient:
 
     def read_by_name(self, names: Sequence[str]) -> list[PropResult]:
         """Resolve object names via discovery and read their present values."""
-        return self._read_named(names)[1]
+        return encoding.prop_results(self._read_named(names)[1])
 
-    def _read_named(self, names: Optional[Sequence[str]]) -> tuple[list, list[PropResult]]:
-        """The objects ``names`` resolve to (all for None) and their present
-        values. The request is encoded once per discovery and names, and
-        sent again with a fresh invoke id on each later read. A failed read,
-        or an answer naming an object the device no longer has, clears the
-        name cache and that request: the device has changed, so the next
-        read discovers again."""
+    def _read_named(self, names: Optional[Sequence[str]]) -> tuple[list, list[tuple]]:
+        """The (name, unit, binary) row of each object ``names`` resolves to
+        (all for None), and the walked items of its present value. Rows and
+        request are made once per discovery and names; the request is sent
+        again with a fresh invoke id on each later read. A failed read, or
+        an answer naming an object the device no longer has, clears the name
+        cache and that request: the device has changed, so the next read
+        discovers again."""
         if names is not None and not names:
             raise EmptyQuery("no names given")
         key = None if names is None else tuple(names)
@@ -248,33 +262,35 @@ class BacnetClient:
                 self.discover_objects()
             if self._present is None or self._present[0] != key:
                 self._present = (key, *self._present_request(key))
-            _, objs, queries, apdu = self._present
+            _, rows, queries, apdu = self._present
             with self._lock:
-                results = self._read_locked(queries, apdu)
+                items = self._read_locked(queries, apdu)
         except Exception:
             self._name_cache = {}
             self._present = None
             raise
-        if any(r.error is not None and r.error[1] == "unknown-object" for r in results):
+        if any(it[5] is not None and it[5][1] == "unknown-object" for it in items):
             self._name_cache = {}
             self._present = None
-        return objs, results
+        return rows, items
 
     def _present_request(self, names: Optional[tuple]) -> tuple[list, list, bytes]:
-        """The objects ``names`` (all for None) resolve to, their present-value
-        queries, and those encoded, or b"" when too large to send whole."""
+        """The rows of the objects ``names`` (all for None) resolve to, their
+        present-value queries, and those encoded, or b"" when too large to
+        send whole."""
         names = list(self._name_cache) if names is None else names
         missing = [n for n in names if n not in self._name_cache]
         if missing:
             raise UnknownName(missing)
         objs = [self._name_cache[n] for n in names]
+        rows = [(o.name, o.units or "", o.ref.type_id in BINARY_TYPES) for o in objs]
         queries = [PropertyQuery(o.ref, property_id("present-value")) for o in objs]
         if not queries:
             raise EmptyQuery("query list is empty")
         try:
-            return objs, queries, encoding.encode_rpm_request(0, queries)
+            return rows, queries, encoding.encode_rpm_request(0, queries)
         except TooLarge:
-            return objs, queries, b""
+            return rows, queries, b""
 
     def read_points(
         self,
@@ -288,22 +304,22 @@ class BacnetClient:
         one no point can carry, is left out and counted in ``dropped`` under
         the error's code (e.g. ``unknown-object``), ``no-value`` or
         ``unsupported-value``."""
-        objs, results = self._read_named(names)
+        rows, items = self._read_named(names)
         stamp = self.clock_ns()
         tags = dict(tags or {})  # one mapping shared by this poll's points
         points = []
-        for disc, res in zip(objs, results):
-            if res.error is not None or not res.values:
+        for (name, unit, binary), (_, _, _, _, values, error) in zip(rows, items):
+            if not values:  # an access error, or an empty value list
                 if dropped is not None:
-                    dropped[res.error[1] if res.error else "no-value"] += 1
+                    dropped[error[1] if error else "no-value"] += 1
                 continue
-            raw = res.values[0]
-            if res.obj.type_id in BINARY_TYPES:
-                value = Value.flag(bool(int(raw))) if isinstance(raw, (int, bool)) else None
+            raw = values[0]
+            if binary:
+                value = _FLAGS[bool(raw)] if isinstance(raw, int) else None
             elif isinstance(raw, bool):
                 value = Value.flag(raw)
             elif isinstance(raw, (int, float)):
-                value = Value.real(float(raw))
+                value = Value.real(raw)
             elif isinstance(raw, str):
                 value = Value.text(raw)
             else:
@@ -312,19 +328,12 @@ class BacnetClient:
                 if dropped is not None:
                     dropped["unsupported-value"] += 1
                 continue
-            points.append(
-                DataPoint(
-                    entity_id=entity_id,
-                    parameter=disc.name,
-                    value=value,
-                    unit=disc.units or "",
-                    timestamp=stamp,
-                    tags=tags,
-                )
-            )
+            points.append(DataPoint(entity_id, name, value, unit, stamp, tags))
         return points
 
 
-def _chunks(seq, n):
-    for i in range(0, len(seq), n):
-        yield seq[i : i + n]
+def _first(res: Optional[PropResult], kind: type):
+    """The first value of ``res`` if it has one of type ``kind``, else None."""
+    if res is not None and res.error is None and res.values and isinstance(res.values[0], kind):
+        return res.values[0]
+    return None

@@ -5,7 +5,8 @@ Only what the gateway needs is implemented. Decoding is one pass over the
 bytes with an integer offset, each tag header read once, and it is total:
 any byte string either decodes or raises MalformedTag (or the device's own
 error, reject or abort), never an unhandled exception, because it runs
-against network input.
+against network input. ``rpm_ack_items`` walks an ack into plain tuples;
+``decode_rpm_ack`` is the same walk viewed as ``PropResult`` records.
 """
 
 from __future__ import annotations
@@ -385,13 +386,6 @@ def _header(data: bytes, pos: int) -> tuple[int, int, int, int]:
     return number, _APP, length, pos
 
 
-def _member(data: bytes, pos: int, closing: int) -> tuple[int, int, int, int]:
-    """The header of a tag in a list that the closing tag ``closing`` ends."""
-    if pos >= len(data):
-        raise MalformedTag(f"missing closing tag {closing}")
-    return _header(data, pos)
-
-
 def _content(data: bytes, pos: int, length: int) -> tuple[bytes, int]:
     end = pos + length
     if end > len(data):
@@ -410,6 +404,10 @@ def _unsigned(data: bytes, pos: int, length: int, signed: bool = False) -> tuple
 
 def _app_value(data: bytes, pos: int) -> tuple[object, int]:
     """The application-tagged value at ``pos`` and the offset after it."""
+    if data[pos] == 0x44:  # a real, the commonest present value
+        return _F32.unpack_from(data, pos + 1)[0], pos + 5
+    if data[pos] == 0x91:  # a one-octet enumerated, as binary present values are
+        return Enumerated(data[pos + 1]), pos + 2
     number, form, length, pos = _header(data, pos)
     if form != _APP:
         raise MalformedTag(f"expected application tag, got context {number}")
@@ -453,9 +451,12 @@ def _app_value(data: bytes, pos: int) -> tuple[object, int]:
     return _content(data, pos, length)
 
 
-def _object_id(data: bytes, pos: int, what: str) -> tuple[ObjectRef, int]:
-    """The context-0 object identifier at ``pos`` and the offset after the
-    opening tag 1 that follows it."""
+def _object_id(data: bytes, pos: int, what: str) -> tuple[int, int, int]:
+    """The type id and instance of the context-0 object identifier at
+    ``pos``, and the offset after the opening tag 1 that follows it."""
+    if data[pos] == 0x0C and data[pos + 5] == 0x1E:  # in their usual encoding
+        raw = _U32.unpack_from(data, pos + 1)[0]
+        return raw >> 22, raw & 0x3FFFFF, pos + 6
     number, form, length, pos = _header(data, pos)
     if form != _CONTEXT or number != 0 or length != 4:
         raise MalformedTag(f"expected object identifier{what}")
@@ -463,7 +464,7 @@ def _object_id(data: bytes, pos: int, what: str) -> tuple[ObjectRef, int]:
     number, form, _, end = _header(data, pos + 4)
     if form != _OPENING or number != 1:
         raise MalformedTag(f"expected opening tag 1 at offset {pos + 4}")
-    return ObjectRef(raw >> 22, raw & 0x3FFFFF), end
+    return raw >> 22, raw & 0x3FFFFF, end
 
 
 class Reader:
@@ -567,8 +568,9 @@ def decode_rpm_request(apdu: bytes) -> tuple[int, list[PropertyQuery]]:
     queries: list[PropertyQuery] = []
     pos, end = 4, len(apdu)
     while pos < end:
-        ref, pos = _object_id(apdu, pos, "")
-        number, form, length, pos = _member(apdu, pos, 1)
+        type_id, instance, pos = _object_id(apdu, pos, "")
+        ref = ObjectRef(type_id, instance)
+        number, form, length, pos = _header(apdu, pos)
         if form == _CLOSING and number == 1:
             raise MalformedTag("object with empty property list")
         while form != _CLOSING or number != 1:
@@ -576,10 +578,10 @@ def decode_rpm_request(apdu: bytes) -> tuple[int, list[PropertyQuery]]:
                 raise MalformedTag("expected property identifier")
             prop, pos = _unsigned(apdu, pos, length)
             idx = None
-            number, form, length, pos = _member(apdu, pos, 1)
+            number, form, length, pos = _header(apdu, pos)
             if form == _CONTEXT and number == 1:
                 idx, pos = _unsigned(apdu, pos, length)
-                number, form, length, pos = _member(apdu, pos, 1)
+                number, form, length, pos = _header(apdu, pos)
             queries.append(PropertyQuery(ref, prop, idx))
     if not queries:
         raise MalformedTag("request carries no queries")
@@ -620,7 +622,11 @@ def _error_names(data: bytes, pos: int, what: str) -> tuple[tuple[str, str], int
 
 
 @_total
-def decode_rpm_ack(apdu: bytes, expected_invoke: Optional[int] = None) -> list[PropResult]:
+def rpm_ack_items(apdu: bytes, expected_invoke: Optional[int] = None) -> list[tuple]:
+    """The results of a ReadPropertyMultiple ack, in one walk over its bytes:
+    (type id, instance, property, array index, values, error) each, in
+    answer order. ``values`` is a tuple of application values and ``error``
+    None, or ``values`` is None and ``error`` a (class, code) name pair."""
     first = apdu[0]
     pdu_type = first >> 4
     if pdu_type == PDU_ERROR:
@@ -638,43 +644,60 @@ def decode_rpm_ack(apdu: bytes, expected_invoke: Optional[int] = None) -> list[P
         raise MalformedTag(f"invoke id {invoke} != expected {expected_invoke}")
     if apdu[2] != SERVICE_RPM:
         raise MalformedTag("ack for a different service")
-    results: list[PropResult] = []
+    items: list[tuple] = []
     pos, end = 3, len(apdu)
     while pos < end:
-        ref, pos = _object_id(apdu, pos, " in ack")
+        type_id, instance, pos = _object_id(apdu, pos, " in ack")
         while True:
-            number, form, length, pos = _member(apdu, pos, 1)
-            if form == _CLOSING and number == 1:
+            # past the end, apdu[pos] raises IndexError: MalformedTag under _total
+            if (b := apdu[pos]) == 0x29:  # a one-octet property identifier
+                prop, pos = apdu[pos + 1], pos + 2
+            elif b == 0x1F:  # closing tag 1
+                pos += 1
                 break
-            if form != _CONTEXT or number != 2:
-                raise MalformedTag("expected property identifier in result")
-            prop, pos = _unsigned(apdu, pos, length)
-            idx = None
-            number, form, length, pos = _header(apdu, pos)
-            if form == _CONTEXT and number == 3:
-                idx, pos = _unsigned(apdu, pos, length)
+            else:
                 number, form, length, pos = _header(apdu, pos)
+                if form == _CLOSING and number == 1:
+                    break
+                if form != _CONTEXT or number != 2:
+                    raise MalformedTag("expected property identifier in result")
+                prop, pos = _unsigned(apdu, pos, length)
+            idx = None
+            if apdu[pos] == 0x4E:  # opening tag 4, no array index before it
+                number, form, pos = 4, _OPENING, pos + 1
+            else:
+                number, form, length, pos = _header(apdu, pos)
+                if form == _CONTEXT and number == 3:
+                    idx, pos = _unsigned(apdu, pos, length)
+                    number, form, length, pos = _header(apdu, pos)
             if form == _OPENING and number == 4:
-                values = []
+                values = ()
                 # closing tag 4 is the octet 0x4F, or 0xFF 0x04 in extended form
-                while pos < end and (b := apdu[pos]) != 0x4F and (b != 0xFF or apdu[pos + 1] != 4):
+                while (b := apdu[pos]) != 0x4F and (b != 0xFF or apdu[pos + 1] != 4):
                     value, pos = _app_value(apdu, pos)
-                    values.append(value)
-                if pos == end:
-                    raise MalformedTag("missing closing tag 4")
+                    values += (value,)
                 pos += 1 if b == 0x4F else 2
-                results.append(PropResult(ref, prop, idx, tuple(values)))
+                items.append((type_id, instance, prop, idx, values, None))
             elif form == _OPENING and number == 5:
                 error, pos = _error_names(apdu, pos, "access error")
                 number, form, _, pos = _header(apdu, pos)
                 if form != _CLOSING or number != 5:
                     raise MalformedTag("expected closing tag 5 after an access error")
-                results.append(PropResult(ref, prop, idx, error=error))
+                items.append((type_id, instance, prop, idx, None, error))
             else:
                 raise MalformedTag("result is neither a value nor an access error")
-    if not results:
+    if not items:
         raise MalformedTag("ack carries no results")
-    return results
+    return items
+
+
+def prop_results(items: list[tuple]) -> list[PropResult]:
+    """Walked ack items as PropResults."""
+    return [PropResult(ObjectRef(t, i), p, x, v, e) for t, i, p, x, v, e in items]
+
+
+def decode_rpm_ack(apdu: bytes, expected_invoke: Optional[int] = None) -> list[PropResult]:
+    return prop_results(rpm_ack_items(apdu, expected_invoke))
 
 
 def encode_reject(invoke_id: int, reason: int) -> bytes:

@@ -182,7 +182,9 @@ class ModbusClient:
         listener a beat after the previous client disconnects. A reset during
         connect is different: the device accepted and then actively dropped
         us, which is a per-request failure governed by request_retries, so it
-        surfaces as ConnectionReset instead of being absorbed here.
+        surfaces as ConnectionReset instead of being absorbed here. A host
+        the resolver rejects raises socket.gaierror at once, unless the
+        resolver says to try again (EAI_AGAIN).
         """
         if self._sock is not None:
             return
@@ -208,6 +210,11 @@ class ModbusClient:
                 raise ConnectionReset(
                     f"{self.host}:{self.port} reset the connection during connect"
                 ) from e
+            except socket.gaierror as e:
+                if e.errno != socket.EAI_AGAIN:
+                    raise  # the name will not resolve within the budget either
+                last = e
+                time.sleep(0.01)
             except OSError as e:
                 last = e
                 time.sleep(0.01)

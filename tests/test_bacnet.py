@@ -2,6 +2,8 @@
 
 import random
 import struct
+from collections import Counter
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -33,10 +35,12 @@ from telegw.bacnet.encoding import (
     encode_rpm_request,
     object_type_id,
     property_id,
+    rpm_ack_items,
     unit_token,
     unwrap,
     wrap,
 )
+from telegw.model import Value
 from telegw.sim.bacnet_server import BacnetSim, SimObject
 
 import reference_bacnet
@@ -297,6 +301,29 @@ class TestDiscovery:
         assert len(found) == 120
         assert [d.name for d in found[:3]] == ["pt-001", "pt-002", "pt-003"]
 
+    @staticmethod
+    def inventory(objs):
+        return [DiscoveredObject(o.ref, o.name, o.units) for o in sorted(objs, key=lambda o: o.ref)]
+
+    def test_77_object_controller_in_three_requests(self):
+        objs = rector_controller_objects()
+        with BacnetSim(2001, objs) as sim:
+            with BacnetClient(endpoint(sim)) as c:
+                assert c.discover_objects() == self.inventory(objs)
+            assert len(sim.request_log) <= 3  # the object list, then names and units
+
+    @pytest.mark.parametrize("max_response, pad", [(400, 0), (encoding.MAX_APDU, 60)])
+    def test_answers_larger_than_guessed_are_halved(self, max_response, pad):
+        """A device with a small buffer, or names far longer than the first
+        guess, aborts the sized chunks; halving them finds every object."""
+        objs = rector_controller_objects()
+        for o in objs:
+            o.name += "x" * pad
+        with BacnetSim(2001, objs, max_response=max_response) as sim:
+            with BacnetClient(endpoint(sim)) as c:
+                assert c.discover_objects() == self.inventory(objs)
+            assert len(sim.request_log) > 3
+
     def test_discovery_excludes_device_object(self):
         with BacnetSim(100, small_inventory()) as sim:
             with BacnetClient(endpoint(sim)) as c:
@@ -359,6 +386,69 @@ class TestNamedReads:
                 assert e.value.names == ["co2-level"]
 
 
+class _AnsweringSim(BacnetSim):
+    """A simulator whose present-value answers are given per object, as
+    keyword arguments of the ``PropResult`` it sends."""
+
+    def __init__(self, objects, answers):
+        super().__init__(100, objects)
+        self.answers = answers
+
+    def _answer(self, q):
+        if q.prop == PV and q.obj in self.answers:
+            return PropResult(q.obj, PV, q.array_index, **self.answers[q.obj])
+        return super()._answer(q)
+
+
+def test_read_points_across_result_kinds():
+    """One poll of every kind of answer: what becomes a point, with which
+    value and unit, and what is dropped under which reason."""
+    ai = lambda i, name: SimObject("analog-input", i, name, units="degrees-celsius")
+    bv = lambda i, name: SimObject("binary-value", i, name)
+    objects = [
+        ai(1, "real"), ai(2, "unsigned"), ai(3, "enumerated"), ai(4, "boolean"),
+        ai(5, "text"), ai(6, "two-values"), ai(7, "empty"), ai(8, "null"),
+        ai(9, "object-id"), ai(10, "access-error"),
+        SimObject("analog-value", 11, "no-units"),
+        bv(1, "flag-on"), bv(2, "flag-off"), bv(3, "flag-boolean"), bv(4, "flag-unsigned"),
+        bv(5, "flag-text"), bv(6, "flag-real"), bv(7, "flag-empty"), bv(8, "flag-gone"),
+    ]
+    answers = {
+        o.ref: a for o, a in zip(objects, [
+            {"values": (21.5,)}, {"values": (7,)}, {"values": (Enumerated(3),)},
+            {"values": (True,)}, {"values": ("auto",)}, {"values": (1.5, 2.5)},
+            {"values": ()}, {"values": (None,)}, {"values": (AV1,)},
+            {"error": ("property", "unknown-property")}, {"values": (-4.25,)},
+            {"values": (Enumerated(1),)}, {"values": (Enumerated(0),)}, {"values": (False,)},
+            {"values": (2,)}, {"values": ("on",)}, {"values": (1.0,)}, {"values": ()},
+            {"error": ("object", "unknown-object")},
+        ])
+    }
+    with _AnsweringSim(objects, answers) as sim:
+        with BacnetClient(endpoint(sim)) as c:
+            c.clock_ns = lambda: 5
+            dropped = Counter()
+            points = c.read_points(None, "ctrl-1", {"site": "S"}, dropped)
+    deg = "degrees-celsius"
+    assert [(p.parameter, p.value, p.unit) for p in points] == [
+        ("real", Value.real(21.5), deg),
+        ("unsigned", Value.real(7.0), deg),
+        ("enumerated", Value.real(3.0), deg),
+        ("boolean", Value.flag(True), deg),
+        ("text", Value.text("auto"), deg),
+        ("two-values", Value.real(1.5), deg),
+        ("no-units", Value.real(-4.25), ""),
+        ("flag-on", Value.flag(True), ""),
+        ("flag-off", Value.flag(False), ""),
+        ("flag-boolean", Value.flag(False), ""),
+        ("flag-unsigned", Value.flag(True), ""),
+    ]
+    assert all(p.entity_id == "ctrl-1" and p.timestamp == 5 for p in points)
+    assert all(dict(p.tags) == {"site": "S"} for p in points)
+    assert dropped == Counter({"unsupported-value": 4, "no-value": 2,
+                               "unknown-property": 1, "unknown-object": 1})
+
+
 def _canon(x):
     """A comparable form of a decoded result. NaN equals NaN here, and
     -0.0, an Enumerated and a bool stay unequal to 0.0 and a plain int."""
@@ -377,6 +467,25 @@ def _outcome(decode, *args):
         return type(e).__name__, None if isinstance(e, MalformedTag) else str(e)
 
 
+def _as_items(results):
+    """Decoded results in the walker's item form."""
+    return [(r.obj.type_id, r.obj.instance, r.prop, r.array_index, r.values, r.error)
+            for r in results]
+
+
+def reference_items(apdu, expected_invoke=None):
+    return _as_items(reference_bacnet.decode_rpm_ack(apdu, expected_invoke))
+
+
+def _extended_tags(encode, *args):
+    """``encode(*args)`` with every opening and closing tag written in the
+    extended tag-number form: 0xFE or 0xFF, then the number (closing tag 4
+    becomes 0xFF 0x04)."""
+    with mock.patch.multiple(encoding, _opening=lambda n: bytes((0xFE, n)),
+                             _closing=lambda n: bytes((0xFF, n))):
+        return encode(*args)
+
+
 def assert_decoders_agree(datagram: bytes, expected_invoke=None) -> None:
     """The one-pass decoders and the reference ones give equal results or
     raise the same exception class, on the datagram and on its APDU."""
@@ -384,6 +493,7 @@ def assert_decoders_agree(datagram: bytes, expected_invoke=None) -> None:
     pairs = [
         (reference_bacnet.unwrap, unwrap, (datagram,)),
         (reference_bacnet.decode_rpm_ack, decode_rpm_ack, (apdu, expected_invoke)),
+        (reference_items, rpm_ack_items, (apdu, expected_invoke)),
         (reference_bacnet.decode_rpm_request, decode_rpm_request, (apdu,)),
     ]
     for ref, new, args in pairs:
@@ -396,7 +506,11 @@ def _wire_inputs(draw):
     octets replaced, or a random blob; and the invoke id to expect."""
     invoke = draw(st.integers(0, 255))
     if draw(st.booleans()):
-        datagram = wrap(encode_rpm_ack(invoke, draw(_results)), False)
+        results = draw(_results)
+        if draw(st.booleans()):
+            datagram = wrap(encode_rpm_ack(invoke, results), False)
+        else:
+            datagram = wrap(_extended_tags(encode_rpm_ack, invoke, results), False)
     else:
         datagram = wrap(encode_rpm_request(invoke, draw(_queries)), True)
     expected = draw(st.sampled_from([None, invoke, (invoke + 1) % 256]))
@@ -418,6 +532,28 @@ def _wire_inputs(draw):
 @given(case=_wire_inputs())
 def test_one_pass_decoders_match_the_reference(case):
     assert_decoders_agree(*case)
+
+
+@settings(max_examples=300, deadline=None)
+@given(invoke=st.integers(0, 255), results=_results, extended=st.booleans())
+def test_walked_items_match_both_decoders_field_by_field(invoke, results, extended):
+    """Errors, array indexes and, with ``extended``, closing tag 4 as 0xFF
+    0x04. Cut short, an ack raises MalformedTag, or, cut between two
+    objects, gives the items before the cut, as the reference does."""
+    encode = _extended_tags if extended else lambda f, *a: f(*a)
+    apdu = encode(encode_rpm_ack, invoke, results)
+    items = rpm_ack_items(apdu, invoke)
+    assert _canon(items) == _canon(_as_items(results))
+    assert _canon(items) == _canon(_as_items(decode_rpm_ack(apdu, invoke)))
+    assert _canon(items) == _canon(reference_items(apdu, invoke))
+    for n in range(len(apdu)):
+        cut = apdu[:n]
+        assert _outcome(rpm_ack_items, cut, invoke) == _outcome(reference_items, cut, invoke)
+        try:
+            got = rpm_ack_items(cut, invoke)
+        except MalformedTag:
+            continue
+        assert 0 < len(got) < len(items) and _canon(got) == _canon(items[: len(got)])
 
 
 def test_app_value_reader_matches_the_reference_on_every_tag_octet():
@@ -488,7 +624,7 @@ class TestPresentValueRequest:
         with BacnetSim(2001, rector_controller_objects()) as sim:
             with BacnetClient(endpoint(sim)) as c:
                 polls = [c.read_points(None, "ctrl-1") for _ in range(5)]
-                assert len(sim.request_log) == 8 + 5  # one discovery, then one read per poll
+                assert len(sim.request_log) == 3 + 5  # one discovery, then one read per poll
         assert pv_encodings == [77]
         assert [len(p) for p in polls] == [77] * 5
 

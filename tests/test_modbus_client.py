@@ -196,6 +196,41 @@ class TestConnectionPolicies:
             assert sum(1 for e in sim.request_log if e.kind == "connect") == 1
 
 
+class TestHostLookup:
+    @pytest.fixture
+    def lookups(self, monkeypatch):
+        """Every host ``socket.getaddrinfo`` is asked for; ``fail`` holds
+        the errors to raise, one per lookup, before answers resume. Only
+        the loopback address resolves; any other host is unknown."""
+        hosts, fail, resolve = [], [], socket.getaddrinfo
+
+        def counting(host, *args, **kwargs):
+            hosts.append(host)
+            if fail:
+                raise fail.pop(0)
+            if host not in ("127.0.0.1", b"127.0.0.1"):
+                raise socket.gaierror(socket.EAI_NONAME, "Name or service not known")
+            return resolve(host, *args, **kwargs)
+
+        monkeypatch.setattr(socket, "getaddrinfo", counting)
+        return hosts, fail
+
+    def test_a_host_the_resolver_rejects_fails_at_once(self, lookups):
+        hosts, _ = lookups
+        c = ModbusClient("a..b", 502, policy=ConnectionPolicy(connect_timeout_ms=500))
+        with pytest.raises(socket.gaierror):
+            c.connect()
+        assert len(hosts) == 1
+
+    def test_a_lookup_that_may_succeed_later_is_retried(self, lookups):
+        hosts, fail = lookups
+        fail.extend(socket.gaierror(socket.EAI_AGAIN, "try again") for _ in range(2))
+        with ModbusSim() as sim:
+            sim.load(0, [4])
+            assert client_for(sim).read_registers("holding", 0, 1) == [4]
+        assert len(hosts) == 3
+
+
 class TestSingleConnectionLimit:
     def test_second_persistent_connect_refused_while_first_holds(self):
         with ModbusSim(fault=FaultModel.single_connection_limit()) as sim:
