@@ -94,6 +94,7 @@ class BacnetClient:
         # None for all; their objects; queries; APDU with invoke id 0)
         self._present: Optional[tuple] = None
         self._ack_octets = 0  # size of every ack decoded, for discovery's chunks
+        self._tags: dict[str, str] = {}  # read_points' copy, shared by every poll's points
 
     def close(self) -> None:
         """Close the socket, first waking a read blocked on it in another
@@ -235,8 +236,8 @@ class BacnetClient:
             stop = min(start + 24, count + 1)
             queries = [PropertyQuery(dev, olist, array_index=i) for i in range(start, stop)]
             for r in self.read_properties(queries):
-                if r.error is not None:
-                    raise DiscoveryFailed(f"object-list[{r.array_index}]: {r.error}")
+                if r.error is not None or not r.values:
+                    raise DiscoveryFailed(f"object-list[{r.array_index}]: {r.error or 'no value'}")
                 refs.append(r.values[0])
         return refs
 
@@ -303,10 +304,13 @@ class BacnetClient:
         binary -> flag). An object answered with an error, or with no value or
         one no point can carry, is left out and counted in ``dropped`` under
         the error's code (e.g. ``unknown-object``), ``no-value`` or
-        ``unsupported-value``."""
+        ``unsupported-value``. Every poll's points share one copy of
+        ``tags``, made again only when the tags change."""
         rows, items = self._read_named(names)
         stamp = self.clock_ns()
-        tags = dict(tags or {})  # one mapping shared by this poll's points
+        if (tags or {}) != self._tags:  # copied once, and again when they change
+            self._tags = dict(tags or {})
+        tags = self._tags
         points = []
         for (name, unit, binary), (_, _, _, _, values, error) in zip(rows, items):
             if not values:  # an access error, or an empty value list

@@ -79,14 +79,14 @@ class Gateway:
             # failed handshake fails the poll without costing them
             try:
                 if dev.bindings:
-                    report = client.read_parameters(list(dev.bindings), dev.id, dev.tags)
+                    report = client.read_parameters(dev.bindings, dev.id, dev.tags)
                     self.pipeline.submit_many(report.points)
                     self._count_drops(dev.id, Counter(report.errors.values()))
                 if dev.historical is not None:
                     today = date.fromtimestamp(self.clock_ns() // 1_000_000_000)
                     day = today - timedelta(days=dev.historical.days_back)
                     report = client.read_historical_block(
-                        day, dev.historical.config, list(dev.historical.bindings), dev.id, dev.tags
+                        day, dev.historical.config, dev.historical.bindings, dev.id, dev.tags
                     )
                     self.pipeline.submit_many(report.points)
                     self._count_drops(dev.id, Counter(report.errors.values()))

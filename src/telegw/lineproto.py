@@ -15,7 +15,8 @@ This module only formats: what may be rendered is the point rule set of
 :mod:`telegw.model`, and :func:`to_line` applies it to every record, raising
 its ``ModelError`` subtypes (``BadIdentifier`` for a line break or an empty
 name). The pipeline applies the same rules at intake, then renders one point
-at a time: :func:`tag_segment` escapes a device's tags once, and
+at a time: :func:`tag_segment` escapes a device's tags once,
+:func:`escape_measurement` a parameter's name once, and
 :func:`render_point` formats the rest. :func:`to_line` is the general form
 for any record.
 """
@@ -41,7 +42,7 @@ class LineRecord:
     timestamp: int
 
 
-def _escape_measurement(s: str) -> str:
+def escape_measurement(s: str) -> str:
     return s.replace("\\", "\\\\").replace(",", "\\,").replace(" ", "\\ ")
 
 
@@ -79,10 +80,10 @@ def tag_segment(tags: Mapping[str, str], device: str | None = None) -> str:
     return "".join(f",{_escape_key(k)}={_escape_key(v)}" for k, v in merged.items())
 
 
-def render_point(measurement: str, segment: str, value: Value, timestamp: int) -> str:
+def render_point(head: str, segment: str, value: Value, timestamp: int) -> str:
     """One line with the single field ``value``, after the point passed the
-    model's rules and ``tag_segment`` rendered its tags; it only formats."""
-    return f"{_escape_measurement(measurement)}{segment} value={_render_field(value)} {int(timestamp)}"
+    model's rules; ``head`` is its escaped measurement. It only formats."""
+    return f"{head}{segment} value={_render_field(value)} {int(timestamp)}"
 
 
 def to_line(rec: LineRecord) -> str:
@@ -90,7 +91,8 @@ def to_line(rec: LineRecord) -> str:
 
     The reference form: each field is checked as a reading of the record's
     timestamp, and for a single ``value`` field the line equals
-    :func:`render_point` over :func:`tag_segment`."""
+    :func:`render_point` over :func:`escape_measurement` and
+    :func:`tag_segment`."""
     check_identifier(rec.measurement, "measurement")
     check_tags(rec.tags)
     if not rec.fields:
@@ -100,4 +102,4 @@ def to_line(rec: LineRecord) -> str:
         check_reading(k, v, rec.timestamp)
         fields.append(f"{_escape_key(k)}={_render_field(v)}")
     segment = tag_segment(rec.tags)
-    return f"{_escape_measurement(rec.measurement)}{segment} {','.join(fields)} {int(rec.timestamp)}"
+    return f"{escape_measurement(rec.measurement)}{segment} {','.join(fields)} {int(rec.timestamp)}"

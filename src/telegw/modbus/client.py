@@ -15,7 +15,7 @@ import threading
 import time
 from dataclasses import dataclass, field
 from datetime import date as _date
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from ..model import DataPoint, Value, check_identifier
 from ..netio import connect as tcp_connect, recv_exact
@@ -172,6 +172,7 @@ class ModbusClient:
         # guards the socket's teardown; an exchange is in flight while _busy
         self._guard = threading.RLock()
         self._busy = False
+        self._plans: dict[int, tuple] = {}  # id(bindings) -> (bindings, pinning it; groups, tags)
 
     # -- connection management -------------------------------------------
 
@@ -345,11 +346,14 @@ class ModbusClient:
 
     def read_parameters(
         self,
-        bindings: list[RegisterBinding],
+        bindings: Sequence[RegisterBinding],
         entity_id: str,
-        tags: Optional[dict[str, str]] = None,
+        tags: Optional[Mapping[str, str]] = None,
     ) -> ReadReport:
         """Poll all bindings, coalescing contiguous spans into group reads.
+
+        The read groups are computed once per device (per ``bindings`` object,
+        taken as fixed), and its points share one copy of ``tags`` until they change.
 
         A device that rejects a group read (illegal address and friends) is
         retried binding by binding, so one bad map entry degrades to a single
@@ -357,8 +361,14 @@ class ModbusClient:
         still propagate: a dead device is the caller's problem.
         """
         report = ReadReport()
-        base_tags = dict(tags or {})
-        for fn, start, count, members in coalesce(bindings):
+        tags = tags or {}
+        plan = self._plans.get(id(bindings))
+        if plan is None or plan[2] != tags:
+            if len(self._plans) >= 8:  # a caller that builds its bindings anew each poll
+                self._plans.clear()
+            plan = self._plans[id(bindings)] = (bindings, coalesce(bindings), dict(tags))
+        _, groups, base_tags = plan
+        for fn, start, count, members in groups:
             try:
                 words = self.read_registers(fn, start, count)
                 stamp = self.clock_ns()
@@ -381,24 +391,17 @@ class ModbusClient:
         except (ModbusError, ValueError) as e:
             report.errors[binding.parameter] = str(e)
             return
-        report.points.append(
-            DataPoint(
-                entity_id=entity_id,
-                parameter=binding.parameter,
-                value=Value.real(value),
-                unit=binding.unit_label,
-                timestamp=stamp,
-                tags=tags,
-            )
-        )
+        report.points.append(DataPoint(
+            entity_id, binding.parameter, Value.real(value), binding.unit_label, stamp, tags
+        ))
 
     def read_historical_block(
         self,
         day: _date,
         cfg: HistoricalReadConfig,
-        bindings: list[RegisterBinding],
+        bindings: Sequence[RegisterBinding],
         entity_id: str,
-        tags: Optional[dict[str, str]] = None,
+        tags: Optional[Mapping[str, str]] = None,
     ) -> ReadReport:
         """Run the select-date / wait-ready / read-block handshake.
 

@@ -187,7 +187,7 @@ class RegisterCodec:
         return (hi << 16) | lo
 
     def decode(self, words: list[int]) -> float:
-        if len(words) != self.span:
+        if len(words) != _DATATYPES[self.datatype]:  # self.span, without its call
             raise SpanMismatch(f"{self.datatype} needs {self.span} words, got {len(words)}")
         for w in words:
             if not 0 <= w <= 0xFFFF:

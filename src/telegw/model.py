@@ -1,8 +1,9 @@
 """Domain types shared by every protocol module and the pipeline.
 
-A reading is a :class:`DataPoint` carrying a typed :class:`Value`. Points are
-immutable once constructed so they can cross thread boundaries freely; all
-mutation lives in per-series state owned by :class:`ChangeFilter`.
+A reading is a :class:`DataPoint` carrying a typed :class:`Value`. Both are
+immutable tuples with named fields, cheap to build and free to cross
+threads; all mutation lives in per-series state owned by
+:class:`ChangeFilter`.
 
 One set of rules says what a valid point is; :func:`validate_datapoint`, the
 pipeline's intake and :func:`telegw.lineproto.to_line` all apply it:
@@ -19,14 +20,15 @@ Each rule raises one :class:`ModelError` subtype: ``NonFiniteValue``,
 ``EmptyIdentifier``, ``BadIdentifier`` (line breaks), ``TextTooLong``, or
 ``ModelError`` itself for a wrong type or kind. The checks are split by how
 often the pipeline needs them: :func:`check_entity` once per entity and its
-tags, :func:`check_reading` once per point.
+tags, :func:`check_identifier` once per parameter name, and
+:func:`check_sample` once per point; :func:`check_reading` is the last two.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import isfinite
-from typing import Mapping, Optional, Union
+from types import MappingProxyType
+from typing import Mapping, NamedTuple, Optional, Union
 
 MAX_TEXT_LEN = 1024
 # line protocol timestamps are int64; a sink answers 400 to the whole batch otherwise
@@ -36,6 +38,7 @@ REAL = "real"
 FLAG = "flag"
 TEXT = "text"
 KINDS = (REAL, FLAG, TEXT)
+_new = tuple.__new__  # Value.real and the like skip Value()'s argument handling
 
 
 class ModelError(ValueError):
@@ -58,8 +61,7 @@ class TextTooLong(ModelError):
     pass
 
 
-@dataclass(frozen=True, slots=True)
-class Value:
+class Value(NamedTuple):
     """A typed reading: a finite real, a boolean flag, or bounded text.
 
     Equality is exact. Two reals are equal only when ``==`` says so bit for
@@ -72,15 +74,15 @@ class Value:
 
     @staticmethod
     def real(x: float) -> "Value":
-        return Value(REAL, float(x))
+        return _new(Value, (REAL, float(x)))
 
     @staticmethod
     def flag(x: bool) -> "Value":
-        return Value(FLAG, bool(x))
+        return _new(Value, (FLAG, bool(x)))
 
     @staticmethod
     def text(x: str) -> "Value":
-        return Value(TEXT, str(x))
+        return _new(Value, (TEXT, str(x)))
 
     def __str__(self) -> str:
         if self.kind == FLAG:
@@ -88,13 +90,12 @@ class Value:
         return str(self.raw)
 
 
-@dataclass(frozen=True, slots=True)
-class DataPoint:
+class DataPoint(NamedTuple):
     """One observation of one parameter of one entity at one instant.
 
     ``timestamp`` is UTC nanoseconds. ``tags`` is an ordered mapping of
     static dimensions such as room or device model; a device's points share
-    one mapping.
+    one mapping. The default is an empty read-only one.
     """
 
     entity_id: str
@@ -102,7 +103,7 @@ class DataPoint:
     value: Value
     unit: str = ""
     timestamp: int = 0
-    tags: Mapping[str, str] = field(default_factory=dict)
+    tags: Mapping[str, str] = MappingProxyType({})
 
 
 def check_breaks(s: str, what: str) -> None:
@@ -128,8 +129,9 @@ def check_tags(tags: Mapping[str, str]) -> None:
         check_breaks(v, f"tag {k!r}")
 
 
-def _check_value(value: Value, what: str) -> None:
-    if not isinstance(value, Value):
+def check_sample(value: Value, timestamp: int, what: str) -> None:
+    """The rules on a point's value and timestamp; ``what`` names it in errors."""
+    if value.__class__ is not Value and not isinstance(value, Value):
         raise ModelError(f"{what}: value must be a Value")
     kind, raw = value.kind, value.raw
     if kind == REAL:
@@ -139,12 +141,12 @@ def _check_value(value: Value, what: str) -> None:
         ):
             raise ModelError(f"{what}: real value must be numeric")
         try:
-            if isfinite(raw):
-                return
+            finite = isfinite(raw)
         except OverflowError:  # an int beyond float range
-            pass
-        raise NonFiniteValue(f"{what}: value is {raw!r}")
-    if kind == FLAG:
+            finite = False
+        if not finite:
+            raise NonFiniteValue(f"{what}: value is {raw!r}")
+    elif kind == FLAG:
         if not isinstance(raw, bool):
             raise ModelError(f"{what}: flag value must be bool")
     elif kind == TEXT:
@@ -155,6 +157,10 @@ def _check_value(value: Value, what: str) -> None:
         check_breaks(raw, f"{what}: text value")
     else:
         raise ModelError(f"{what}: value kind must be one of {KINDS}, got {kind!r}")
+    if timestamp.__class__ is not int and not isinstance(timestamp, int):
+        raise ModelError(f"{what}: timestamp must be int nanoseconds")
+    if not TIMESTAMP_MIN <= timestamp <= TIMESTAMP_MAX:
+        raise ModelError(f"{what}: timestamp {timestamp} is outside int64")
 
 
 def check_entity(entity_id: str, tags: Mapping[str, str]) -> None:
@@ -166,11 +172,7 @@ def check_entity(entity_id: str, tags: Mapping[str, str]) -> None:
 def check_reading(parameter: str, value: Value, timestamp: int) -> None:
     """The rules on what each point carries of its own."""
     check_identifier(parameter, "parameter")
-    _check_value(value, parameter)
-    if not isinstance(timestamp, int):
-        raise ModelError(f"{parameter}: timestamp must be int nanoseconds")
-    if not TIMESTAMP_MIN <= timestamp <= TIMESTAMP_MAX:
-        raise ModelError(f"{parameter}: timestamp {timestamp} is outside int64")
+    check_sample(value, timestamp, parameter)
 
 
 def validate_datapoint(dp: DataPoint) -> None:

@@ -6,16 +6,18 @@ buffer all run under it. A point is first checked against the point rules
 of :mod:`telegw.model`, the ones :func:`telegw.model.validate_datapoint`
 applies: a point that breaks one is rejected and counted, and touches no
 series. The entity and its tags are checked once per entity, when its tag
-segment is rendered; the rest of each point is checked every time. An
-accepted point passes an optional alert tap, then the change filter; a
-point the filter emits is rendered to its final line at once and appended
-to the line buffer. A single flusher thread only joins and writes lines: a
-batch is written when the buffer holds ``batch_size`` lines or its oldest
-line is ``batch_age_ms`` old, and at once when intake closes. Transient
-sink failures retry with backoff and then return the batch to the buffer;
-permanent rejections quarantine to a dead-letter file, and a failed
-quarantine write is counted and returns the batch too. The buffer is
-bounded: the oldest lines are shed and counted, producers never block.
+segment is rendered, and the name once per parameter, when it is escaped;
+only the value and timestamp are checked on every point. An accepted point
+passes an optional alert tap, then the change filter; a point the filter
+emits is rendered to its final line at once, from those two cached parts,
+and appended to the line buffer. A single flusher thread only joins and
+writes lines: a batch is written when the buffer holds ``batch_size``
+lines or its oldest line is ``batch_age_ms`` old, and at once when intake
+closes. Transient sink failures retry with backoff and then return the
+batch to the buffer; permanent rejections quarantine to a dead-letter
+file, and a failed quarantine write is counted and returns the batch too.
+The buffer is bounded: the oldest lines are shed and counted, producers
+never block.
 
 ``counters()`` reports ``received`` (every point submitted while intake was
 open, rejected ones included), ``rejected_non_finite`` (a NaN or infinite
@@ -55,14 +57,15 @@ from typing import Callable, Iterable
 from urllib.parse import urlsplit
 
 # Bound as to_line: the benchmark traces telegw.pipeline.to_line as the per-line render.
-from telegw.lineproto import render_point as to_line, tag_segment
+from telegw.lineproto import escape_measurement, render_point as to_line, tag_segment
 from telegw.model import (
     ChangeFilter,
     DataPoint,
     ModelError,
     NonFiniteValue,
     check_entity,
-    check_reading,
+    check_identifier,
+    check_sample,
 )
 
 log = logging.getLogger(__name__)
@@ -291,6 +294,7 @@ class Pipeline:
         self._filter = ChangeFilter(heartbeat=heartbeat_s)
         self._buffer: deque[tuple[int, str]] = deque()  # (enqueued ns, line)
         self._entities: dict[str, _Entity] = {}
+        self._heads: dict[str, str] = {}  # parameter -> its escaped measurement
         self._lock = threading.Lock()
         self._cond = threading.Condition(self._lock)
         self._in_flight = 0  # points taken by the flusher and not yet settled
@@ -317,9 +321,16 @@ class Pipeline:
             if not self._intake_open:
                 return False
             self.received += 1
+            entity_id, parameter, value, _, timestamp, tags = dp
             try:
-                entity = self._entity(dp)
-                check_reading(dp.parameter, dp.value, dp.timestamp)
+                entity = self._entities.get(entity_id) if entity_id.__class__ is str else None
+                if entity is None or (entity.tags is not tags and entity.tags != tags):
+                    entity = self._entity(entity_id, tags)
+                head = self._heads.get(parameter) if parameter.__class__ is str else None
+                if head is None:  # a parameter's name is checked and escaped once
+                    check_identifier(parameter, "parameter")
+                    head = self._heads[parameter] = escape_measurement(parameter)
+                check_sample(value, timestamp, parameter)
             except NonFiniteValue:
                 self.rejected_non_finite += 1
                 return False
@@ -337,7 +348,7 @@ class Pipeline:
                 return True
             self.emitted += 1
             entity.emitted += 1
-            line = to_line(emitted.parameter, entity.segment, emitted.value, emitted.timestamp)
+            line = to_line(head, entity.segment, value, timestamp)
             buf = self._buffer
             shed = len(buf) >= self.config.buffer_capacity
             if shed:
@@ -351,25 +362,23 @@ class Pipeline:
             return not shed
 
     def submit_many(self, points: Iterable[DataPoint]) -> None:
+        submit = self.submit
         for dp in points:
-            self.submit(dp)
+            submit(dp)
 
-    def _entity(self, dp: DataPoint) -> _Entity:
-        """The point's entity record, its tags checked and rendered once: a
-        device's points share one tags object, and devices are far fewer than
-        series. An entity that is not a string (it may not even be hashable)
-        is never kept, so check_entity rejects it."""
-        key = dp.entity_id
-        entity = self._entities.get(key) if key.__class__ is str else None
-        if entity is not None and (entity.tags is dp.tags or entity.tags == dp.tags):
-            return entity
-        check_entity(key, dp.tags)
-        segment = tag_segment(dp.tags, device=key)
+    def _entity(self, key: str, tags) -> _Entity:
+        """The entity's record, made or updated for tags it does not hold: a
+        device's points share one tags object, so they are checked and
+        rendered once. An entity that is not a string (it may not even be
+        hashable) is never kept, so check_entity rejects it."""
+        check_entity(key, tags)
+        segment = tag_segment(tags, device=key)
+        entity = self._entities.get(key)
         if entity is None:
-            entity = self._entities[key] = _Entity(dp.tags, segment, "")
-        entity.tags, entity.segment = dp.tags, segment
+            entity = self._entities[key] = _Entity(tags, segment, "")
+        entity.tags, entity.segment = tags, segment
         if not entity.received:  # the kind is that of the first accepted point
-            entity.kind = dp.tags.get(KIND_TAG, "unknown")
+            entity.kind = tags.get(KIND_TAG, "unknown")
         return entity
 
     # -- flushing ---------------------------------------------------------

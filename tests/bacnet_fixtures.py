@@ -4,7 +4,8 @@ The reference building controller exposes 77 objects: 38 room temperature
 inputs, one outdoor temperature input, and 38 fan-coil on/off flags.
 """
 
-from telegw.sim.bacnet_server import SimObject
+from telegw.bacnet.encoding import PropResult, property_id
+from telegw.sim.bacnet_server import BacnetSim, SimObject
 
 
 def rector_controller_objects() -> list[SimObject]:
@@ -37,3 +38,13 @@ def wide_inventory(n: int) -> list[SimObject]:
         SimObject("analog-value", i, f"pt-{i:03d}", units="degrees-celsius", value=20.0 + i)
         for i in range(1, n + 1)
     ]
+
+
+class EmptyListEntrySim(BacnetSim):
+    """A controller that answers an indexed read of ``object-list[2]`` with
+    an empty value list instead of an object identifier."""
+
+    def _answer(self, q):
+        if q.prop == property_id("object-list") and q.array_index == 2:
+            return PropResult(q.obj, q.prop, 2, values=())
+        return super()._answer(q)

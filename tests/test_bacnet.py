@@ -14,6 +14,7 @@ from telegw.bacnet.client import (
     BacnetClient,
     BacnetEndpoint,
     DiscoveredObject,
+    DiscoveryFailed,
     EmptyQuery,
     Timeout,
     UnknownName,
@@ -44,7 +45,12 @@ from telegw.model import Value
 from telegw.sim.bacnet_server import BacnetSim, SimObject
 
 import reference_bacnet
-from bacnet_fixtures import rector_controller_objects, small_inventory, wide_inventory
+from bacnet_fixtures import (
+    EmptyListEntrySim,
+    rector_controller_objects,
+    small_inventory,
+    wide_inventory,
+)
 
 AV1 = ObjectRef.of("analog-value", 1)
 PV = property_id("present-value")
@@ -323,6 +329,14 @@ class TestDiscovery:
             with BacnetClient(endpoint(sim)) as c:
                 assert c.discover_objects() == self.inventory(objs)
             assert len(sim.request_log) > 3
+
+    def test_empty_entry_in_walked_object_list_fails_discovery(self):
+        """An indexed object-list entry answered with no value is a failed
+        discovery that names the index, not an IndexError."""
+        with EmptyListEntrySim(3000, wide_inventory(120), max_response=480) as sim:
+            with BacnetClient(endpoint(sim)) as c:
+                with pytest.raises(DiscoveryFailed, match=r"object-list\[2\]"):
+                    c.discover_objects()
 
     def test_discovery_excludes_device_object(self):
         with BacnetSim(100, small_inventory()) as sim:

@@ -25,6 +25,8 @@ from telegw.pipeline import PollSchedule
 from telegw.mqtt import MqttClient
 from telegw.sim import BacnetSim, FaultModel, ModbusSim, MqttBroker, SimObject
 
+from bacnet_fixtures import EmptyListEntrySim, wide_inventory
+
 
 def free_port() -> int:
     s = socket.socket()
@@ -1101,6 +1103,23 @@ def test_probe_bacnet_lists_objects_and_reads(capsys):
     assert names == {"zone-temp", "occupancy"}
     assert doc["objects"][0]["units"] == "degrees-celsius"
     assert doc["values"]["zone-temp"] == 43.0
+
+
+def test_probe_bacnet_reports_a_failed_discovery(capsys):
+    with EmptyListEntrySim(3000, wide_inventory(120), max_response=480) as sim:
+        rc = main(
+            [
+                "probe", "bacnet",
+                "--host", "127.0.0.1",
+                "--port", str(sim.port),
+                "--device-instance", "3000",
+            ]
+        )
+    assert rc == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1
+    error = json.loads(lines[0])["error"]
+    assert error.startswith("DiscoveryFailed: ") and "object-list[2]" in error
 
 
 # -------------------------------------------------------------------- stats
