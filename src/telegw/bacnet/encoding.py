@@ -12,8 +12,10 @@ against network input. ``rpm_ack_items`` walks an ack into plain tuples;
 from __future__ import annotations
 
 import functools
+import itertools
 import struct
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Optional, Union
 
 BVLL_TYPE = 0x81
@@ -525,15 +527,18 @@ def unwrap(datagram: bytes) -> bytes:
 # ReadPropertyMultiple service
 
 
-def _group_consecutive(items, key):
-    groups = []
-    for it in items:
-        k = key(it)
-        if groups and groups[-1][0] == k:
-            groups[-1][1].append(it)
-        else:
-            groups.append((k, [it]))
-    return groups
+def _per_object(records, encode) -> bytes:
+    """Each run of ``records`` on one object: its identifier, opening tag 1,
+    ``encode(record)`` for each, closing tag 1."""
+    parts = []
+    for ref, run in itertools.groupby(records, attrgetter("obj")):
+        parts += (_tag(0, True, 4) + objectid_content(ref), _opening(1), *map(encode, run), _closing(1))
+    return b"".join(parts)
+
+
+def _query_octets(q: PropertyQuery) -> bytes:
+    prop = context_unsigned(0, q.prop)
+    return prop if q.array_index is None else prop + context_unsigned(1, q.array_index)
 
 
 def encode_rpm_request(invoke_id: int, queries: list[PropertyQuery]) -> bytes:
@@ -541,16 +546,8 @@ def encode_rpm_request(invoke_id: int, queries: list[PropertyQuery]) -> bytes:
         raise ValueError("queries must be non-empty")
     if not 0 <= invoke_id <= 255:
         raise ValueError("invoke id outside 0..255")
-    parts = [bytes([PDU_CONFIRMED << 4, _MAX_APDU_OCTET, invoke_id, SERVICE_RPM])]
-    for ref, members in _group_consecutive(queries, key=lambda q: q.obj):
-        parts.append(_tag(0, True, 4) + objectid_content(ref))
-        parts.append(_opening(1))
-        for q in members:
-            parts.append(context_unsigned(0, q.prop))
-            if q.array_index is not None:
-                parts.append(context_unsigned(1, q.array_index))
-        parts.append(_closing(1))
-    apdu = b"".join(parts)
+    header = bytes([PDU_CONFIRMED << 4, _MAX_APDU_OCTET, invoke_id, SERVICE_RPM])
+    apdu = header + _per_object(queries, _query_octets)
     if len(apdu) > MAX_APDU:
         raise TooLarge(f"request APDU {len(apdu)} bytes exceeds {MAX_APDU}")
     return apdu
@@ -588,28 +585,21 @@ def decode_rpm_request(apdu: bytes) -> tuple[int, list[PropertyQuery]]:
     return apdu[2], queries
 
 
-def encode_rpm_ack(invoke_id: int, results: list[PropResult]) -> bytes:
-    parts = [bytes([PDU_COMPLEX_ACK << 4, invoke_id, SERVICE_RPM])]
-    for ref, members in _group_consecutive(results, key=lambda x: x.obj):
-        parts.append(_tag(0, True, 4) + objectid_content(ref))
-        parts.append(_opening(1))
-        for res in members:
-            parts.append(context_unsigned(2, res.prop))
-            if res.array_index is not None:
-                parts.append(context_unsigned(3, res.array_index))
-            if res.error is not None:
-                cls, code = res.error
-                parts.append(_opening(5))
-                parts.append(app_enumerated(ERROR_CLASSES.get(cls, 0)))
-                parts.append(app_enumerated(ERROR_CODES.get(code, 0)))
-                parts.append(_closing(5))
-            else:
-                parts.append(_opening(4))
-                for v in res.values or ():
-                    parts.append(encode_app_value(v))
-                parts.append(_closing(4))
-        parts.append(_closing(1))
+def _result_octets(res: PropResult) -> bytes:
+    parts = [context_unsigned(2, res.prop)]
+    if res.array_index is not None:
+        parts.append(context_unsigned(3, res.array_index))
+    if res.error is not None:
+        cls, code = res.error
+        parts += (_opening(5), app_enumerated(ERROR_CLASSES.get(cls, 0)),
+                  app_enumerated(ERROR_CODES.get(code, 0)), _closing(5))
+    else:
+        parts += (_opening(4), *map(encode_app_value, res.values or ()), _closing(4))
     return b"".join(parts)
+
+
+def encode_rpm_ack(invoke_id: int, results: list[PropResult]) -> bytes:
+    return bytes([PDU_COMPLEX_ACK << 4, invoke_id, SERVICE_RPM]) + _per_object(results, _result_octets)
 
 
 def _error_names(data: bytes, pos: int, what: str) -> tuple[tuple[str, str], int]:

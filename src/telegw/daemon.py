@@ -36,7 +36,7 @@ from telegw.alerts import AlertEngine
 from telegw.config import BacnetDeviceSpec, GatewayConfig, ModbusDeviceSpec
 from telegw.ingest import POLL_TIMEOUT_S, Subscriber, _default_getter, poll_http
 from telegw.modbus import ModbusClient
-from telegw.pipeline import Pipeline, PollSchedule, Scheduler, stats_to_doc
+from telegw.pipeline import JobRecord, Pipeline, PollSchedule, Scheduler, stats_to_doc
 
 if TYPE_CHECKING:
     from telegw.bacnet import BacnetClient
@@ -131,12 +131,14 @@ class Gateway:
             bindings = list(entry.bindings)
             sub = Subscriber(entry.config, bindings, self.pipeline.submit, self.clock_ns)
             self.subscribers.append(sub.start())
-        # a job's wake: interrupt for Modbus, whose close wakes no read; close for BACnet and HTTP
+        # a job's wake: interrupt for Modbus, whose close wakes no read and is
+        # left to the job's own thread; close for BACnet and HTTP
         jitter = self.config.gateway.jitter
         for dev in self.config.modbus_devices:
             client = ModbusClient(dev.host, dev.port, dev.unit, dev.policy, self.clock_ns)
             schedule = PollSchedule(dev.interval_s, jitter)
-            self.scheduler.add(dev.id, schedule, self._modbus_job(dev, client), client.interrupt)
+            job = self._modbus_job(dev, client)
+            self.scheduler.add(dev.id, schedule, job, client.interrupt, client.close)
         for dev in self.config.bacnet_devices:
             from telegw.bacnet import BacnetClient, BacnetEndpoint  # only with a BACnet device
 
@@ -176,6 +178,10 @@ class Gateway:
 
     # -- introspection ----------------------------------------------------------
 
+    def _device_records(self) -> dict[str, JobRecord]:
+        """The scheduler's records of the device and HTTP polls, without the stats dump."""
+        return {name: r for name, r in self.scheduler.records().items() if name != STATS_JOB}
+
     def health_snapshot(self) -> dict:
         now = self.clock_ns()
         devices = {
@@ -185,8 +191,7 @@ class Gateway:
                 "consecutive_failures": r.consecutive_failures,
                 "last_error": r.last_error,
             }
-            for name, r in self.scheduler.records().items()
-            if name != STATS_JOB
+            for name, r in self._device_records().items()
         }
         sink_status = self.pipeline.last_flush_status
         sink_ok = sink_status is None or (isinstance(sink_status, int) and 200 <= sink_status < 300)
@@ -215,9 +220,11 @@ class Gateway:
     def metrics_snapshot(self) -> dict:
         with self._drops_lock:
             polls = {job: dict(counts) for job, counts in self._drops.items()}
+        records = self._device_records()
         return {
             "pipeline": self.pipeline.counters(),
-            "scheduler": {"runs": self.scheduler.job_runs, "errors": self.scheduler.job_errors},
+            "scheduler": {"runs": {name: r.runs for name, r in records.items()},
+                          "errors": {name: r.errors for name, r in records.items()}},
             "polls": polls,
             "brokers": {f"{s.broker.host}:{s.broker.port}": dict(s.stats) for s in self.subscribers},
             "alerts": {

@@ -169,9 +169,7 @@ class ModbusClient:
         self._sock: Optional[socket.socket] = None
         self._tx = 0
         self._interrupted = False
-        # guards the socket's teardown; an exchange is in flight while _busy
-        self._guard = threading.RLock()
-        self._busy = False
+        self._lock = threading.Lock()  # orders _publish and close against interrupt()
         self._plans: dict[int, tuple] = {}  # id(bindings) -> (bindings, pinning it; groups, tags)
 
     # -- connection management -------------------------------------------
@@ -201,11 +199,8 @@ class ModbusClient:
                     f"within {self.policy.connect_timeout_ms} ms ({last})"
                 )
             try:
-                s = tcp_connect(self.host, self.port, remaining)
+                s = tcp_connect(self.host, self.port, remaining, self._publish)
                 s.settimeout(self.policy.io_timeout_ms / 1000)
-                self._sock = s
-                if self._interrupted:  # interrupt() ran before this socket was set
-                    self.interrupt()
                 return
             except ConnectionResetError as e:
                 raise ConnectionReset(
@@ -220,25 +215,29 @@ class ModbusClient:
                 last = e
                 time.sleep(0.01)
 
+    def _publish(self, sock: Optional[socket.socket]) -> None:
+        with self._lock:
+            if sock is not None and self._interrupted:
+                raise ModbusError(f"client for {self.host}:{self.port} was interrupted")
+            self._sock = sock
+
     def close(self) -> None:
-        with self._guard:
-            if self._sock is not None:
-                try:
-                    self._sock.close()
-                finally:
-                    self._sock = None
+        """Close the connection. Only the thread that uses the client calls
+        this (an exchange, the poll job on failure, the scheduler when the
+        job's thread ends), so no call in progress has its socket closed."""
+        with self._lock:
+            sock, self._sock = self._sock, None
+        if sock is not None:
+            sock.close()
 
     def interrupt(self) -> None:
-        """Close the connection and refuse every later exchange: for shutting
-        down. An idle connection is closed here. One in use by an exchange in
-        another thread is shut down, which wakes a blocked read or write
-        (close() alone wakes no recv()), and the exchange closes it on its
-        way out. A connect still waiting for the device is not woken."""
-        with self._guard:
+        """Refuse every later exchange and wake the one in progress, from any
+        thread: for shutting down. The connection is shut down, which ends a
+        blocked connect, read or write (close() alone wakes no recv()), but
+        not closed: the thread that uses the client closes it."""
+        with self._lock:
             self._interrupted = True
-            if not self._busy:
-                self.close()
-            elif self._sock is not None:
+            if self._sock is not None:
                 try:
                     self._sock.shutdown(socket.SHUT_RDWR)
                 except OSError:
@@ -291,17 +290,6 @@ class ModbusClient:
         older ids are skipped (bounded) rather than misattributed. Connection
         loss is retried on a fresh connection up to the policy's budget.
         """
-        with self._guard:  # after interrupt() the socket is closed, and connect() refuses
-            self._busy = True
-        try:
-            return self._attempt(build)
-        finally:
-            with self._guard:
-                self._busy = False
-                if self._interrupted:
-                    self.close()
-
-    def _attempt(self, build) -> tuple[bytes, int]:
         attempts = self.policy.request_retries + 1
         last: Exception | None = None
         for _ in range(attempts):

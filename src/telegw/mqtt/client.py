@@ -108,13 +108,10 @@ class MqttClient:
 
     def connect(self) -> None:
         """Connect; a client connects once. close() sets _stop, then shuts
-        the published socket down: either this check sees the first, or the
-        handshake wakes."""
-        sock = tcp_connect(self.host, self.port, CONNECT_TIMEOUT_S)
-        self._sock = sock
+        the published socket down: either _publish sees the first, or the
+        connect or handshake wakes."""
+        sock = tcp_connect(self.host, self.port, CONNECT_TIMEOUT_S, self._publish)
         try:
-            if self._stop.is_set():
-                raise NotConnected("client was closed")
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             sock.sendall(
                 mp.encode_connect(
@@ -135,11 +132,17 @@ class MqttClient:
         except BaseException:
             self._teardown()
             raise
-        self._reader = threading.Thread(target=self._read_loop, daemon=True)
-        self._reader.start()
+        reader = threading.Thread(target=self._read_loop, daemon=True)
+        reader.start()
+        self._reader = reader  # published once started: close() joins what it finds
         if self.keepalive > 0:
             self._pinger = threading.Thread(target=self._ping_loop, daemon=True)
             self._pinger.start()
+
+    def _publish(self, sock: socket.socket | None) -> None:
+        self._sock = sock
+        if sock is not None and self._stop.is_set():
+            raise NotConnected("client was closed")
 
     @property
     def connected(self) -> bool:

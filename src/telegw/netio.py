@@ -12,12 +12,27 @@ as ``socket.gaierror`` instead of as ``UnicodeError``.
 from __future__ import annotations
 
 import socket
+from typing import Callable
 
 
-def connect(host: str, port: int, timeout: float) -> socket.socket:
-    """``socket.create_connection`` to ``host``, IDNA-encoding only a
-    non-ASCII one."""
-    return socket.create_connection((host.encode() if host.isascii() else host, port), timeout)
+def connect(host: str, port: int, timeout: float, publish: Callable = lambda sock: None) -> socket.socket:
+    """``socket.create_connection`` to ``host``, IDNA-encoding only a non-ASCII one.
+    Each socket goes to ``publish``, which may raise to refuse it, before its connect(),
+    so a shutdown() from another thread ends that; None goes there if the attempt fails."""
+    host_arg = host.encode() if host.isascii() else host
+    addrs = socket.getaddrinfo(host_arg, port, 0, socket.SOCK_STREAM)  # raises, never empty
+    for i, (family, kind, proto, _, addr) in enumerate(addrs):
+        sock = socket.socket(family, kind, proto)
+        try:
+            sock.settimeout(timeout)
+            publish(sock)
+            sock.connect(addr)
+            return sock
+        except BaseException as e:
+            publish(None)
+            sock.close()
+            if i == len(addrs) - 1 or not isinstance(e, OSError):  # the last one's error is raised
+                raise
 
 
 def recv_exact(sock: socket.socket, n: int) -> bytes:

@@ -537,15 +537,19 @@ class Scheduler:
     def __init__(self, clock_ns: Callable[[], int] = time.time_ns):
         self.clock_ns = clock_ns  # stamps each record's last success
         self._rng = random.Random(0)  # the same jitter draws in every run
-        self._jobs: list[tuple[PollSchedule, Job, str]] = []
+        self._jobs: list[tuple[PollSchedule, Job, str, Job | None]] = []
         self._wakes: list[Job] = []
         self._stop = threading.Event()
         self._threads: list[threading.Thread] = []
         self._lock = threading.Lock()
         self._records: dict[str, JobRecord] = {}
 
-    def add(self, name: str, schedule: PollSchedule, job: Job, wake: Job | None = None) -> None:
-        self._jobs.append((schedule, job, name))
+    def add(self, name: str, schedule: PollSchedule, job: Job,
+            wake: Job | None = None, close: Job | None = None) -> None:
+        """Add ``job`` under ``name``. :meth:`stop` calls ``wake`` from its own
+        thread to unblock the job from I/O; ``close`` runs on the job's thread
+        when its loop ends, so it may release what only that thread uses."""
+        self._jobs.append((schedule, job, name, close))
         self._records[name] = JobRecord()
         if wake is not None:
             self._wakes.append(wake)
@@ -565,10 +569,8 @@ class Scheduler:
 
     def start(self) -> "Scheduler":
         self._stop.clear()
-        for schedule, job, name in self._jobs:
-            t = threading.Thread(
-                target=self._run_job, args=(schedule, job, name), daemon=True
-            )
+        for args in self._jobs:
+            t = threading.Thread(target=self._run_job, args=args, daemon=True)
             t.start()
             self._threads.append(t)
         return self
@@ -584,30 +586,34 @@ class Scheduler:
             t.join(timeout=max(0.0, deadline - time.monotonic()))
         self._threads = []
 
-    def _run_job(self, schedule: PollSchedule, job: Job, name: str) -> None:
+    def _run_job(self, schedule: PollSchedule, job: Job, name: str, close: Job | None) -> None:
         record = self._records[name]
-        while not self._stop.is_set():
-            failures = record.consecutive_failures  # only this thread writes it
-            try:
-                job()
-                error = None
-            except Exception as e:
-                if self._stop.is_set():
-                    return  # cut short by stop(): a cancelled poll, not a failed one
-                error = f"{type(e).__name__}: {e}"
-                if not failures:
-                    log.warning("poll %s failed: %s", name, error, exc_info=True)
-            if error is None and failures:
-                log.info("poll %s recovered after %d failed polls", name, failures)
-            with self._lock:
-                record.last_error = error
-                if error is None:
-                    record.runs += 1
-                    record.last_success_ns = self.clock_ns()
-                    record.consecutive_failures = 0
-                else:
-                    record.errors += 1
-                    record.consecutive_failures += 1
-                delay = schedule.next_delay(self._rng)
-            if self._stop.wait(delay):
-                return
+        try:
+            while not self._stop.is_set():
+                failures = record.consecutive_failures  # only this thread writes it
+                try:
+                    job()
+                    error = None
+                except Exception as e:
+                    if self._stop.is_set():
+                        return  # cut short by stop(): a cancelled poll, not a failed one
+                    error = f"{type(e).__name__}: {e}"
+                    if not failures:
+                        log.warning("poll %s failed: %s", name, error, exc_info=True)
+                if error is None and failures:
+                    log.info("poll %s recovered after %d failed polls", name, failures)
+                with self._lock:
+                    record.last_error = error
+                    if error is None:
+                        record.runs += 1
+                        record.last_success_ns = self.clock_ns()
+                        record.consecutive_failures = 0
+                    else:
+                        record.errors += 1
+                        record.consecutive_failures += 1
+                    delay = schedule.next_delay(self._rng)
+                if self._stop.wait(delay):
+                    return
+        finally:
+            if close is not None:
+                close()

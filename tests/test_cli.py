@@ -1,3 +1,4 @@
+import contextlib
 import http.server
 import json
 import os
@@ -26,6 +27,7 @@ from telegw.mqtt import MqttClient
 from telegw.sim import BacnetSim, FaultModel, ModbusSim, MqttBroker, SimObject
 
 from bacnet_fixtures import EmptyListEntrySim, wide_inventory
+from net_fixtures import full_listener
 
 
 def free_port() -> int:
@@ -745,15 +747,21 @@ def test_stop_is_prompt_without_sources(tmp_path):
     assert elapsed < 0.1, f"stop() took {elapsed * 1000:.0f} ms"
 
 
-def _silent_device(protocol: str):
-    """A socket that takes requests and never answers: a TCP listener whose
-    connects succeed from its backlog, or a bound UDP socket."""
-    tcp = protocol == "modbus"
-    sock = socket.socket(type=socket.SOCK_STREAM if tcp else socket.SOCK_DGRAM)
-    sock.bind(("127.0.0.1", 0))
-    if tcp:
-        sock.listen(1)
-    return sock
+@contextlib.contextmanager
+def _silent_device(kind: str):
+    """The port of a device that never answers: a TCP listener whose connects
+    succeed from its backlog ("modbus"), one whose full backlog leaves every
+    connect waiting ("modbus-connect"), or a bound UDP socket ("bacnet")."""
+    if kind == "modbus-connect":
+        with full_listener() as port:
+            yield port
+        return
+    tcp = kind == "modbus"
+    with socket.socket(type=socket.SOCK_STREAM if tcp else socket.SOCK_DGRAM) as sock:
+        sock.bind(("127.0.0.1", 0))
+        if tcp:
+            sock.listen(1)
+        yield sock.getsockname()[1]
 
 
 _SILENT_DEVICE = {
@@ -763,10 +771,10 @@ _SILENT_DEVICE = {
 }
 
 
-@pytest.mark.parametrize("protocol", ["modbus", "bacnet"])
-def test_stop_wakes_a_poll_blocked_on_a_silent_device(tmp_path, protocol):
-    with _silent_device(protocol) as device:
-        port = device.getsockname()[1]
+@pytest.mark.parametrize("kind", ["modbus", "bacnet", "modbus-connect"])
+def test_stop_wakes_a_poll_blocked_on_a_silent_device(tmp_path, kind):
+    protocol = kind.split("-")[0]
+    with _silent_device(kind) as port:
         cfg = load_config(
             write_config(
                 tmp_path,
@@ -780,7 +788,7 @@ def test_stop_wakes_a_poll_blocked_on_a_silent_device(tmp_path, protocol):
             )
         )
         gw = Gateway(cfg).start()
-        time.sleep(0.3)  # the poll is now blocked waiting for a reply
+        time.sleep(0.3)  # the poll is now blocked waiting for a reply, or a connect
         t0 = time.monotonic()
         gw.stop()
         elapsed = time.monotonic() - t0
@@ -851,6 +859,67 @@ def test_stop_closes_a_persistent_modbus_connection(tmp_path, meter_sim, monkeyp
     assert elapsed < 1.0, f"stop() took {elapsed:.2f} s"
     assert clients[0]._sock is None
     assert gw.scheduler.job_errors == {"meter-1": 0}
+
+
+def test_start_and_stop_leave_no_descriptor_or_thread_behind(tmp_path, meter_sim):
+    zone = SimObject("analog-value", 1, "zone-temp", units="degrees-celsius", value=21.5)
+    with BacnetSim(55005, [zone]) as bsim:
+        cfg = load_config(
+            write_config(
+                tmp_path,
+                f"""
+                gateway: {{health_port: 0, jitter: 0}}
+                sink: {{mode: file, path: {tmp_path}/out.lp}}
+                devices:
+                  - {{id: meter-1, protocol: modbus, host: 127.0.0.1, port: {meter_sim.port},
+                      interval_s: 0.05, mode: persistent,
+                      registers: [{{name: voltage_l1, addr: 6, dtype: u32, scale: 0.1}}]}}
+                  - {{id: hvac-1, protocol: bacnet, host: 127.0.0.1, port: {bsim.port},
+                      device_instance: 55005, interval_s: 0.05, discover: true}}
+                """,
+            )
+        )
+
+        def in_use():  # descriptors count as 0 where /proc/self/fd is absent
+            fds = len(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else 0
+            return fds, threading.active_count()
+
+        before = in_use()
+        for _ in range(30):
+            gw = Gateway(cfg).start()
+            try:
+                assert wait_until(lambda: min(gw.scheduler.job_runs.values()) > 0, 5, 0.005)
+            finally:
+                gw.stop()
+        # a simulator ends its side of a connection a moment after the gateway;
+        # fewer is fine, since what an earlier test left may end meanwhile
+        back = lambda: all(now <= was for now, was in zip(in_use(), before))
+        assert wait_until(back, 5), (in_use(), before)
+
+
+def test_metrics_count_the_devices_and_not_the_stats_dump(tmp_path, meter_sim):
+    cfg = load_config(
+        write_config(
+            tmp_path,
+            f"""
+            gateway: {{health_port: 0, jitter: 0, stats_path: {tmp_path}/stats.json}}
+            sink: {{mode: file, path: {tmp_path}/out.lp}}
+            devices:
+              - {{id: meter-1, protocol: modbus, host: 127.0.0.1, port: {meter_sim.port},
+                  interval_s: 60, registers: [{{name: voltage_l1, addr: 6, dtype: u32}}]}}
+            """,
+        )
+    )
+    gw = Gateway(cfg).start()
+    try:
+        assert wait_until(lambda: gw.scheduler.job_runs["meter-1"] == 1, 5)
+        assert wait_until(lambda: os.path.exists(f"{tmp_path}/stats.json"), 5)
+        scheduler = gw.metrics_snapshot()["scheduler"]
+        devices = gw.health_snapshot()["devices"]
+    finally:
+        gw.stop()
+    assert scheduler == {"runs": {"meter-1": 1}, "errors": {"meter-1": 0}}
+    assert list(devices) == ["meter-1"]
 
 
 # ------------------------------------------------------------ health endpoint

@@ -36,6 +36,7 @@ from telegw.pipeline import Pipeline, SinkConfig
 from telegw.sim.broker import MqttBroker
 
 from ingest_fixtures import ARANET_SAMPLE, MOTION_SAMPLE, aranet_binding, motion_binding
+from net_fixtures import full_listener
 
 
 class TestJsonPointer:
@@ -517,6 +518,21 @@ class TestSubscriber:
                 sub.stop()
             assert not thread.is_alive()
             assert elapsed < 0.5  # not the client's 5 s timeout
+
+    def test_stop_wakes_a_connect_the_broker_never_answers(self):
+        with full_listener() as port:
+            cfg = BrokerConfig("127.0.0.1", port, client_id="test-sub")
+            sub = Subscriber(cfg, [aranet_binding()], lambda dp: None).start()
+            thread = sub._thread
+            try:
+                time.sleep(0.3)  # the connect is now waiting for the broker
+                t0 = time.monotonic()
+                sub.stop()
+                elapsed = time.monotonic() - t0
+            finally:
+                sub.stop()
+            assert not thread.is_alive()
+            assert elapsed < 1.0  # not the client's 5 s connect timeout
 
     def test_stop_at_any_moment_is_prompt(self):
         # stop() lands before, during or after the connect and the SUBSCRIBE;

@@ -329,6 +329,42 @@ class TestClientBroker:
         assert outcomes.count("NotConnected") == 4 and "acked" in outcomes
         assert c._pending == {}
 
+    def test_close_from_another_thread_as_the_reader_starts(self, monkeypatch):
+        # a close() landing between the reader's creation and its start, as
+        # Subscriber.stop() may, must neither raise nor leave the reader running
+        errors, real_thread = [], threading.Thread
+        with MqttBroker() as broker:
+            client = MqttClient("127.0.0.1", broker.port, "racer")
+
+            def close_elsewhere():
+                try:
+                    client.close()
+                except Exception as e:
+                    errors.append(e)
+
+            def thread(*args, target=None, **kwargs):
+                t = real_thread(*args, target=target, **kwargs)
+                if target == client._read_loop:
+                    start = t.start
+
+                    def close_then_start():
+                        closer = real_thread(target=close_elsewhere)
+                        closer.start()
+                        closer.join(5)
+                        assert not closer.is_alive()
+                        start()
+
+                    t.start = close_then_start
+                return t
+
+            monkeypatch.setattr(threading, "Thread", thread)
+            client.connect()
+            monkeypatch.undo()
+            reader = client._reader
+            client.close()
+        assert errors == []
+        assert reader is not None and not reader.is_alive()
+
     def test_wait_closed_returns_on_broker_stop(self):
         broker = MqttBroker().start()
         c = MqttClient("127.0.0.1", broker.port, "c")
