@@ -21,9 +21,9 @@ import threading
 import time
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
-from ..model import DataPoint, Value
+from ..model import NO_TAGS, DataPoint, Value
 from ..netio import shut
 from . import encoding
 from .encoding import (
@@ -94,7 +94,6 @@ class BacnetClient:
         # None for all; their objects; queries; APDU with invoke id 0)
         self._present: Optional[tuple] = None
         self._ack_octets = 0  # size of every ack decoded, for discovery's chunks
-        self._tags: dict[str, str] = {}  # read_points' copy, shared by every poll's points
 
     def close(self) -> None:
         """Close the socket, first waking a read blocked on it in another
@@ -297,20 +296,17 @@ class BacnetClient:
         self,
         names: Optional[Sequence[str]],
         entity_id: str,
-        tags: Optional[dict[str, str]] = None,
+        tags: Mapping[str, str] = NO_TAGS,
         dropped: Optional[Counter] = None,
     ) -> list[DataPoint]:
         """Poll named objects (all for None) into data points (analog -> real,
         binary -> flag). An object answered with an error, or with no value or
         one no point can carry, is left out and counted in ``dropped`` under
         the error's code (e.g. ``unknown-object``), ``no-value`` or
-        ``unsupported-value``. Every poll's points share one copy of
-        ``tags``, made again only when the tags change."""
+        ``unsupported-value``. Every point carries ``tags`` itself, not a
+        copy."""
         rows, items = self._read_named(names)
         stamp = self.clock_ns()
-        if (tags or {}) != self._tags:  # copied once, and again when they change
-            self._tags = dict(tags or {})
-        tags = self._tags
         points = []
         for (name, unit, binary), (_, _, _, _, values, error) in zip(rows, items):
             if not values:  # an access error, or an empty value list

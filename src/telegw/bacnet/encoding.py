@@ -469,23 +469,6 @@ def _object_id(data: bytes, pos: int, what: str) -> tuple[int, int, int]:
     return raw >> 22, raw & 0x3FFFFF, end
 
 
-class Reader:
-    """Application values read one after another from ``data``, with the
-    one-pass functions the decoders below use. Total like them: each read
-    gives a value or raises MalformedTag."""
-
-    __slots__ = ("data", "pos")
-
-    def __init__(self, data: bytes):
-        self.data = data
-        self.pos = 0
-
-    @_total
-    def read_app_value(self):
-        value, self.pos = _app_value(self.data, self.pos)
-        return value
-
-
 # ---------------------------------------------------------------------------
 # BVLC / NPDU
 

@@ -86,6 +86,9 @@ class InvariantViolation(ConfigError):
 _LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 _ENV_RE = re.compile(r"\$\{([A-Za-z_][A-Za-z0-9_]*)\}")
+# the gateway's scheduler jobs besides the devices: HTTP polls and the stats dump
+STATS_JOB = "stats-dump"
+_JOB_NAME = re.compile(rf"http-\d+|{STATS_JOB}")
 
 
 @dataclass(frozen=True)
@@ -516,6 +519,8 @@ def _parse_devices(
             )
         else:
             positions[dev_id] = i
+        if _JOB_NAME.fullmatch(dev_id):
+            w.fail(f"{path}.id {dev_id!r} is reserved for the gateway's own jobs")
         protocol = item.get("protocol")
         if protocol == "modbus":
             nested = ("id", "protocol", "registers", "historical")

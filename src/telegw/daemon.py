@@ -3,12 +3,13 @@
 The gateway owns a pipeline, an alert engine, one subscriber per broker,
 and a scheduler thread per polled device and HTTP poll. Each poll job owns
 its client, whose wake lets a stop cut short a poll waiting on a silent
-device or server. A job returns when it delivered its points and raises
-when it did not; the scheduler records either against that job, and
-``/health`` reads those records. No failure escapes a poller's thread; the
-process outlives any single dead dependency. Shutdown is two-phase: intake
-stops first, then the pipeline drains into the sink bounded by the
-configured timeout.
+device or server. What a job reads (a Modbus device's read groups) and the
+tags its points carry are fixed when the job is built. A job returns when
+it delivered its points and raises when it did not; the scheduler records
+either against that job, and ``/health`` reads those records. No failure
+escapes a poller's thread; the process outlives any single dead
+dependency. Shutdown is two-phase: intake stops first, then the pipeline
+drains into the sink bounded by the configured timeout.
 
 ``/health``, ``/metrics`` and ``/stats`` are served as HTTP/1.0 by a
 ``socketserver`` handler rather than ``http.server``, which would load
@@ -33,16 +34,15 @@ from http import HTTPStatus
 from typing import TYPE_CHECKING, Callable, Mapping
 
 from telegw.alerts import AlertEngine
-from telegw.config import BacnetDeviceSpec, GatewayConfig, ModbusDeviceSpec
+from telegw.config import STATS_JOB, BacnetDeviceSpec, GatewayConfig, ModbusDeviceSpec
 from telegw.ingest import POLL_TIMEOUT_S, Subscriber, _default_getter, poll_http
-from telegw.modbus import ModbusClient
+from telegw.modbus import ModbusClient, client as modbus_client
 from telegw.pipeline import JobRecord, Pipeline, PollSchedule, Scheduler, stats_to_doc
 
 if TYPE_CHECKING:
     from telegw.bacnet import BacnetClient
 
 log = logging.getLogger(__name__)
-STATS_JOB = "stats-dump"  # writes stats_path; not a device
 
 # The health endpoint's limits; the line and header bounds are http.server's.
 MAX_LINE = 65536  # bytes in the request line and in each header line
@@ -74,12 +74,14 @@ class Gateway:
     # -- poller jobs ----------------------------------------------------------
 
     def _modbus_job(self, dev: ModbusDeviceSpec, client: ModbusClient):
+        plan = modbus_client.coalesce(dev.bindings)  # the device's read groups, made once
+
         def job() -> None:
             # the live points go out before the history handshake, so a
             # failed handshake fails the poll without costing them
             try:
-                if dev.bindings:
-                    report = client.read_parameters(dev.bindings, dev.id, dev.tags)
+                if plan:
+                    report = client.read_parameters(plan, dev.id, dev.tags)
                     self.pipeline.submit_many(report.points)
                     self._count_drops(dev.id, Counter(report.errors.values()))
                 if dev.historical is not None:
@@ -126,11 +128,6 @@ class Gateway:
 
     def start(self) -> "Gateway":
         self._started_ns = self.clock_ns()
-        self.pipeline.start()
-        for entry in self.config.brokers:
-            bindings = list(entry.bindings)
-            sub = Subscriber(entry.config, bindings, self.pipeline.submit, self.clock_ns)
-            self.subscribers.append(sub.start())
         # a job's wake: interrupt for Modbus, whose close wakes no read and is
         # left to the job's own thread; close for BACnet and HTTP
         jitter = self.config.gateway.jitter
@@ -155,6 +152,13 @@ class Gateway:
             self.scheduler.add(name, schedule, job, http.close)
         if self.config.gateway.stats_path:
             self.scheduler.add(STATS_JOB, PollSchedule(30.0, 0.0), self.dump_stats)
+        # threads start once every job is added: a job the scheduler refuses
+        # (a name taken twice) leaves none running
+        self.pipeline.start()
+        for entry in self.config.brokers:
+            bindings = list(entry.bindings)
+            sub = Subscriber(entry.config, bindings, self.pipeline.submit, self.clock_ns)
+            self.subscribers.append(sub.start())
         self.scheduler.start()
         self._start_health_server()
         for warning in self.config.warnings:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from datetime import date as _date
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
-from ..model import DataPoint, Value, check_identifier
+from ..model import NO_TAGS, DataPoint, Value, check_identifier
 from ..netio import connect as tcp_connect, recv_exact
 from . import protocol
 from .protocol import (
@@ -123,13 +123,17 @@ class HistoricalReadConfig:
             raise ValueError(f"ready address {self.ready_address} outside 0..65535")
 
 
-def coalesce(bindings: Iterable[RegisterBinding]) -> list[tuple[str, int, int, list[RegisterBinding]]]:
+# one read request: (function, start, count, the bindings it answers)
+ReadGroup = tuple[str, int, int, list[RegisterBinding]]
+
+
+def coalesce(bindings: Iterable[RegisterBinding]) -> list[ReadGroup]:
     """Group bindings into (function, start, count, members) read requests.
 
     Contiguous or overlapping spans within one function table merge; a gap
     starts a new group, and no group exceeds the protocol read limit.
     """
-    groups: list[tuple[str, int, int, list[RegisterBinding]]] = []
+    groups: list[ReadGroup] = []
     by_fn: dict[str, list[RegisterBinding]] = {}
     for b in bindings:
         by_fn.setdefault(b.function, []).append(b)
@@ -170,7 +174,6 @@ class ModbusClient:
         self._tx = 0
         self._interrupted = False
         self._lock = threading.Lock()  # orders _publish and close against interrupt()
-        self._plans: dict[int, tuple] = {}  # id(bindings) -> (bindings, pinning it; groups, tags)
 
     # -- connection management -------------------------------------------
 
@@ -334,14 +337,13 @@ class ModbusClient:
 
     def read_parameters(
         self,
-        bindings: Sequence[RegisterBinding],
+        plan: Sequence[ReadGroup],
         entity_id: str,
-        tags: Optional[Mapping[str, str]] = None,
+        tags: Mapping[str, str] = NO_TAGS,
     ) -> ReadReport:
-        """Poll all bindings, coalescing contiguous spans into group reads.
-
-        The read groups are computed once per device (per ``bindings`` object,
-        taken as fixed), and its points share one copy of ``tags`` until they change.
+        """Poll a device by its read plan, the groups :func:`coalesce` made of
+        its bindings, at one request per group. Every point carries ``tags``
+        itself, not a copy.
 
         A device that rejects a group read (illegal address and friends) is
         retried binding by binding, so one bad map entry degrades to a single
@@ -349,25 +351,18 @@ class ModbusClient:
         still propagate: a dead device is the caller's problem.
         """
         report = ReadReport()
-        tags = tags or {}
-        plan = self._plans.get(id(bindings))
-        if plan is None or plan[2] != tags:
-            if len(self._plans) >= 8:  # a caller that builds its bindings anew each poll
-                self._plans.clear()
-            plan = self._plans[id(bindings)] = (bindings, coalesce(bindings), dict(tags))
-        _, groups, base_tags = plan
-        for fn, start, count, members in groups:
+        for fn, start, count, members in plan:
             try:
                 words = self.read_registers(fn, start, count)
                 stamp = self.clock_ns()
                 for b in members:
                     self._decode_into(report, b, words[b.address - start : b.end - start],
-                                      entity_id, base_tags, stamp)
+                                      entity_id, tags, stamp)
             except ExceptionResponse:
                 for b in members:
                     try:
                         w = self.read_registers(b.function, b.address, b.codec.span)
-                        self._decode_into(report, b, w, entity_id, base_tags, self.clock_ns())
+                        self._decode_into(report, b, w, entity_id, tags, self.clock_ns())
                     except ExceptionResponse as e:
                         report.errors[b.parameter] = e.name
         return report
@@ -389,7 +384,7 @@ class ModbusClient:
         cfg: HistoricalReadConfig,
         bindings: Sequence[RegisterBinding],
         entity_id: str,
-        tags: Optional[Mapping[str, str]] = None,
+        tags: Mapping[str, str] = NO_TAGS,
     ) -> ReadReport:
         """Run the select-date / wait-ready / read-block handshake.
 
@@ -412,4 +407,4 @@ class ModbusClient:
                 f"ready flag at 0x{cfg.ready_address:04X} never became "
                 f"{cfg.ready_value} in {cfg.max_polls} polls"
             )
-        return self.read_parameters(bindings, entity_id, {**(tags or {}), "date": day.isoformat()})
+        return self.read_parameters(coalesce(bindings), entity_id, {**tags, "date": day.isoformat()})

@@ -90,12 +90,19 @@ class Value(NamedTuple):
         return str(self.raw)
 
 
+NO_TAGS: Mapping[str, str] = MappingProxyType({})
+
+
 class DataPoint(NamedTuple):
     """One observation of one parameter of one entity at one instant.
 
     ``timestamp`` is UTC nanoseconds. ``tags`` is an ordered mapping of
-    static dimensions such as room or device model; a device's points share
-    one mapping. The default is an empty read-only one.
+    static dimensions such as room or device model, by default an empty
+    read-only one. A device's points carry the very mapping its config or
+    binding holds. A mapping handed to the pipeline is not mutated
+    afterwards: the pipeline checks and renders an entity's tags again only
+    for a point whose mapping is another object (``is not``) that compares
+    unequal, so a mapping changed in place would keep its old rendering.
     """
 
     entity_id: str
@@ -103,7 +110,7 @@ class DataPoint(NamedTuple):
     value: Value
     unit: str = ""
     timestamp: int = 0
-    tags: Mapping[str, str] = MappingProxyType({})
+    tags: Mapping[str, str] = NO_TAGS
 
 
 def check_breaks(s: str, what: str) -> None:

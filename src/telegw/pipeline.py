@@ -368,9 +368,10 @@ class Pipeline:
 
     def _entity(self, key: str, tags) -> _Entity:
         """The entity's record, made or updated for tags it does not hold: a
-        device's points share one tags object, so they are checked and
-        rendered once. An entity that is not a string (it may not even be
-        hashable) is never kept, so check_entity rejects it."""
+        device's points carry one tags mapping, never mutated (see
+        DataPoint), so they are checked and rendered once. An entity that
+        is not a string (it may not even be hashable) is never kept, so
+        check_entity rejects it."""
         check_entity(key, tags)
         segment = tag_segment(tags, device=key)
         entity = self._entities.get(key)
@@ -546,9 +547,12 @@ class Scheduler:
 
     def add(self, name: str, schedule: PollSchedule, job: Job,
             wake: Job | None = None, close: Job | None = None) -> None:
-        """Add ``job`` under ``name``. :meth:`stop` calls ``wake`` from its own
-        thread to unblock the job from I/O; ``close`` runs on the job's thread
-        when its loop ends, so it may release what only that thread uses."""
+        """Add ``job`` under ``name``, which no other job holds. :meth:`stop`
+        calls ``wake`` from its own thread to unblock the job from I/O;
+        ``close`` runs on the job's thread when its loop ends, so it may
+        release what only that thread uses."""
+        if name in self._records:
+            raise ValueError(f"a job named {name!r} was already added")
         self._jobs.append((schedule, job, name, close))
         self._records[name] = JobRecord()
         if wake is not None:

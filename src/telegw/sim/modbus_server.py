@@ -83,6 +83,7 @@ class _ModelSlot:
     address: int
     codec: RegisterCodec
     model: object  # anything with step(now_ns) -> float
+    table: str  # holding | input
 
 
 class ModbusSim:
@@ -126,7 +127,7 @@ class ModbusSim:
         self.load(address, codec.encode(value), table)
 
     def bind_model(self, address: int, codec: RegisterCodec, model, table: str = "holding") -> None:
-        self._models.append(_ModelSlot(address, codec, model))
+        self._models.append(_ModelSlot(address, codec, model, table))
         self.load_value(address, codec, model.step(0), table)
 
     # -- lifecycle ------------------------------------------------------------
@@ -259,7 +260,8 @@ class ModbusSim:
         span = range(req.address, req.address + req.count)
         if self.fault.kind == EXCEPTION_ON and self.fault.address in span:
             return protocol.build_exception(req.tx, req.unit, req.fc, self.fault.code)
-        self._refresh_models(req.address, req.count)
+        table = protocol.HOLDING if req.fc == FC_READ_HOLDING else protocol.INPUT
+        self._refresh_models(table, req.address, req.count)
         is_status_poll = (
             req.fc == FC_READ_HOLDING
             and req.address == self.hist.ready_address
@@ -296,12 +298,12 @@ class ModbusSim:
             self._ready_polls_seen = 0
         return protocol.build_write_response(req.tx, req.unit, req.address, req.count)
 
-    def _refresh_models(self, address: int, count: int) -> None:
+    def _refresh_models(self, table: str, address: int, count: int) -> None:
         lo, hi = address, address + count
         now = self.clock_ns()
         for slot in self._models:
-            if slot.address < hi and slot.address + slot.codec.span > lo:
-                self.load_value(slot.address, slot.codec, slot.model.step(now))
+            if slot.table == table and slot.address < hi and slot.address + slot.codec.span > lo:
+                self.load_value(slot.address, slot.codec, slot.model.step(now), table)
 
     @property
     def date_selected(self) -> Optional[tuple[int, ...]]:

@@ -51,6 +51,7 @@ from telegw.modbus import (
     ModbusClient,
     ReadyTimeout,
 )
+from telegw.modbus.client import coalesce
 from telegw.pipeline import Pipeline, SinkConfig
 from telegw.sim import FaultModel, ModbusSim
 from telegw.sim.bacnet_server import BacnetSim
@@ -221,7 +222,7 @@ def test_modbus_roundtrips_and_register_maps():
 
     with ModbusSim() as sim:
         expect = load_plausible(sim, cem_c31_bindings())
-        rep = modbus_client(sim).read_parameters(cem_c31_bindings(), "meter-1")
+        rep = modbus_client(sim).read_parameters(coalesce(cem_c31_bindings()), "meter-1")
         got = {p.parameter: p.value.raw for p in rep.points}
         checks.append(
             (
@@ -232,7 +233,7 @@ def test_modbus_roundtrips_and_register_maps():
 
     with ModbusSim(port=10000) as sim:
         expect = load_plausible(sim, cirwatt_b_bindings())
-        rep = modbus_client(sim).read_parameters(cirwatt_b_bindings(), "cirwatt-1")
+        rep = modbus_client(sim).read_parameters(coalesce(cirwatt_b_bindings()), "cirwatt-1")
         got = {p.parameter: p.value.raw for p in rep.points}
         checks.append(
             (

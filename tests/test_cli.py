@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import http.server
 import json
 import os
@@ -920,6 +921,28 @@ def test_metrics_count_the_devices_and_not_the_stats_dump(tmp_path, meter_sim):
         gw.stop()
     assert scheduler == {"runs": {"meter-1": 1}, "errors": {"meter-1": 0}}
     assert list(devices) == ["meter-1"]
+
+
+def test_a_job_name_taken_twice_starts_nothing(tmp_path):
+    """A config built in code skips load_config's check on device ids; the
+    scheduler refuses the second job before the gateway starts a thread."""
+    cfg = load_config(
+        write_config(
+            tmp_path,
+            f"""
+            gateway: {{health_port: 0}}
+            sink: {{mode: file, path: {tmp_path}/out.lp}}
+            devices:
+              - {{id: meter-1, protocol: modbus, host: 127.0.0.1,
+                  registers: [{{name: v, addr: 0, dtype: u16}}]}}
+            """,
+        )
+    )
+    cfg = dataclasses.replace(cfg, modbus_devices=cfg.modbus_devices * 2)
+    before = set(threading.enumerate())
+    with pytest.raises(ValueError, match="'meter-1'"):
+        Gateway(cfg).start()
+    assert set(threading.enumerate()) <= before
 
 
 # ------------------------------------------------------------ health endpoint

@@ -223,6 +223,33 @@ def test_all_problems_reported_in_one_pass(tmp_path, monkeypatch):
     assert len(exc.value.problems) >= 5
 
 
+def test_device_ids_naming_the_gateways_own_jobs_are_rejected(tmp_path):
+    """A device called like an HTTP poll's job would share its record, and
+    one called like the stats dump would be left out of /health."""
+    path = write(
+        tmp_path,
+        """
+        gateway: {stats_path: stats.json}
+        sink: {mode: file, path: out.lp}
+        http_polls:
+          - url: http://127.0.0.1:8900/v1
+            entity_array_pointer: /items
+            entity_id_pointer: /id
+            fields: {/v: {parameter: v}}
+        devices:
+          - {id: http-0, protocol: modbus, host: h, registers: [{name: v, addr: 0, dtype: u16}]}
+          - {id: stats-dump, protocol: bacnet, host: h, discover: true}
+          - {id: http-meter, protocol: modbus, host: h, registers: [{name: v, addr: 0, dtype: u16}]}
+        """,
+    )
+    with pytest.raises(InvariantViolation) as exc:
+        load_config(path)
+    assert [str(p) for p in exc.value.problems] == [
+        "devices[0].id 'http-0' is reserved for the gateway's own jobs",
+        "devices[1].id 'stats-dump' is reserved for the gateway's own jobs",
+    ]
+
+
 def test_alert_rule_matching_nothing_warns_but_loads(tmp_path):
     path = write(
         tmp_path,

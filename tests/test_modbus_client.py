@@ -52,6 +52,22 @@ class TestBasicReads:
             assert c.read_registers("input", 0, 1) == [7]
             assert c.read_registers("holding", 0, 1) == [9]
 
+    def test_a_model_advances_in_the_table_it_is_bound_to(self):
+        class Count:
+            n = 0
+
+            def step(self, now_ns):
+                self.n += 1
+                return self.n
+
+        with ModbusSim() as sim:
+            sim.load(512, [7])  # a holding register at the same address
+            sim.bind_model(512, RegisterCodec("u16"), Count(), table="input")
+            c = client_for(sim)
+            assert [c.read_registers("input", 512, 1)[0] for _ in range(3)] == [2, 3, 4]
+            assert c.read_registers("holding", 512, 1) == [7]
+            assert c.read_registers("input", 512, 1) == [5]
+
     def test_unmapped_address_is_exception_02(self):
         with ModbusSim() as sim:
             c = client_for(sim)
@@ -131,7 +147,7 @@ class TestReadParameters:
             bindings = cem_c31_bindings()
             expect = load_plausible(sim, bindings)
             c = client_for(sim)
-            report = c.read_parameters(bindings, "meter-1", {"feeder": "F1"})
+            report = c.read_parameters(coalesce(bindings), "meter-1", {"feeder": "F1"})
             assert not report.errors
             assert len(report.points) == 23
             got = {p.parameter: p.value.raw for p in report.points}
@@ -144,7 +160,7 @@ class TestReadParameters:
         with ModbusSim() as sim:
             bindings = cirwatt_b_bindings()
             load_plausible(sim, bindings)
-            report = client_for(sim).read_parameters(bindings, "meter-2")
+            report = client_for(sim).read_parameters(coalesce(bindings), "meter-2")
             assert len(report.points) == 29 and not report.errors
 
     def test_lacecal_has_29_parameters_one_group(self):
@@ -156,7 +172,7 @@ class TestReadParameters:
         with ModbusSim(fault=FaultModel.exception_on(13)) as sim:
             bindings = cem_c31_bindings()
             load_plausible(sim, bindings)
-            report = client_for(sim).read_parameters(bindings, "meter-1")
+            report = client_for(sim).read_parameters(coalesce(bindings), "meter-1")
             # cos_phi_l2 sits at register 13; everything else survives
             assert set(report.errors) == {"cos_phi_l2"}
             assert report.errors["cos_phi_l2"] == "illegal-data-address"
@@ -169,8 +185,8 @@ class TestReadParameters:
             ticks = iter([111, 222, 333])
             c.clock_ns = lambda: next(ticks)
             report = c.read_parameters(
-                [RegisterBinding("a", "holding", 0, RegisterCodec("u16")),
-                 RegisterBinding("b", "holding", 1, RegisterCodec("u16"))],
+                coalesce([RegisterBinding("a", "holding", 0, RegisterCodec("u16")),
+                          RegisterBinding("b", "holding", 1, RegisterCodec("u16"))]),
                 "dev",
             )
             assert [p.timestamp for p in report.points] == [111, 111]

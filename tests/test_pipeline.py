@@ -1050,6 +1050,14 @@ class TestScheduler:
         assert sched.job_errors["bad"] >= 5
         assert sched.job_runs["bad"] == 0
 
+    def test_a_name_is_added_once(self):
+        sched = Scheduler()
+        sched.add("meter-1", PollSchedule(1), lambda: None)
+        with pytest.raises(ValueError, match="'meter-1'"):
+            sched.add("meter-1", PollSchedule(1), lambda: None, wake=lambda: None)
+        assert list(sched.records()) == ["meter-1"]
+        assert len(sched._jobs) == 1 and not sched._wakes
+
     def test_failures_log_once_per_state_change(self, caplog):
         calls = itertools.count()
 

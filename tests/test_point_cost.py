@@ -82,20 +82,39 @@ def test_modbus_device_plans_its_reads_once_and_shares_its_tags(tmp_path, monkey
     assert dict(points[0].tags) == {"model": "cirwatt-b"}
 
 
-def _endpoint(sim) -> BacnetEndpoint:
-    return BacnetEndpoint("127.0.0.1", sim.port, sim.device_instance, timeout_ms=500, retries=2)
-
-
-def test_bacnet_polls_share_one_tags_mapping():
-    tags = {"building": "B"}
-    with BacnetSim(100, small_inventory()) as sim, BacnetClient(_endpoint(sim)) as c:
-        polls = [c.read_points(None, "ctrl-1", tags) for _ in range(3)]
-        assert len({id(p.tags) for poll in polls for p in poll}) == 1
-        tags["floor"] = "2"  # a changed mapping is copied again, once
-        later = [c.read_points(None, "ctrl-1", tags) for _ in range(2)]
-    assert len({id(p.tags) for poll in later for p in poll}) == 1
-    assert dict(later[0][0].tags) == {"building": "B", "floor": "2"}
-    assert dict(polls[0][0].tags) == {"building": "B"}
+def test_bacnet_device_points_carry_its_tags_mapping(tmp_path):
+    with BacnetSim(100, small_inventory()) as sim:
+        path = tmp_path / "gw.yaml"
+        path.write_text(
+            textwrap.dedent(
+                f"""
+                gateway: {{health_port: 0, jitter: 0}}
+                sink: {{mode: file, path: {tmp_path}/out.lp}}
+                devices:
+                  - {{id: ctrl-1, protocol: bacnet, host: 127.0.0.1, port: {sim.port},
+                      device_instance: 100, interval_s: 0.02, discover: true,
+                      tags: {{building: B}}}}
+                """
+            ),
+            encoding="utf-8",
+        )
+        gw = Gateway(load_config(str(path)))
+        points = []
+        submit_many = gw.pipeline.submit_many
+        gw.pipeline.submit_many = lambda pts: (points.extend(pts), submit_many(pts))
+        gw.start()
+        try:
+            deadline = time.monotonic() + 5
+            while gw.scheduler.job_runs["ctrl-1"] < 3 and time.monotonic() < deadline:
+                time.sleep(0.01)
+        finally:
+            gw.stop()
+    runs = gw.scheduler.job_runs["ctrl-1"]
+    assert runs >= 3 and gw.scheduler.job_errors == {"ctrl-1": 0}
+    assert len(points) == 3 * runs
+    tags = gw.config.bacnet_devices[0].tags
+    assert tags == {"building": "B"}
+    assert all(p.tags is tags for p in points)
 
 
 # -- function calls per point ------------------------------------------------------
@@ -201,10 +220,11 @@ def test_calls_per_point_cirwatt_poll():
     client = ReplayedModbus(banks)
     pipeline = _pipeline()
     tags = {"model": "cirwatt-b"}
+    plan = modbus_client.coalesce(bindings)
 
     def replay():
         for _ in banks:
-            pipeline.submit_many(client.read_parameters(bindings, "meter-1", tags).points)
+            pipeline.submit_many(client.read_parameters(plan, "meter-1", tags).points)
 
     calls = calls_per_point(replay, pipeline)
     assert calls <= 31.8 * 1.05, calls
