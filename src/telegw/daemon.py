@@ -11,10 +11,10 @@ escapes a poller's thread; the process outlives any single dead
 dependency. Shutdown is two-phase: intake stops first, then the pipeline
 drains into the sink bounded by the configured timeout.
 
-``/health``, ``/metrics`` and ``/stats`` are served as HTTP/1.0 by a
-``socketserver`` handler rather than ``http.server``, which would load
-``http.client`` and with it ``ssl``, libssl and libcrypto: about 5 MB of a
-process that otherwise needs no TLS. A gateway with an HTTP poll loads
+``/health``, ``/metrics`` and ``/stats`` are served as HTTP/1.0 by an
+accept loop on a plain socket rather than by ``http.server``, which would
+load ``http.client`` and with it ``ssl``, libssl and libcrypto: about 5 MB
+of a process that otherwise needs no TLS. A gateway with an HTTP poll loads
 them, through :mod:`telegw.httpio`, when it starts. Likewise only a gateway
 with a BACnet device loads :mod:`telegw.bacnet`, in :meth:`Gateway.start`.
 """
@@ -24,7 +24,7 @@ from __future__ import annotations
 import json
 import logging
 import os
-import socketserver
+import socket
 import threading
 import time
 from collections import Counter
@@ -68,7 +68,7 @@ class Gateway:
         # job -> reason -> items its polls read but could not hand on
         self._drops: dict[str, Counter] = {}
         self._drops_lock = threading.Lock()
-        self._server: HealthServer | None = None
+        self._health: tuple[socket.socket, threading.Event, threading.Thread] | None = None
         self._started_ns: int | None = None
 
     # -- poller jobs ----------------------------------------------------------
@@ -175,10 +175,11 @@ class Gateway:
         self.alert_engine.stop()
         if self.config.gateway.stats_path:
             self.dump_stats()
-        if self._server is not None:
-            self._server.shutdown()
-            self._server.server_close()
-            self._server = None
+        if self._health is not None:
+            (listener, stopping, loop), self._health = self._health, None
+            stopping.set()
+            listener.shutdown(socket.SHUT_RDWR)  # wakes accept(); the loop closes the listener
+            loop.join()
 
     # -- introspection ----------------------------------------------------------
 
@@ -253,67 +254,65 @@ class Gateway:
             "/metrics": self.metrics_snapshot,
             "/stats": lambda: stats_to_doc(self.pipeline.rate_stats()),
         }
-        self._server = HealthServer(
-            (self.config.gateway.health_host, self.config.gateway.health_port), routes
-        )
-        self.health_port = self._server.server_address[1]
-        # shutdown() waits for serve_forever to see its flag, which it checks
-        # once per poll interval (0.5 s by default); this bounds stop().
-        threading.Thread(
-            target=self._server.serve_forever, kwargs={"poll_interval": 0.02}, daemon=True
-        ).start()
+        gw = self.config.gateway
+        listener = socket.create_server((gw.health_host, gw.health_port))  # sets SO_REUSEADDR
+        self.health_port = listener.getsockname()[1]
+        stopping = threading.Event()
+        loop = threading.Thread(target=serve_forever, args=(listener, routes, stopping), daemon=True)
+        loop.start()
+        self._health = (listener, stopping, loop)
 
 
-class _HealthHandler(socketserver.StreamRequestHandler):
+def serve_forever(listener: socket.socket, routes: dict, stopping: threading.Event) -> None:
+    """Serve ``routes``, a path -> document function map, a thread per connection,
+    until ``stopping`` is set and a shutdown() wakes ``accept()``; then close ``listener``."""
+    with listener:
+        while not stopping.is_set():
+            try:
+                conn, _ = listener.accept()
+            except OSError:
+                continue  # skipped, as is the accept() a stop's shutdown() ends
+            threading.Thread(target=_serve_connection, args=(conn, routes), daemon=True).start()
+
+
+def _serve_connection(conn: socket.socket, routes: dict) -> None:
     """One HTTP/1.0 request per connection. A GET of a routed path gets its
     JSON document; anything else gets an error status with a JSON body."""
-
-    timeout = IDLE_TIMEOUT_S
-
-    def handle(self) -> None:
+    with conn, conn.makefile("rb") as rfile:
         try:
-            status, doc = self._answer()
+            conn.settimeout(IDLE_TIMEOUT_S)
+            status, doc = _answer(rfile, routes)
             body = json.dumps(doc).encode("utf-8")
             head = (
                 f"HTTP/1.0 {status.value} {status.phrase}\r\n"
                 "Content-Type: application/json\r\n"
                 f"Content-Length: {len(body)}\r\n\r\n"
             )
-            self.wfile.write(head.encode("ascii") + body)
+            conn.sendall(head.encode("ascii") + body)
+            conn.shutdown(socket.SHUT_WR)
         except OSError:
             pass  # the client left, or sent no whole request within the timeout
 
-    def _answer(self) -> tuple[HTTPStatus, dict]:
-        line = self.rfile.readline(MAX_LINE + 1)
-        if len(line) > MAX_LINE:
-            return HTTPStatus.REQUEST_URI_TOO_LONG, {"error": "request line too long"}
-        words = line.split()
-        if len(words) != 3 or not words[2].startswith(b"HTTP/"):
-            return HTTPStatus.BAD_REQUEST, {"error": "malformed request line"}
-        # read the headers so that closing the socket does not reset it
-        for _ in range(MAX_HEADERS + 1):
-            header = self.rfile.readline(MAX_LINE + 1)
-            if len(header) > MAX_LINE:
-                return HTTPStatus.REQUEST_HEADER_FIELDS_TOO_LARGE, {"error": "header line too long"}
-            if header in (b"\r\n", b"\n", b""):
-                break
-        else:
-            return HTTPStatus.REQUEST_HEADER_FIELDS_TOO_LARGE, {"error": "too many headers"}
-        if words[0] != b"GET":
-            return HTTPStatus.NOT_IMPLEMENTED, {"error": "only GET is served"}
-        route = self.server.routes.get(words[1].decode("latin-1"))
-        if route is None:
-            return HTTPStatus.NOT_FOUND, {"error": "no such path"}
-        return HTTPStatus.OK, route()
 
-
-class HealthServer(socketserver.ThreadingTCPServer):
-    """Serves ``routes``, a path -> document function map, one thread per
-    connection."""
-
-    daemon_threads = True
-    allow_reuse_address = True
-
-    def __init__(self, address: tuple[str, int], routes: dict[str, Callable[[], dict]]):
-        self.routes = routes
-        super().__init__(address, _HealthHandler)
+def _answer(rfile, routes: dict[str, Callable[[], dict]]) -> tuple[HTTPStatus, dict]:
+    line = rfile.readline(MAX_LINE + 1)
+    if len(line) > MAX_LINE:
+        return HTTPStatus.REQUEST_URI_TOO_LONG, {"error": "request line too long"}
+    words = line.split()
+    if len(words) != 3 or not words[2].startswith(b"HTTP/"):
+        return HTTPStatus.BAD_REQUEST, {"error": "malformed request line"}
+    # read the headers so that closing the socket does not reset it
+    for _ in range(MAX_HEADERS + 1):
+        header = rfile.readline(MAX_LINE + 1)
+        if len(header) > MAX_LINE:
+            return HTTPStatus.REQUEST_HEADER_FIELDS_TOO_LARGE, {"error": "header line too long"}
+        if header in (b"\r\n", b"\n", b""):
+            break
+    else:
+        return HTTPStatus.REQUEST_HEADER_FIELDS_TOO_LARGE, {"error": "too many headers"}
+    if words[0] != b"GET":
+        return HTTPStatus.NOT_IMPLEMENTED, {"error": "only GET is served"}
+    route = routes.get(words[1].decode("latin-1"))
+    if route is None:
+        return HTTPStatus.NOT_FOUND, {"error": "no such path"}
+    return HTTPStatus.OK, route()

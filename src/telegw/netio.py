@@ -11,22 +11,35 @@ as ``socket.gaierror`` instead of as ``UnicodeError``.
 
 from __future__ import annotations
 
+import errno
+import os
+import select
 import socket
 from typing import Callable
 
 
 def connect(host: str, port: int, timeout: float, publish: Callable = lambda sock: None) -> socket.socket:
     """``socket.create_connection`` to ``host``, IDNA-encoding only a non-ASCII one.
-    Each socket goes to ``publish``, which may raise to refuse it, before its connect(),
-    so a shutdown() from another thread ends that; None goes there if the attempt fails."""
+    Each socket goes to ``publish``, which may raise to refuse it, once its connect has
+    started, so a shutdown() from another thread ends that; None goes there if the
+    attempt fails. The connect is waited for with poll(), which takes any descriptor."""
     host_arg = host.encode() if host.isascii() else host
     addrs = socket.getaddrinfo(host_arg, port, 0, socket.SOCK_STREAM)  # raises, never empty
     for i, (family, kind, proto, _, addr) in enumerate(addrs):
         sock = socket.socket(family, kind, proto)
         try:
-            sock.settimeout(timeout)
+            sock.setblocking(False)
+            err = sock.connect_ex(addr)
             publish(sock)
-            sock.connect(addr)
+            if err == errno.EINPROGRESS:
+                waiter = select.poll()
+                waiter.register(sock, select.POLLOUT)
+                if not waiter.poll(timeout * 1000):
+                    raise TimeoutError("timed out")
+                err = sock.getsockopt(socket.SOL_SOCKET, socket.SO_ERROR)
+            if err:
+                raise OSError(err, os.strerror(err))
+            sock.settimeout(timeout)
             return sock
         except BaseException as e:
             publish(None)

@@ -528,8 +528,11 @@ class JobRecord:
 class Scheduler:
     """Periodic jobs with phase jitter, and the one record of their outcomes.
 
-    A job succeeds by returning and fails by raising any ``Exception``; either
-    lands in its :class:`JobRecord` under one lock and never ends its thread.
+    A job's polls start on a fixed timeline, each one interval (jittered)
+    after the previous one was due, however long that one took; one that
+    overran is followed at once, not by a burst to catch up. A job succeeds
+    by returning and fails by raising any ``Exception``; either lands in its
+    :class:`JobRecord` under one lock and never ends its thread.
     Only a job's first failed poll (a warning, with traceback) and its first
     success after failing are logged, not the failed polls between. A job
     that raises once :meth:`stop` has begun was cancelled, most likely woken
@@ -592,6 +595,7 @@ class Scheduler:
 
     def _run_job(self, schedule: PollSchedule, job: Job, name: str, close: Job | None) -> None:
         record = self._records[name]
+        due = time.monotonic()  # when this poll was due
         try:
             while not self._stop.is_set():
                 failures = record.consecutive_failures  # only this thread writes it
@@ -616,7 +620,9 @@ class Scheduler:
                         record.errors += 1
                         record.consecutive_failures += 1
                     delay = schedule.next_delay(self._rng)
-                if self._stop.wait(delay):
+                now = time.monotonic()
+                due = max(due + delay, now)  # after a poll that overran: now, no catch-up
+                if self._stop.wait(due - now):
                     return
         finally:
             if close is not None:

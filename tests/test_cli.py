@@ -748,6 +748,26 @@ def test_stop_is_prompt_without_sources(tmp_path):
     assert elapsed < 0.1, f"stop() took {elapsed * 1000:.0f} ms"
 
 
+def test_stop_wakes_the_health_listener_at_once_and_closes_it(tmp_path):
+    cfg = load_config(
+        write_config(
+            tmp_path,
+            f"""
+            gateway: {{health_port: 0}}
+            sink: {{mode: file, path: {tmp_path}/out.lp}}
+            """,
+        )
+    )
+    for _ in range(5):
+        gw = Gateway(cfg).start()
+        t0 = time.monotonic()
+        gw.stop()
+        elapsed = time.monotonic() - t0
+        assert elapsed < 0.01, f"stop() took {elapsed * 1000:.1f} ms"
+        with pytest.raises(ConnectionRefusedError):
+            socket.create_connection(("127.0.0.1", gw.health_port), timeout=1).close()
+
+
 @contextlib.contextmanager
 def _silent_device(kind: str):
     """The port of a device that never answers: a TCP listener whose connects

@@ -4,6 +4,7 @@ import datetime
 import socket
 import struct
 import threading
+import time
 
 import pytest
 
@@ -13,6 +14,7 @@ from telegw.modbus import (
     ExceptionResponse,
     HistoricalReadConfig,
     ModbusClient,
+    ModbusError,
     ReadyTimeout,
     RegisterBinding,
     RegisterCodec,
@@ -28,6 +30,7 @@ from devicemaps import (
     lacecal_bindings,
     load_plausible,
 )
+from net_fixtures import full_listener
 
 FAST = ConnectionPolicy(connect_timeout_ms=400, io_timeout_ms=1000)
 PERSIST = ConnectionPolicy(mode="persistent", connect_timeout_ms=400, io_timeout_ms=1000)
@@ -245,6 +248,28 @@ class TestHostLookup:
             sim.load(0, [4])
             assert client_for(sim).read_registers("holding", 0, 1) == [4]
         assert len(hosts) == 3
+
+
+class TestInterrupt:
+    def test_a_stop_right_after_the_socket_is_published_ends_its_connect(self):
+        """The socket is published once its connect has started, so a stop
+        at any point after that ends the connect rather than missing it."""
+        with full_listener() as port:
+            c = ModbusClient("127.0.0.1", port, policy=ConnectionPolicy(
+                connect_timeout_ms=3000, io_timeout_ms=3000))
+            publish = c._publish
+
+            def publish_then_stop(sock):
+                publish(sock)
+                c.interrupt()
+
+            c._publish = publish_then_stop
+            t0 = time.monotonic()
+            with pytest.raises(ModbusError):
+                c.read_registers("holding", 0, 1)
+            elapsed = time.monotonic() - t0
+            c.close()
+        assert elapsed < 0.5, f"the read took {elapsed:.2f} s"
 
 
 class TestSingleConnectionLimit:

@@ -1050,6 +1050,36 @@ class TestScheduler:
         assert sched.job_errors["bad"] >= 5
         assert sched.job_runs["bad"] == 0
 
+    @staticmethod
+    def _starts(job_s, polls: int) -> list[float]:
+        """When each of a job's first ``polls`` polls started, under
+        ``PollSchedule(0.05)``; ``job_s(i)`` is how long poll ``i`` takes."""
+        starts: list[float] = []
+
+        def job():
+            starts.append(time.monotonic())
+            time.sleep(job_s(len(starts) - 1))
+
+        sched = Scheduler()
+        sched.add("meter-1", PollSchedule(0.05), job)
+        sched.start()
+        deadline = time.monotonic() + 5
+        while len(starts) < polls and time.monotonic() < deadline:
+            time.sleep(0.005)
+        sched.stop()
+        assert len(starts) >= polls
+        return starts[:polls]
+
+    def test_polls_start_one_interval_apart_however_long_they_take(self):
+        starts = self._starts(lambda i: 0.03, 9)
+        mean_gap = (starts[-1] - starts[0]) / 8
+        assert 0.049 <= mean_gap < 0.065, f"polls started {mean_gap * 1000:.1f} ms apart"
+
+    def test_a_poll_that_overran_is_followed_at_once_and_not_by_a_burst(self):
+        starts = self._starts(lambda i: 0.12 if i == 0 else 0.0, 3)
+        assert starts[1] - starts[0] < 0.12 + 0.03  # at once, not an interval after the end
+        assert starts[2] - starts[1] >= 0.049  # the timeline restarted: no catch-up
+
     def test_a_name_is_added_once(self):
         sched = Scheduler()
         sched.add("meter-1", PollSchedule(1), lambda: None)
