@@ -27,6 +27,7 @@ from urllib.parse import urlsplit
 from telegw.model import FLAG, REAL, DataPoint, Value
 
 log = logging.getLogger("telegw.alerts")
+STOP_JOIN_S = 5.0  # how long stop() waits for the delivery worker
 
 GT = "gt"
 LT = "lt"
@@ -169,8 +170,9 @@ class AlertEngine:
         self._queue: queue.Queue | None = None
         self._worker: threading.Thread | None = None
         if self._notifiers:
-            self._queue = queue.Queue()
-            self._worker = threading.Thread(target=self._deliver_loop, daemon=True)
+            # the worker keeps its own reference: a stop that times out drops the engine's
+            self._queue = events = queue.Queue()
+            self._worker = threading.Thread(target=self._deliver_loop, args=(events,), daemon=True)
             self._worker.start()
 
     def observe(self, dp: DataPoint) -> list[AlertEvent]:
@@ -230,9 +232,9 @@ class AlertEngine:
         state.last_fired_ns = ts
         return AlertEvent(rule.id, dp.entity_id, dp.parameter, FIRED, dp.value.raw, ts)
 
-    def _deliver_loop(self) -> None:
+    def _deliver_loop(self, events: queue.Queue) -> None:
         while True:
-            event = self._queue.get()
+            event = events.get()
             if event is None:
                 return
             for notifier in self._notifiers:
@@ -248,7 +250,7 @@ class AlertEngine:
         FIFO, so the worker reaches the sentinel only after them."""
         if self._queue is not None:
             self._queue.put(None)
-            self._worker.join(timeout=5)
+            self._worker.join(timeout=STOP_JOIN_S)
             self._queue = None
             self._worker = None
 

@@ -96,7 +96,12 @@ def cmd_run(args) -> int:
     done = threading.Event()
     signal.signal(signal.SIGTERM, lambda *_: done.set())
     signal.signal(signal.SIGINT, lambda *_: done.set())
-    gateway = Gateway(cfg).start()
+    gateway = Gateway(cfg)
+    try:
+        gateway.start()
+    except OSError as e:  # the listener is the one socket start() binds to a given port
+        print(f"health endpoint: {e}", file=sys.stderr)
+        return 1
     print(
         f"gateway up: health on http://{cfg.gateway.health_host}:{gateway.health_port}/health",
         flush=True,

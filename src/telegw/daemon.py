@@ -1,14 +1,14 @@
 """Process supervisor: one validated config in, a running gateway out.
 
-The gateway owns a pipeline, an alert engine, one subscriber per broker,
-and a scheduler thread per polled device and HTTP poll. Each poll job owns
-its client, whose wake lets a stop cut short a poll waiting on a silent
-device or server. What a job reads (a Modbus device's read groups) and the
-tags its points carry are fixed when the job is built. A job returns when
-it delivered its points and raises when it did not; the scheduler records
-either against that job, and ``/health`` reads those records. No failure
-escapes a poller's thread; the process outlives any single dead
-dependency. Shutdown is two-phase: intake stops first, then the pipeline
+The gateway owns a pipeline, an alert engine, one subscriber per broker, and a
+scheduler thread per polled device and HTTP poll. Each poll job owns its
+client, whose wake lets a stop cut short a poll waiting on a silent device or
+server, in its connect or TLS handshake too. What a job reads (a Modbus
+device's read groups) and the tags its points carry are fixed when the job is
+built. A job returns when it delivered its points and raises when it did not;
+the scheduler records either against that job, and ``/health`` reads those
+records. No failure escapes a poller's thread; the process outlives any single
+dead dependency. Shutdown is two-phase: intake stops first, then the pipeline
 drains into the sink bounded by the configured timeout.
 
 ``/health``, ``/metrics`` and ``/stats`` are served as HTTP/1.0 by an
@@ -128,8 +128,8 @@ class Gateway:
 
     def start(self) -> "Gateway":
         self._started_ns = self.clock_ns()
-        # a job's wake: interrupt for Modbus, whose close wakes no read and is
-        # left to the job's own thread; close for BACnet and HTTP
+        # a job's wake: interrupt for Modbus and HTTP, whose sockets only the job's
+        # own thread closes; close for BACnet, whose recvfrom() no shutdown() ends
         jitter = self.config.gateway.jitter
         for dev in self.config.modbus_devices:
             client = ModbusClient(dev.host, dev.port, dev.unit, dev.policy, self.clock_ns)
@@ -149,18 +149,19 @@ class Gateway:
             http = HttpClient(POLL_TIMEOUT_S)
             name, schedule = f"http-{i}", PollSchedule(poll.interval_s, jitter)
             job = self._http_job(poll, name, partial(http.request, "GET"))
-            self.scheduler.add(name, schedule, job, http.close)
+            self.scheduler.add(name, schedule, job, http.interrupt)
         if self.config.gateway.stats_path:
             self.scheduler.add(STATS_JOB, PollSchedule(30.0, 0.0), self.dump_stats)
-        # threads start once every job is added: a job the scheduler refuses
-        # (a name taken twice) leaves none running
+        # threads start once every job is added and /health's port is bound: a
+        # job the scheduler refuses (a name taken twice) or a taken port leaves none
+        serve = self._open_health_listener()
         self.pipeline.start()
         for entry in self.config.brokers:
             bindings = list(entry.bindings)
             sub = Subscriber(entry.config, bindings, self.pipeline.submit, self.clock_ns)
             self.subscribers.append(sub.start())
         self.scheduler.start()
-        self._start_health_server()
+        serve.start()
         for warning in self.config.warnings:
             log.warning("%s", warning)
         return self
@@ -248,7 +249,7 @@ class Gateway:
 
     # -- health endpoint ----------------------------------------------------------
 
-    def _start_health_server(self) -> None:
+    def _open_health_listener(self) -> threading.Thread:
         routes = {
             "/health": self.health_snapshot,
             "/metrics": self.metrics_snapshot,
@@ -259,8 +260,8 @@ class Gateway:
         self.health_port = listener.getsockname()[1]
         stopping = threading.Event()
         loop = threading.Thread(target=serve_forever, args=(listener, routes, stopping), daemon=True)
-        loop.start()
         self._health = (listener, stopping, loop)
+        return loop
 
 
 def serve_forever(listener: socket.socket, routes: dict, stopping: threading.Event) -> None:

@@ -4,7 +4,8 @@ the HTTP sink, HTTP polls, webhooks and ``gateway stats --url``.
 Importing this module loads ``http.client`` and ``ssl``, so its callers
 import it when they first send. It follows no redirects, reads no proxy
 settings, and verifies an HTTPS server against the system trust store
-(``ssl.create_default_context()``).
+(``ssl.create_default_context()``). :meth:`HttpClient.interrupt` wakes a
+request at any step, its TCP connect and TLS handshake included.
 """
 
 from __future__ import annotations
@@ -12,21 +13,18 @@ from __future__ import annotations
 import http.client
 from urllib.parse import urlsplit
 
-from telegw.netio import shut
+from telegw.netio import Stoppable, connect
 
 TIMEOUT_S = 10.0  # per socket operation: the sink's and a webhook's
 
 
-class HttpClient:
-    """Sends each request on a new connection. :meth:`close`, from any
-    thread, shuts down the request in flight and keeps every later one from
-    being sent; a connect or TLS handshake still waiting for its server is
-    not woken."""
+class HttpClient(Stoppable):
+    """Sends each request on a new connection, on the calling thread; see
+    :class:`~telegw.netio.Stoppable` for how a stop reaches it."""
 
     def __init__(self, timeout_s: float = TIMEOUT_S):
+        super().__init__()
         self.timeout_s = timeout_s
-        self._conn: http.client.HTTPConnection | None = None
-        self._closed = False
 
     def request(
         self, method: str, url: str, headers: dict | None = None, body: bytes | None = None
@@ -38,26 +36,20 @@ class HttpClient:
         try:
             if parts.scheme not in ("http", "https"):
                 raise http.client.InvalidURL(f"scheme {parts.scheme!r} is not http or https")
-            https = parts.scheme == "https"
-            connection = http.client.HTTPSConnection if https else http.client.HTTPConnection
-            # close() sets _closed, then shuts the published connection's
-            # socket: either the check below sees the first, or the I/O wakes
-            conn = self._conn = connection(parts.netloc, timeout=self.timeout_s)
+            connection = http.client.HTTPSConnection if parts.scheme == "https" else http.client.HTTPConnection
+            conn = connection(parts.netloc, timeout=self.timeout_s)
+            # http.client's connect step, so that interrupt() reaches the socket
+            conn._create_connection = lambda addr, timeout, *_: connect(*addr, timeout, self._publish)
             try:
-                conn.connect()
-                if self._closed:
-                    raise ConnectionError("client was closed")
                 conn.request(method, target, body, headers or {})
                 response = conn.getresponse()
                 return response.status, response.read()
             finally:
                 conn.close()
+                self.close()
         except (OSError, http.client.HTTPException) as e:
             raise ConnectionError(f"{method} {url}: {type(e).__name__}: {e}") from e
 
-    def close(self) -> None:
-        self._closed = True
-        conn = self._conn
-        sock = conn.sock if conn is not None else None  # read once: the request clears it
-        if sock is not None:
-            shut(sock)
+    def _publish(self, sock) -> None:
+        # TLS takes the socket over before its handshake; shutting a duplicate ends that too
+        super()._publish(sock and sock.dup())

@@ -11,14 +11,13 @@ from __future__ import annotations
 
 import socket
 import struct
-import threading
 import time
 from dataclasses import dataclass, field
 from datetime import date as _date
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from ..model import NO_TAGS, DataPoint, Value, check_identifier
-from ..netio import connect as tcp_connect, recv_exact
+from ..netio import Stoppable, connect as tcp_connect, recv_exact
 from . import protocol
 from .protocol import (
     ExceptionResponse,
@@ -154,7 +153,7 @@ def coalesce(bindings: Iterable[RegisterBinding]) -> list[ReadGroup]:
     return groups
 
 
-class ModbusClient:
+class ModbusClient(Stoppable):
     _MAX_STALE_FRAMES = 8
 
     def __init__(
@@ -165,15 +164,13 @@ class ModbusClient:
         policy: Optional[ConnectionPolicy] = None,
         clock_ns: Callable[[], int] = time.time_ns,
     ):
+        super().__init__()
         self.host = host
         self.port = port
         self.unit = unit
         self.policy = policy or ConnectionPolicy()
         self.clock_ns = clock_ns
-        self._sock: Optional[socket.socket] = None
         self._tx = 0
-        self._interrupted = False
-        self._lock = threading.Lock()  # orders _publish and close against interrupt()
 
     # -- connection management -------------------------------------------
 
@@ -217,40 +214,6 @@ class ModbusClient:
             except OSError as e:
                 last = e
                 time.sleep(0.01)
-
-    def _publish(self, sock: Optional[socket.socket]) -> None:
-        with self._lock:
-            if sock is not None and self._interrupted:
-                raise ModbusError(f"client for {self.host}:{self.port} was interrupted")
-            self._sock = sock
-
-    def close(self) -> None:
-        """Close the connection. Only the thread that uses the client calls
-        this (an exchange, the poll job on failure, the scheduler when the
-        job's thread ends), so no call in progress has its socket closed."""
-        with self._lock:
-            sock, self._sock = self._sock, None
-        if sock is not None:
-            sock.close()
-
-    def interrupt(self) -> None:
-        """Refuse every later exchange and wake the one in progress, from any
-        thread: for shutting down. The connection is shut down, which ends a
-        blocked connect, read or write (close() alone wakes no recv()), but
-        not closed: the thread that uses the client closes it."""
-        with self._lock:
-            self._interrupted = True
-            if self._sock is not None:
-                try:
-                    self._sock.shutdown(socket.SHUT_RDWR)
-                except OSError:
-                    pass
-
-    def __enter__(self) -> "ModbusClient":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
 
     # -- framing ----------------------------------------------------------
 

@@ -1,6 +1,7 @@
 """Socket helpers shared by the protocol clients and the simulators.
 
-:func:`connect` is the Modbus and MQTT clients' TCP connect. It hands an
+:class:`Stoppable` is how a stop reaches the Modbus and HTTP clients.
+:func:`connect` is the Modbus, MQTT and HTTP clients' TCP connect. It hands an
 ASCII host to the resolver as ``bytes``: ``socket.getaddrinfo`` sends a
 ``str`` host through the IDNA codec, which loads ``encodings.idna``,
 ``stringprep`` and ``unicodedata`` even for ``"127.0.0.1"``. A non-ASCII
@@ -11,10 +12,12 @@ as ``socket.gaierror`` instead of as ``UnicodeError``.
 
 from __future__ import annotations
 
+import contextlib
 import errno
 import os
 import select
 import socket
+import threading
 from typing import Callable
 
 
@@ -48,6 +51,46 @@ def connect(host: str, port: int, timeout: float, publish: Callable = lambda soc
                 raise
 
 
+class Stoppable:
+    """A client's stop hand-off. The owner thread hands each socket it connects to
+    :meth:`_publish` and alone closes it (:meth:`close`), so no descriptor is reused
+    under a call. :meth:`interrupt`, from any thread, refuses later sockets and shuts
+    the held one down, which ends a blocked connect, TLS handshake, read or write."""
+
+    def __init__(self):
+        self._sock: socket.socket | None = None
+        self._interrupted = False
+        self._lock = threading.Lock()  # orders _publish and close against interrupt()
+
+    def _publish(self, sock: socket.socket | None) -> None:
+        """Hold ``sock``, or with None close the one held; after interrupt(), close and refuse it."""
+        if sock is None:
+            return self.close()
+        with self._lock:
+            if self._interrupted:
+                sock.close()
+                raise ConnectionError("client was interrupted")
+            self._sock = sock
+
+    def close(self) -> None:
+        with self._lock:
+            sock, self._sock = self._sock, None
+        if sock is not None:
+            sock.close()
+
+    def interrupt(self) -> None:
+        with self._lock, contextlib.suppress(OSError):
+            self._interrupted = True
+            if self._sock is not None:
+                self._sock.shutdown(socket.SHUT_RDWR)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+
 def recv_exact(sock: socket.socket, n: int) -> bytes:
     """``n`` bytes; ``ConnectionError`` if the stream ends first."""
     buf = bytearray()
@@ -61,8 +104,8 @@ def recv_exact(sock: socket.socket, n: int) -> bytes:
 
 def shut(sock: socket.socket) -> None:
     """Close ``sock``, first waking any thread blocked on it: close() alone
-    wakes neither accept() nor recv(), shutdown() wakes both. On a UDP
-    socket shutdown() raises ENOTCONN but still wakes recvfrom()."""
+    wakes neither accept() nor recv(), shutdown() wakes both. On a UDP socket
+    shutdown() raises ENOTCONN, and a recvfrom() with a timeout ends only after both."""
     try:
         sock.shutdown(socket.SHUT_RDWR)
     except OSError:

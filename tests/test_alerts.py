@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from telegw import alerts
 from telegw.alerts import (
     AlertEngine,
     AlertEvent,
@@ -381,3 +382,26 @@ class TestNotifiers:
         assert len(events) == 10
         engine.stop()
         assert slow.seen == [i * 60 * S for i in range(10)]
+
+    def test_the_worker_outlives_a_stop_that_gave_up_waiting_for_it(self, monkeypatch):
+        monkeypatch.setattr(alerts, "STOP_JOIN_S", 0.05)
+        uncaught = []
+        monkeypatch.setattr(threading, "excepthook", uncaught.append)
+        release = threading.Event()
+        seen = []
+
+        class Blocked:
+            def notify(self, event):
+                release.wait(5)
+                seen.append(event.timestamp)
+                return True
+
+        engine = AlertEngine([radon_rule(cooldown=0)], notifiers=[Blocked()])
+        worker = engine._worker
+        assert len(feed(engine, [400, 0])) == 2  # fired, then recovered
+        engine.stop()  # gives up while the first event is still being delivered
+        release.set()
+        worker.join(5)
+        assert not worker.is_alive()
+        assert uncaught == []
+        assert seen == [0, 60 * S]

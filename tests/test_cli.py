@@ -847,6 +847,87 @@ def test_stop_wakes_an_http_poll_blocked_on_a_silent_server(tmp_path):
     assert gw.scheduler.job_errors == {"http-0": 0}
 
 
+@contextlib.contextmanager
+def _silent_http_server(kind: str):
+    """The URL of a server that leaves a poll waiting: in its TLS handshake,
+    since no ClientHello is answered ("https"), or in its TCP connect, since
+    the listener's accept queue is full ("http-connect")."""
+    if kind == "https":
+        with socket.create_server(("127.0.0.1", 0)) as server:
+            yield f"https://127.0.0.1:{server.getsockname()[1]}/v1/plant"
+    else:
+        with full_listener() as port:
+            yield f"http://127.0.0.1:{port}/v1/plant"
+
+
+@pytest.mark.parametrize("kind", ["https", "http-connect"])
+def test_stop_wakes_an_http_poll_in_its_connect_or_tls_handshake(tmp_path, kind):
+    with _silent_http_server(kind) as url:
+        cfg = load_config(
+            write_config(
+                tmp_path,
+                f"""
+                gateway: {{health_port: 0, jitter: 0}}
+                sink: {{mode: file, path: {tmp_path}/out.lp}}
+                http_polls:
+                  - url: {url}
+                    interval_s: 60
+                    entity_array_pointer: /items
+                    entity_id_pointer: /id
+                    fields: {{/v: {{parameter: v}}}}
+                """,
+            )
+        )
+        gw = Gateway(cfg).start()
+        time.sleep(0.3)  # the poll is now blocked in its handshake, or its connect
+        t0 = time.monotonic()
+        gw.stop()
+        elapsed = time.monotonic() - t0
+    assert elapsed < 1.0, f"stop() took {elapsed:.2f} s"
+    assert gw.scheduler.job_errors == {"http-0": 0}
+
+
+def _health_port_taken_config(tmp_path, port: int, broker_port: int) -> str:
+    return write_config(
+        tmp_path,
+        f"""
+        gateway: {{health_host: 127.0.0.1, health_port: {port}}}
+        sink: {{mode: file, path: {tmp_path}/out.lp}}
+        brokers:
+          - host: 127.0.0.1
+            port: {broker_port}
+            bindings:
+              - topic: radon/+/report
+                entity: "radon-{{1}}"
+                fields:
+                  /radon: {{parameter: radon}}
+        """,
+    )
+
+
+def test_a_taken_health_port_fails_start_before_any_thread_starts(tmp_path):
+    with socket.create_server(("127.0.0.1", 0)) as taken, MqttBroker() as broker:
+        cfg = load_config(_health_port_taken_config(tmp_path, taken.getsockname()[1], broker.port))
+        before = threading.active_count()
+        with pytest.raises(OSError):
+            Gateway(cfg).start()
+        time.sleep(0.2)  # a subscriber, had one started, would be connected by now
+        assert threading.active_count() == before
+        assert broker.session_count == 0
+
+
+def test_run_reports_a_taken_health_port_in_one_line(tmp_path):
+    with socket.create_server(("127.0.0.1", 0)) as taken, MqttBroker() as broker:
+        config = _health_port_taken_config(tmp_path, taken.getsockname()[1], broker.port)
+        done = subprocess.run(
+            [sys.executable, "-m", "telegw.cli", "run", "-c", config],
+            capture_output=True, text=True, timeout=30,
+        )
+    assert done.returncode == 1
+    assert done.stderr.startswith("health endpoint: ") and done.stderr.count("\n") == 1, done.stderr
+    assert "Traceback" not in done.stderr
+
+
 def test_stop_closes_a_persistent_modbus_connection(tmp_path, meter_sim, monkeypatch):
     clients = []
 

@@ -28,6 +28,7 @@ from telegw.ingest import (
     poll_http,
     resolve_pointer,
 )
+from telegw.httpio import HttpClient
 from telegw.model import Value
 from telegw.mqtt import protocol as mp
 from telegw.mqtt.client import MqttClient
@@ -407,6 +408,23 @@ class TestHttpPoll:
             HttpPollSpec("ftp://x/api", 10, {"/v": FieldSpec("v")}, "/s", "/id")
         with pytest.raises(ValueError):
             HttpPollSpec("http://x/api", 5, {"/v": FieldSpec("v")}, "/s", "/id")
+
+
+class TestHttpClient:
+    def test_a_request_after_interrupt_fails_without_sending(self, http_stub):
+        server, handler = http_stub
+        client = HttpClient(5.0)
+        client.interrupt()
+        with pytest.raises(ConnectionError, match="interrupted"):
+            client.request("GET", f"http://127.0.0.1:{server.server_address[1]}/api")
+        assert handler.seen == [] and client._sock is None
+
+    def test_requests_hold_no_socket_between_them(self, http_stub):
+        server, _ = http_stub
+        url, client = f"http://127.0.0.1:{server.server_address[1]}/api", HttpClient(5.0)
+        for _ in range(3):
+            assert client.request("GET", url) == (200, b"{}")
+            assert client._sock is None
 
 
 def _fast_broker_cfg(broker, **kw):
