@@ -339,8 +339,8 @@ class Subscriber:
                 password,
                 on_message=self._on_message,
             )
-            # stop() sets _stop, then closes the client it finds: either this
-            # check sees the first, or the close wakes a connect or SUBSCRIBE
+            # stop() sets _stop, then interrupts the client it finds: either this
+            # check sees the first, or the interrupt wakes a connect or SUBSCRIBE
             self._client = client
             if self._stop.is_set():
                 return
@@ -379,7 +379,7 @@ class Subscriber:
         self._stop.set()
         client = self._client
         if client is not None:
-            client.close()
+            client.interrupt()  # this subscriber's own thread closes it
         if self._thread is not None:
             self._thread.join(timeout=5)
             self._thread = None

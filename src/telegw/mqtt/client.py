@@ -1,9 +1,16 @@
-"""Blocking MQTT 3.1.1 client with a background reader thread.
+"""Blocking MQTT 3.1.1 client with one background reader thread.
 
 Publishes at QoS 0/1 and subscribes with a message callback. QoS 1
 publishes wait for the PUBACK; there is no in-flight retransmission, so
 a timed-out publish surfaces to the caller, who may republish (duplicate
 deliveries are expected to be absorbed downstream).
+
+The client is a :class:`telegw.netio.Stoppable`. The connecting thread owns
+the socket until CONNACK; after that the reader thread alone waits on it,
+sends PINGREQ every ``keepalive / 2`` whatever arrives, and closes it on its
+way out. A connection on which nothing was read between one PINGREQ and the
+next is ended (MQTT 3.1.1 §3.1.2.10). ``close()`` and ``interrupt()`` only
+wake the reader, so no descriptor is closed under a call in progress.
 
 TCP options: brokers commonly keep Nagle's algorithm on (Mosquitto's
 ``set_tcp_nodelay`` defaults to false), so a broker holds a small segment
@@ -19,12 +26,15 @@ request (CONNACK, SUBACK, PUBACK, PINGRESP), so that ACK leaves at once.
 
 from __future__ import annotations
 
+import contextlib
+import select
 import socket
 import threading
+import time
 from typing import Callable
 
 from telegw.mqtt import protocol as mp
-from telegw.netio import connect as tcp_connect, shut
+from telegw.netio import Stoppable, connect as tcp_connect
 
 _QUICKACK = getattr(socket, "TCP_QUICKACK", None)
 CONNECT_TIMEOUT_S = 5.0
@@ -73,7 +83,7 @@ class _Slot(threading.Event):
     payload = None
 
 
-class MqttClient:
+class MqttClient(Stoppable):
     def __init__(
         self,
         host: str,
@@ -93,11 +103,9 @@ class MqttClient:
         self.keepalive = keepalive
         self.io_timeout = io_timeout
         self.on_message = on_message
-        self._sock: socket.socket | None = None
-        self._send_lock = threading.Lock()
+        super().__init__()
+        self._send_lock = threading.Lock()  # orders each send against the reader's close
         self._reader: threading.Thread | None = None
-        self._pinger: threading.Thread | None = None
-        self._stop = threading.Event()
         # (ack type, packet id) -> the slot its requester waits on
         self._pending: dict[tuple[int, int], _Slot] = {}
         self._ack_lock = threading.Lock()
@@ -107,9 +115,8 @@ class MqttClient:
     # -- connection lifecycle ------------------------------------------
 
     def connect(self) -> None:
-        """Connect; a client connects once. close() sets _stop, then shuts
-        the published socket down: either _publish sees the first, or the
-        connect or handshake wakes."""
+        """Connect; a client connects once. A failed connect closes its socket
+        here, a made one hands it to the reader thread."""
         sock = tcp_connect(self.host, self.port, CONNECT_TIMEOUT_S, self._publish)
         try:
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
@@ -129,69 +136,49 @@ class MqttClient:
             if code != mp.CONNACK_ACCEPTED:
                 raise AuthRejected(code)
             sock.settimeout(None)
+            reader = threading.Thread(target=self._read_loop, daemon=True)
+            reader.start()
         except BaseException:
-            self._teardown()
+            Stoppable.close(self)
             raise
-        reader = threading.Thread(target=self._read_loop, daemon=True)
-        reader.start()
         self._reader = reader  # published once started: close() joins what it finds
-        if self.keepalive > 0:
-            self._pinger = threading.Thread(target=self._ping_loop, daemon=True)
-            self._pinger.start()
-
-    def _publish(self, sock: socket.socket | None) -> None:
-        self._sock = sock
-        if sock is not None and self._stop.is_set():
-            raise NotConnected("client was closed")
 
     @property
     def connected(self) -> bool:
-        return self._reader is not None and not self._stop.is_set()
+        return self._reader is not None and self._sock is not None and not self._interrupted
 
     def wait_closed(self, timeout: float | None = None) -> bool:
-        """Block until the connection, once made, is closed or lost."""
-        return self._stop.wait(timeout)
+        """Block until the connection, once made, is closed or lost: until its reader ends."""
+        reader = self._reader
+        if reader is not None:
+            reader.join(timeout)
+        return reader is None or not reader.is_alive()
 
     def close(self) -> None:
+        """Send DISCONNECT if connected, then wake the reader and wait for it
+        to close the socket."""
         if self.connected:
-            try:
+            with contextlib.suppress(mp.MqttError):
                 self._send(mp.encode_disconnect())
-            except mp.MqttError:
-                pass
-        self._teardown()
+        self.interrupt()
         if self._reader is not None and self._reader is not threading.current_thread():
             self._reader.join(timeout=5)
-        self._reader = None
 
     def __enter__(self) -> "MqttClient":
         self.connect()
         return self
 
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-    def _teardown(self) -> None:
-        self._stop.set()
-        sock, self._sock = self._sock, None
-        if sock is not None:
-            shut(sock)
-        with self._ack_lock:
-            # wake every requester; each takes a missing payload as a loss
-            for slot in self._pending.values():
-                slot.set()
-
     # -- outbound -------------------------------------------------------
 
     def _send(self, data: bytes) -> None:
-        sock = self._sock
-        if sock is None or self._stop.is_set():
-            raise NotConnected("client is not connected")
-        try:
-            with self._send_lock:
-                sock.sendall(data)
-        except OSError as e:
-            self._teardown()
-            raise ConnectionLost(str(e)) from e
+        with self._send_lock:
+            if self._sock is None or self._interrupted:
+                raise NotConnected("client is not connected")
+            try:
+                self._sock.sendall(data)
+            except OSError as e:
+                self.interrupt()
+                raise ConnectionLost(str(e)) from e
 
     def _request(self, ack_type: int, encode: Callable[[int], bytes]):
         """Send ``encode(packet_id)`` under a fresh packet id and return the
@@ -226,15 +213,26 @@ class MqttClient:
             raise SubscribeRefused(codes)
         return codes
 
-    # -- background threads ----------------------------------------------
+    # -- the reader thread -----------------------------------------------
 
     def _read_loop(self) -> None:
+        sock, waiter = self._sock, select.poll()
+        waiter.register(sock, select.POLLIN)
+        interval = max(1.0, self.keepalive / 2) if self.keepalive > 0 else None
+        ping_due, heard = time.monotonic() + (interval or 0), True
         try:
-            while not self._stop.is_set():
-                sock = self._sock
-                if sock is None:
-                    return
+            while True:
+                if interval is not None:
+                    now = time.monotonic()
+                    if now >= ping_due:
+                        if not heard:
+                            return  # the broker answered nothing to the last PINGREQ
+                        self._send(mp.encode_pingreq())
+                        ping_due, heard = now + interval, False
+                    if not waiter.poll((ping_due - now) * 1000):
+                        continue
                 ptype, flags, body = mp.read_packet(sock)
+                heard = True
                 if ptype == mp.PUBLISH:
                     pkt = mp.decode_publish(flags, body)
                     if pkt.qos == 1:
@@ -262,12 +260,9 @@ class MqttClient:
         except (ConnectionError, OSError, mp.MqttError):
             pass
         finally:
-            self._teardown()
-
-    def _ping_loop(self) -> None:
-        interval = max(1.0, self.keepalive / 2)
-        while not self._stop.wait(interval):
-            try:
-                self._send(mp.encode_pingreq())
-            except mp.MqttError:
-                return
+            with self._send_lock:  # no send holds the socket once it is closed
+                Stoppable.close(self)
+            with self._ack_lock:
+                # wake every requester; each takes a missing payload as a loss
+                for slot in self._pending.values():
+                    slot.set()

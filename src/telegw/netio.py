@@ -1,13 +1,13 @@
 """Socket helpers shared by the protocol clients and the simulators.
 
-:class:`Stoppable` is how a stop reaches the Modbus and HTTP clients.
-:func:`connect` is the Modbus, MQTT and HTTP clients' TCP connect. It hands an
-ASCII host to the resolver as ``bytes``: ``socket.getaddrinfo`` sends a
-``str`` host through the IDNA codec, which loads ``encodings.idna``,
-``stringprep`` and ``unicodedata`` even for ``"127.0.0.1"``. A non-ASCII
-host is still passed as ``str`` and IDNA-encoded as before. An ASCII host
-that IDNA would refuse (an empty or over-long label) fails in the resolver
-as ``socket.gaierror`` instead of as ``UnicodeError``.
+:class:`Stoppable` is how a stop reaches the Modbus, HTTP and MQTT clients,
+and :func:`connect` is their TCP connect. It hands an ASCII host to the
+resolver as ``bytes``: ``socket.getaddrinfo`` sends a ``str`` host through
+the IDNA codec, which loads ``encodings.idna``, ``stringprep`` and
+``unicodedata`` even for ``"127.0.0.1"``. A non-ASCII host is still passed
+as ``str`` and IDNA-encoded as before. An ASCII host that IDNA would refuse
+(an empty or over-long label) fails in the resolver as ``socket.gaierror``
+instead of as ``UnicodeError``.
 """
 
 from __future__ import annotations
@@ -52,10 +52,12 @@ def connect(host: str, port: int, timeout: float, publish: Callable = lambda soc
 
 
 class Stoppable:
-    """A client's stop hand-off. The owner thread hands each socket it connects to
-    :meth:`_publish` and alone closes it (:meth:`close`), so no descriptor is reused
-    under a call. :meth:`interrupt`, from any thread, refuses later sockets and shuts
-    the held one down, which ends a blocked connect, TLS handshake, read or write."""
+    """A client's stop hand-off, shared by ``ModbusClient``, ``HttpClient`` and
+    ``MqttClient``. The owner thread (a poll's; MQTT's connecting thread, then its
+    reader) hands each socket it connects to :meth:`_publish` and alone closes it
+    (:meth:`close`), so no descriptor is reused under a call. :meth:`interrupt`, from
+    any thread, refuses later sockets and shuts the held one down, which ends a blocked
+    connect, TLS handshake, read or write."""
 
     def __init__(self):
         self._sock: socket.socket | None = None
@@ -64,8 +66,8 @@ class Stoppable:
 
     def _publish(self, sock: socket.socket | None) -> None:
         """Hold ``sock``, or with None close the one held; after interrupt(), close and refuse it."""
-        if sock is None:
-            return self.close()
+        if sock is None:  # the base close: MqttClient.close() wakes and joins its reader
+            return Stoppable.close(self)
         with self._lock:
             if self._interrupted:
                 sock.close()

@@ -1,7 +1,9 @@
-"""A TCP peer that leaves a connect waiting, for tests of what a stop wakes."""
+"""A TCP peer that leaves a connect waiting, and a record of which thread
+closes a socket, for tests of what a stop wakes."""
 
 import contextlib
 import socket
+import threading
 
 
 @contextlib.contextmanager
@@ -13,3 +15,16 @@ def full_listener():
         port = server.getsockname()[1]
         with socket.create_connection(("127.0.0.1", port), timeout=5):
             yield port
+
+
+def record_closers(monkeypatch, sock: socket.socket) -> list:
+    """The list that each thread closing ``sock`` from now on is appended to."""
+    closers, close = [], socket.socket.close
+
+    def recording_close(s):
+        if s is sock:
+            closers.append(threading.current_thread())
+        close(s)
+
+    monkeypatch.setattr(socket.socket, "close", recording_close)
+    return closers

@@ -16,6 +16,7 @@ from telegw.config import load_config
 from telegw.daemon import Gateway
 from telegw.modbus import RegisterCodec
 from telegw.sim import ModbusSim
+from telegw.sim.broker import MqttBroker
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -99,3 +100,33 @@ def test_polled_gateway_exposes_what_the_benchmark_reads(tmp_path):
     kept, _ = tracer.finish()
     spans = {tracing.NAMES[i - 1] for i in tracer.cols["name"][:kept] if i}
     assert {"modbus.read_parameters", "pipeline.submit_many", "pipeline.submit"} <= spans
+
+
+def test_subscribed_gateway_shows_the_thread_labels_the_benchmark_reads(tmp_path):
+    # perfbench's THREAD_LABELS name the subscriber's and its client reader's targets
+    config = tmp_path / "gw.yaml"
+    with MqttBroker() as broker:
+        config.write_text(
+            textwrap.dedent(
+                f"""
+                gateway: {{health_port: 0, jitter: 0}}
+                sink: {{mode: file, path: {tmp_path}/out.lp}}
+                brokers:
+                  - host: 127.0.0.1
+                    port: {broker.port}
+                    bindings:
+                      - {{topic: radon/+/report, entity: "radon-{{1}}", fields: {{/radon: {{parameter: radon}}}}}}
+                """
+            ),
+            encoding="utf-8",
+        )
+        gw = Gateway(load_config(str(config))).start()
+        try:
+            sub = gw.subscribers[0]
+            deadline = time.monotonic() + 3
+            while not (sub._client and sub._client.connected) and time.monotonic() < deadline:
+                time.sleep(0.01)
+            labels = [label for label, _ in tracing.thread_cpu_s().values()]
+            assert {"_read_loop", "_run_subscriber"} <= set(labels)
+        finally:
+            gw.stop()

@@ -37,7 +37,7 @@ from telegw.pipeline import Pipeline, SinkConfig
 from telegw.sim.broker import MqttBroker
 
 from ingest_fixtures import ARANET_SAMPLE, MOTION_SAMPLE, aranet_binding, motion_binding
-from net_fixtures import full_listener
+from net_fixtures import full_listener, record_closers
 
 
 class TestJsonPointer:
@@ -520,6 +520,18 @@ class TestSubscriber:
                 sub.stop()
             assert not thread.is_alive()
             assert elapsed < 0.05
+
+    def test_stop_leaves_the_socket_to_the_client_reader(self, monkeypatch):
+        with MqttBroker() as broker:
+            sub = Subscriber(_fast_broker_cfg(broker), [aranet_binding()], lambda dp: None).start()
+            try:
+                self._await_subscription(broker)
+                client = sub._client
+                closers, reader = record_closers(monkeypatch, client._sock), client._reader
+                sub.stop()
+            finally:
+                sub.stop()
+        assert closers == [reader]
 
     @pytest.mark.parametrize("answers_connect", [False, True], ids=["no-connack", "no-suback"])
     def test_stop_wakes_a_request_the_broker_never_answers(self, answers_connect):

@@ -24,6 +24,7 @@ from telegw.mqtt.client import (
 from telegw.sim.broker import MqttBroker
 
 from ingest_fixtures import aranet_binding
+from net_fixtures import record_closers
 
 
 class TestCodec:
@@ -286,6 +287,55 @@ class TestClientBroker:
                 assert c.connected
             finally:
                 c.close()
+
+    def test_a_broker_that_answers_no_ping_is_left(self):
+        # MQTT 3.1.1 §3.1.2.10: pings at 1 s and 2 s, and nothing read between them
+        with silent_broker() as port:
+            c = MqttClient("127.0.0.1", port, "c", keepalive=2)
+            c.connect()
+            try:
+                assert c.wait_closed(3.0)
+                assert not c.connected
+            finally:
+                c.close()
+
+    def test_pings_keep_their_interval_under_a_steady_stream(self, monkeypatch):
+        # the broker's keepalive counts what the client sends, not what it reads
+        pings, received = [], Collector()
+        encode_pingreq = mp.encode_pingreq
+        monkeypatch.setattr(mp, "encode_pingreq", lambda: pings.append(time.monotonic()) or encode_pingreq())
+        with MqttBroker() as broker, Ticker(broker.port, "t/x"):
+            with MqttClient("127.0.0.1", broker.port, "sub", keepalive=2, on_message=received) as c:
+                t0 = time.monotonic()
+                c.subscribe(["t/#"], qos=0)
+                time.sleep(2.5)
+                assert c.connected
+        assert len(received.messages) > 100
+        assert len(pings) >= 2 and pings[0] - t0 < 1.5
+        assert all(0.9 < b - a < 1.5 for a, b in zip(pings, pings[1:])), pings
+
+    def test_a_connection_adds_one_thread(self):
+        with silent_broker() as port:
+            c = MqttClient("127.0.0.1", port, "c", keepalive=60)
+            before = threading.active_count()
+            c.connect()
+            try:
+                assert threading.active_count() - before == 1
+            finally:
+                c.close()
+
+    def test_close_from_another_thread_leaves_the_socket_to_the_reader(self, monkeypatch):
+        # a descriptor closed under the reader's recv may be reused by then; this
+        # broker ignores DISCONNECT, so only the stop can end the reader's wait
+        with silent_broker() as port:
+            c = MqttClient("127.0.0.1", port, "c")
+            c.connect()
+            closers, reader = record_closers(monkeypatch, c._sock), c._reader
+            closer = threading.Thread(target=c.close)
+            closer.start()
+            closer.join(5)
+            assert not closer.is_alive() and not reader.is_alive()
+        assert closers == [reader]
 
     def test_concurrent_requests_each_end_when_the_broker_goes(self):
         # four requesters on two cores, switching often, while the broker stops
