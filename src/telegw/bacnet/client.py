@@ -12,10 +12,14 @@ took. A 77-object controller named like ``room-temp-01`` takes 3 requests
 (the list, 36 objects, the other 41); an abort still halves a chunk. A
 poll is then one request, encoded once per discovery, and its ack is
 walked once (``encoding.rpm_ack_items``) straight into data points.
+
+The client is a :class:`telegw.netio.Stoppable` whose ``interrupt()`` also sends its
+own port an empty datagram: no shutdown() ends a UDP ``recvfrom()`` with a timeout.
 """
 
 from __future__ import annotations
 
+import contextlib
 import socket
 import threading
 import time
@@ -24,7 +28,7 @@ from dataclasses import dataclass
 from typing import Callable, Mapping, Optional, Sequence
 
 from ..model import NO_TAGS, DataPoint, Value
-from ..netio import shut
+from ..netio import Stoppable
 from . import encoding
 from .encoding import (
     Aborted,
@@ -81,30 +85,26 @@ class DiscoveredObject:
     units: Optional[str] = None
 
 
-class BacnetClient:
+class BacnetClient(Stoppable):
     def __init__(self, endpoint: BacnetEndpoint, clock_ns: Callable[[], int] = time.time_ns):
+        super().__init__()
         self.endpoint = endpoint
         self.clock_ns = clock_ns
-        self._sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+        self._publish(socket.socket(socket.AF_INET, socket.SOCK_DGRAM))
         self._sock.bind(("0.0.0.0", 0))
+        self._port = self._sock.getsockname()[1]  # where interrupt() sends its wake
         self._invoke = 0
-        self._lock = threading.Lock()
+        self._request_lock = threading.Lock()  # one request in flight; interrupt() takes _lock
         self._name_cache: dict[str, DiscoveredObject] = {}
         # the last present-value read, built once per discovery: (names, or
         # None for all; their objects; queries; APDU with invoke id 0)
         self._present: Optional[tuple] = None
         self._ack_octets = 0  # size of every ack decoded, for discovery's chunks
 
-    def close(self) -> None:
-        """Close the socket, first waking a read blocked on it in another
-        thread."""
-        shut(self._sock)
-
-    def __enter__(self) -> "BacnetClient":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
+    def interrupt(self) -> None:
+        super().interrupt()
+        with contextlib.suppress(OSError), socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as waker:
+            waker.sendto(b"", ("127.0.0.1", self._port))
 
     # -- transport ----------------------------------------------------------
 
@@ -114,21 +114,24 @@ class BacnetClient:
 
     def _transact(self, apdu: bytes, invoke_id: int) -> bytes:
         """Send and await the reply for invoke_id, retrying lost datagrams."""
-        dest = (self.endpoint.host, self.endpoint.port)
+        sock, dest = self._sock, (self.endpoint.host, self.endpoint.port)
         datagram = encoding.wrap(apdu, expecting_reply=True)
-        timeout_s = self.endpoint.timeout_ms / 1000
         for _ in range(self.endpoint.retries + 1):
-            self._sock.sendto(datagram, dest)
-            deadline = time.monotonic() + timeout_s
+            if self._interrupted.is_set():
+                raise BacnetError(f"client for {dest[0]}:{dest[1]} was interrupted")
+            sock.sendto(datagram, dest)
+            deadline = time.monotonic() + self.endpoint.timeout_ms / 1000
             while True:
                 remaining = deadline - time.monotonic()
                 if remaining <= 0:
                     break
-                self._sock.settimeout(remaining)
+                sock.settimeout(remaining)
                 try:
-                    data, _addr = self._sock.recvfrom(65535)
+                    data, _addr = sock.recvfrom(65535)
                 except socket.timeout:
                     break
+                if self._interrupted.is_set():  # the wake datagram is no reply
+                    raise BacnetError(f"client for {dest[0]}:{dest[1]} was interrupted")
                 try:
                     reply = encoding.unwrap(data)
                 except MalformedTag:
@@ -153,7 +156,7 @@ class BacnetClient:
         queries = list(queries)
         if not queries:
             raise EmptyQuery("query list is empty")
-        with self._lock:
+        with self._request_lock:
             return encoding.prop_results(self._read_locked(queries))
 
     def _read_locked(self, queries: list[PropertyQuery], apdu: bytes = b"") -> list[tuple]:
@@ -263,7 +266,7 @@ class BacnetClient:
             if self._present is None or self._present[0] != key:
                 self._present = (key, *self._present_request(key))
             _, rows, queries, apdu = self._present
-            with self._lock:
+            with self._request_lock:
                 items = self._read_locked(queries, apdu)
         except Exception:
             self._name_cache = {}

@@ -16,7 +16,7 @@ import itertools
 import struct
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 BVLL_TYPE = 0x81
 BVLC_UNICAST = 0x0A
@@ -170,8 +170,7 @@ class Enumerated(int):
     __slots__ = ()
 
 
-@dataclass(frozen=True, order=True, slots=True)
-class ObjectRef:
+class ObjectRef(NamedTuple):
     type_id: int
     instance: int
 
@@ -219,8 +218,7 @@ def error_names(class_id: int, code_id: int) -> tuple[str, str]:
     )
 
 
-@dataclass(frozen=True, slots=True)
-class PropertyQuery:
+class PropertyQuery(NamedTuple):
     obj: ObjectRef
     prop: int
     array_index: Optional[int] = None

@@ -1,15 +1,16 @@
 """Process supervisor: one validated config in, a running gateway out.
 
 The gateway owns a pipeline, an alert engine, one subscriber per broker, and a
-scheduler thread per polled device and HTTP poll. Each poll job owns its
-client, whose wake lets a stop cut short a poll waiting on a silent device or
-server, in its connect or TLS handshake too. What a job reads (a Modbus
-device's read groups) and the tags its points carry are fixed when the job is
-built. A job returns when it delivered its points and raises when it did not;
-the scheduler records either against that job, and ``/health`` reads those
-records. No failure escapes a poller's thread; the process outlives any single
-dead dependency. Shutdown is two-phase: intake stops first, then the pipeline
-drains into the sink bounded by the configured timeout.
+scheduler thread per polled device and HTTP poll. Each poll job is added with
+the client it owns, a :class:`telegw.netio.Stoppable` that a stop interrupts,
+cutting short a poll waiting on a silent device or server, in its connect or
+TLS handshake too, and that the job's own thread closes. What a job reads (a
+Modbus device's read groups) and the tags its points carry are fixed when the
+job is built. A job returns when it delivered its points and raises when it
+did not; the scheduler records either against that job, and ``/health`` reads
+those records. No failure escapes a poller's thread; the process outlives any
+single dead dependency. Shutdown is two-phase: intake stops first, then the
+pipeline drains into the sink bounded by the configured timeout.
 
 ``/health``, ``/metrics`` and ``/stats`` are served as HTTP/1.0 by an
 accept loop on a plain socket rather than by ``http.server``, which would
@@ -128,28 +129,27 @@ class Gateway:
 
     def start(self) -> "Gateway":
         self._started_ns = self.clock_ns()
-        # a job's wake: interrupt for Modbus and HTTP, whose sockets only the job's
-        # own thread closes; close for BACnet, whose recvfrom() no shutdown() ends
         jitter = self.config.gateway.jitter
         for dev in self.config.modbus_devices:
             client = ModbusClient(dev.host, dev.port, dev.unit, dev.policy, self.clock_ns)
             schedule = PollSchedule(dev.interval_s, jitter)
             job = self._modbus_job(dev, client)
-            self.scheduler.add(dev.id, schedule, job, client.interrupt, client.close)
+            self.scheduler.add(dev.id, schedule, job, client)
         for dev in self.config.bacnet_devices:
             from telegw.bacnet import BacnetClient, BacnetEndpoint  # only with a BACnet device
 
             ep = BacnetEndpoint(dev.host, dev.port, dev.device_instance, dev.timeout_ms, dev.retries)
             client = BacnetClient(ep, self.clock_ns)
             schedule = PollSchedule(dev.interval_s, jitter)
-            self.scheduler.add(dev.id, schedule, self._bacnet_job(dev, client), client.close)
+            job = self._bacnet_job(dev, client)
+            self.scheduler.add(dev.id, schedule, job, client)
         for i, poll in enumerate(self.config.http_polls):
             from telegw.httpio import HttpClient  # loads http.client and ssl: only when polling
 
-            http = HttpClient(POLL_TIMEOUT_S)
+            client = HttpClient(POLL_TIMEOUT_S)
             name, schedule = f"http-{i}", PollSchedule(poll.interval_s, jitter)
-            job = self._http_job(poll, name, partial(http.request, "GET"))
-            self.scheduler.add(name, schedule, job, http.interrupt)
+            job = self._http_job(poll, name, partial(client.request, "GET"))
+            self.scheduler.add(name, schedule, job, client)
         if self.config.gateway.stats_path:
             self.scheduler.add(STATS_JOB, PollSchedule(30.0, 0.0), self.dump_stats)
         # threads start once every job is added and /health's port is bound: a

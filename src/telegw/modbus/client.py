@@ -190,7 +190,7 @@ class ModbusClient(Stoppable):
         deadline = time.monotonic() + self.policy.connect_timeout_ms / 1000
         last: Exception | None = None
         while True:
-            if self._interrupted:
+            if self._interrupted.is_set():
                 raise ModbusError(f"client for {self.host}:{self.port} was interrupted")
             remaining = deadline - time.monotonic()
             if remaining <= 0:
@@ -210,10 +210,10 @@ class ModbusClient(Stoppable):
                 if e.errno != socket.EAI_AGAIN:
                     raise  # the name will not resolve within the budget either
                 last = e
-                time.sleep(0.01)
+                self._interrupted.wait(0.01)  # the loop's check raises once interrupted
             except OSError as e:
                 last = e
-                time.sleep(0.01)
+                self._interrupted.wait(0.01)
 
     # -- framing ----------------------------------------------------------
 
@@ -363,8 +363,8 @@ class ModbusClient(Stoppable):
             flag = self.read_registers(protocol.HOLDING, cfg.ready_address, 1)[0]
             if flag == cfg.ready_value:
                 break
-            if n + 1 < cfg.max_polls:
-                time.sleep(cfg.poll_interval_ms / 1000)
+            if n + 1 < cfg.max_polls and self._interrupted.wait(cfg.poll_interval_ms / 1000):
+                raise ModbusError(f"client for {self.host}:{self.port} was interrupted")
         else:
             raise ReadyTimeout(
                 f"ready flag at 0x{cfg.ready_address:04X} never became "

@@ -9,8 +9,11 @@ The client is a :class:`telegw.netio.Stoppable`. The connecting thread owns
 the socket until CONNACK; after that the reader thread alone waits on it,
 sends PINGREQ every ``keepalive / 2`` whatever arrives, and closes it on its
 way out. A connection on which nothing was read between one PINGREQ and the
-next is ended (MQTT 3.1.1 §3.1.2.10). ``close()`` and ``interrupt()`` only
-wake the reader, so no descriptor is closed under a call in progress.
+next is ended (MQTT 3.1.1 §3.1.2.10), and so is one whose packet stops part
+way for that long: ``SO_RCVTIMEO`` bounds each ``recv``. The socket stays
+blocking for Python, so ``sendall`` has no deadline and no ``recv`` costs a
+``poll()`` first. ``close()`` and ``interrupt()`` only wake the reader, so no
+descriptor is closed under a call in progress.
 
 TCP options: brokers commonly keep Nagle's algorithm on (Mosquitto's
 ``set_tcp_nodelay`` defaults to false), so a broker holds a small segment
@@ -29,6 +32,7 @@ from __future__ import annotations
 import contextlib
 import select
 import socket
+import struct
 import threading
 import time
 from typing import Callable
@@ -145,7 +149,7 @@ class MqttClient(Stoppable):
 
     @property
     def connected(self) -> bool:
-        return self._reader is not None and self._sock is not None and not self._interrupted
+        return self._reader is not None and self._sock is not None and not self._interrupted.is_set()
 
     def wait_closed(self, timeout: float | None = None) -> bool:
         """Block until the connection, once made, is closed or lost: until its reader ends."""
@@ -172,7 +176,7 @@ class MqttClient(Stoppable):
 
     def _send(self, data: bytes) -> None:
         with self._send_lock:
-            if self._sock is None or self._interrupted:
+            if self._sock is None or self._interrupted.is_set():
                 raise NotConnected("client is not connected")
             try:
                 self._sock.sendall(data)
@@ -221,6 +225,9 @@ class MqttClient(Stoppable):
         interval = max(1.0, self.keepalive / 2) if self.keepalive > 0 else None
         ping_due, heard = time.monotonic() + (interval or 0), True
         try:
+            if interval is not None:  # a recv that waits this long raises BlockingIOError
+                timeval = struct.pack("@ll", int(interval), int(interval % 1 * 1_000_000))
+                sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVTIMEO, timeval)
             while True:
                 if interval is not None:
                     now = time.monotonic()

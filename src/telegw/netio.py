@@ -1,13 +1,13 @@
 """Socket helpers shared by the protocol clients and the simulators.
 
-:class:`Stoppable` is how a stop reaches the Modbus, HTTP and MQTT clients,
-and :func:`connect` is their TCP connect. It hands an ASCII host to the
-resolver as ``bytes``: ``socket.getaddrinfo`` sends a ``str`` host through
-the IDNA codec, which loads ``encodings.idna``, ``stringprep`` and
-``unicodedata`` even for ``"127.0.0.1"``. A non-ASCII host is still passed
-as ``str`` and IDNA-encoded as before. An ASCII host that IDNA would refuse
-(an empty or over-long label) fails in the resolver as ``socket.gaierror``
-instead of as ``UnicodeError``.
+:class:`Stoppable` is how a stop reaches every client (Modbus, HTTP, MQTT and
+BACnet), and :func:`connect` is the TCP clients' connect. It hands an ASCII
+host to the resolver as ``bytes``: ``socket.getaddrinfo`` sends a ``str`` host
+through the IDNA codec, which loads ``encodings.idna``, ``stringprep`` and
+``unicodedata`` even for ``"127.0.0.1"``. A non-ASCII host is still passed as
+``str`` and IDNA-encoded as before. An ASCII host that IDNA would refuse (an
+empty or over-long label) fails in the resolver as ``socket.gaierror`` instead
+of as ``UnicodeError``.
 """
 
 from __future__ import annotations
@@ -52,16 +52,16 @@ def connect(host: str, port: int, timeout: float, publish: Callable = lambda soc
 
 
 class Stoppable:
-    """A client's stop hand-off, shared by ``ModbusClient``, ``HttpClient`` and
-    ``MqttClient``. The owner thread (a poll's; MQTT's connecting thread, then its
-    reader) hands each socket it connects to :meth:`_publish` and alone closes it
-    (:meth:`close`), so no descriptor is reused under a call. :meth:`interrupt`, from
-    any thread, refuses later sockets and shuts the held one down, which ends a blocked
-    connect, TLS handshake, read or write."""
+    """A client's stop hand-off, shared by the Modbus, HTTP, MQTT and BACnet clients.
+    The owner thread (a poll's; MQTT's connecting thread, then its reader) hands each
+    socket it makes to :meth:`_publish` and alone closes it (:meth:`close`), so no
+    descriptor is reused under a call. :meth:`interrupt`, from any thread, sets the
+    ``_interrupted`` Event (which a client's pauses wait on), refuses later sockets and
+    shuts the held one down, ending a blocked TCP connect, TLS handshake, read or write."""
 
     def __init__(self):
         self._sock: socket.socket | None = None
-        self._interrupted = False
+        self._interrupted = threading.Event()
         self._lock = threading.Lock()  # orders _publish and close against interrupt()
 
     def _publish(self, sock: socket.socket | None) -> None:
@@ -69,7 +69,7 @@ class Stoppable:
         if sock is None:  # the base close: MqttClient.close() wakes and joins its reader
             return Stoppable.close(self)
         with self._lock:
-            if self._interrupted:
+            if self._interrupted.is_set():
                 sock.close()
                 raise ConnectionError("client was interrupted")
             self._sock = sock
@@ -82,7 +82,7 @@ class Stoppable:
 
     def interrupt(self) -> None:
         with self._lock, contextlib.suppress(OSError):
-            self._interrupted = True
+            self._interrupted.set()
             if self._sock is not None:
                 self._sock.shutdown(socket.SHUT_RDWR)
 
@@ -106,8 +106,8 @@ def recv_exact(sock: socket.socket, n: int) -> bytes:
 
 def shut(sock: socket.socket) -> None:
     """Close ``sock``, first waking any thread blocked on it: close() alone
-    wakes neither accept() nor recv(), shutdown() wakes both. On a UDP socket
-    shutdown() raises ENOTCONN, and a recvfrom() with a timeout ends only after both."""
+    wakes neither accept() nor recv(), shutdown() wakes both. The simulators
+    stop with it; a client's own thread closes its socket (:class:`Stoppable`)."""
     try:
         sock.shutdown(socket.SHUT_RDWR)
     except OSError:

@@ -67,6 +67,7 @@ from telegw.model import (
     check_identifier,
     check_sample,
 )
+from telegw.netio import Stoppable
 
 log = logging.getLogger(__name__)
 
@@ -511,7 +512,7 @@ class Pipeline:
         return RateStats(entities, self._window_start_ns, self.clock_ns())
 
 
-Job = Callable[[], None]  # a poll job, or the wake that unblocks one
+Job = Callable[[], None]  # a poll job
 STOP_JOIN_S = 5.0  # Scheduler.stop() waits this long for all job threads together
 
 
@@ -535,31 +536,27 @@ class Scheduler:
     :class:`JobRecord` under one lock and never ends its thread.
     Only a job's first failed poll (a warning, with traceback) and its first
     success after failing are logged, not the failed polls between. A job
-    that raises once :meth:`stop` has begun was cancelled, most likely woken
-    out of its I/O by the wake it was added with, and is not recorded."""
+    that raises once :meth:`stop` has begun was cancelled, most likely by the
+    interrupt of the client it was added with, and is not recorded. Each job
+    draws its jitter from its own generator, seeded with its name, so its
+    draws are the same in every run whatever other jobs run beside it."""
 
     def __init__(self, clock_ns: Callable[[], int] = time.time_ns):
         self.clock_ns = clock_ns  # stamps each record's last success
-        self._rng = random.Random(0)  # the same jitter draws in every run
-        self._jobs: list[tuple[PollSchedule, Job, str, Job | None]] = []
-        self._wakes: list[Job] = []
+        self._jobs: list[tuple[PollSchedule, Job, str, Stoppable | None]] = []
         self._stop = threading.Event()
         self._threads: list[threading.Thread] = []
         self._lock = threading.Lock()
         self._records: dict[str, JobRecord] = {}
 
-    def add(self, name: str, schedule: PollSchedule, job: Job,
-            wake: Job | None = None, close: Job | None = None) -> None:
-        """Add ``job`` under ``name``, which no other job holds. :meth:`stop`
-        calls ``wake`` from its own thread to unblock the job from I/O;
-        ``close`` runs on the job's thread when its loop ends, so it may
-        release what only that thread uses."""
+    def add(self, name: str, schedule: PollSchedule, job: Job, client: Stoppable | None = None) -> None:
+        """Add ``job`` under ``name``, which no other job holds. ``client`` is
+        the one the job polls through: :meth:`stop` interrupts it to unblock the
+        job from I/O, and the job's own thread closes it when its loop ends."""
         if name in self._records:
             raise ValueError(f"a job named {name!r} was already added")
-        self._jobs.append((schedule, job, name, close))
+        self._jobs.append((schedule, job, name, client))
         self._records[name] = JobRecord()
-        if wake is not None:
-            self._wakes.append(wake)
 
     def records(self) -> dict[str, JobRecord]:
         """A copy of every job's record, in the order the jobs were added."""
@@ -583,18 +580,19 @@ class Scheduler:
         return self
 
     def stop(self) -> None:
-        """Set the stop flag, call every job's wake to unblock it from I/O,
-        then join every job thread, all within one STOP_JOIN_S budget."""
+        """Set the stop flag, interrupt every job's client to unblock it from
+        I/O, then join every job thread, all within one STOP_JOIN_S budget."""
         self._stop.set()
-        for wake in self._wakes:
-            wake()
+        for *_, client in self._jobs:
+            if client is not None:
+                client.interrupt()
         deadline = time.monotonic() + STOP_JOIN_S
         for t in self._threads:
             t.join(timeout=max(0.0, deadline - time.monotonic()))
         self._threads = []
 
-    def _run_job(self, schedule: PollSchedule, job: Job, name: str, close: Job | None) -> None:
-        record = self._records[name]
+    def _run_job(self, schedule: PollSchedule, job: Job, name: str, client: Stoppable | None) -> None:
+        record, rng = self._records[name], random.Random(name)  # a str seed: SHA-512, not hash()
         due = time.monotonic()  # when this poll was due
         try:
             while not self._stop.is_set():
@@ -619,11 +617,10 @@ class Scheduler:
                     else:
                         record.errors += 1
                         record.consecutive_failures += 1
-                    delay = schedule.next_delay(self._rng)
                 now = time.monotonic()
-                due = max(due + delay, now)  # after a poll that overran: now, no catch-up
+                due = max(due + schedule.next_delay(rng), now)  # after an overrun: now, no catch-up
                 if self._stop.wait(due - now):
                     return
         finally:
-            if close is not None:
-                close()
+            if client is not None:
+                client.close()

@@ -28,7 +28,7 @@ from telegw.mqtt import MqttClient
 from telegw.sim import BacnetSim, FaultModel, ModbusSim, MqttBroker, SimObject
 
 from bacnet_fixtures import EmptyListEntrySim, wide_inventory
-from net_fixtures import full_listener
+from net_fixtures import full_listener, record_closers
 
 
 def free_port() -> int:
@@ -816,6 +816,70 @@ def test_stop_wakes_a_poll_blocked_on_a_silent_device(tmp_path, kind):
     assert elapsed < 1.0, f"stop() took {elapsed:.2f} s"
     # the woken poll was cancelled by the stop; the device did not fail it
     assert gw.scheduler.job_errors == {"dead-1": 0}
+
+
+def test_stop_leaves_a_bacnet_socket_to_its_poll_thread(tmp_path, monkeypatch):
+    # a descriptor closed under the poll's recvfrom() may be reused by then
+    clients = []
+
+    class RecordedClient(BacnetClient):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            clients.append(self)
+
+    monkeypatch.setattr("telegw.bacnet.BacnetClient", RecordedClient)  # imported by start()
+    with _silent_device("bacnet") as port:
+        cfg = load_config(
+            write_config(
+                tmp_path,
+                f"""
+                gateway: {{health_port: 0, jitter: 0}}
+                sink: {{mode: file, path: {tmp_path}/out.lp}}
+                devices:
+                  - {{id: dead-1, protocol: bacnet, host: 127.0.0.1, port: {port},
+                      interval_s: 60, {_SILENT_DEVICE["bacnet"]}}}
+                """,
+            )
+        )
+        gw = Gateway(cfg).start()
+        closers, poll = record_closers(monkeypatch, clients[0]._sock), gw.scheduler._threads[0]
+        time.sleep(0.3)  # the poll is now blocked waiting for a reply
+        t0 = time.monotonic()
+        gw.stop()
+        elapsed = time.monotonic() - t0
+    assert elapsed < 1.0, f"stop() took {elapsed:.2f} s"
+    assert closers == [poll]
+    assert gw.scheduler.job_errors == {"dead-1": 0}
+
+
+def test_stop_ends_a_modbus_history_handshake_between_ready_polls(tmp_path):
+    with ModbusSim(unit=1, fault=FaultModel.delayed_ready(10**6)) as sim:
+        cfg = load_config(
+            write_config(
+                tmp_path,
+                f"""
+                gateway: {{health_port: 0, jitter: 0}}
+                sink: {{mode: file, path: {tmp_path}/out.lp}}
+                devices:
+                  - id: meter-1
+                    protocol: modbus
+                    host: 127.0.0.1
+                    port: {sim.port}
+                    interval_s: 60
+                    historical:
+                      poll_interval_ms: 3000
+                      registers:
+                        - {{name: energy, addr: 20, dtype: f32, unit: kWh}}
+                """,
+            )
+        )
+        gw = Gateway(cfg).start()
+        time.sleep(0.3)  # the handshake now waits out its pause after a ready-flag poll
+        t0 = time.monotonic()
+        gw.stop()
+        elapsed = time.monotonic() - t0
+    assert elapsed < 1.0, f"stop() took {elapsed:.2f} s"
+    assert gw.scheduler.job_errors == {"meter-1": 0}
 
 
 def test_stop_wakes_an_http_poll_blocked_on_a_silent_server(tmp_path):

@@ -153,9 +153,10 @@ class Collector:
 
 
 @contextlib.contextmanager
-def silent_broker():
-    """The port of a raw TCP server that accepts a CONNECT, then reads
-    whatever arrives and answers nothing."""
+def silent_broker(after_connack: bytes = b""):
+    """The port of a raw TCP server that accepts a CONNECT and sends
+    ``after_connack`` after its CONNACK, then reads whatever arrives and
+    answers nothing."""
     srv = socket.socket()
     srv.bind(("127.0.0.1", 0))
     srv.listen(1)
@@ -168,7 +169,7 @@ def silent_broker():
                 return
             try:
                 mp.read_packet(conn)
-                conn.sendall(mp.encode_connack(0))
+                conn.sendall(mp.encode_connack(0) + after_connack)
                 while True:
                     mp.read_packet(conn)
             except (ConnectionError, OSError, mp.MqttError):
@@ -291,6 +292,18 @@ class TestClientBroker:
     def test_a_broker_that_answers_no_ping_is_left(self):
         # MQTT 3.1.1 §3.1.2.10: pings at 1 s and 2 s, and nothing read between them
         with silent_broker() as port:
+            c = MqttClient("127.0.0.1", port, "c", keepalive=2)
+            c.connect()
+            try:
+                assert c.wait_closed(3.0)
+                assert not c.connected
+            finally:
+                c.close()
+
+    def test_a_packet_that_stops_part_way_is_left(self):
+        # one byte of a PUBLISH, then silence: the reader waits in recv, where no
+        # ping falls due, and is ended after one ping interval of 1 s
+        with silent_broker(after_connack=bytes([mp.PUBLISH << 4])) as port:
             c = MqttClient("127.0.0.1", port, "c", keepalive=2)
             c.connect()
             try:

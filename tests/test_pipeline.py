@@ -1084,9 +1084,39 @@ class TestScheduler:
         sched = Scheduler()
         sched.add("meter-1", PollSchedule(1), lambda: None)
         with pytest.raises(ValueError, match="'meter-1'"):
-            sched.add("meter-1", PollSchedule(1), lambda: None, wake=lambda: None)
+            sched.add("meter-1", PollSchedule(1), lambda: None)
         assert list(sched.records()) == ["meter-1"]
-        assert len(sched._jobs) == 1 and not sched._wakes
+        assert len(sched._jobs) == 1
+
+    def test_a_jobs_jitter_draws_do_not_depend_on_the_jobs_beside_it(self, monkeypatch):
+        next_delay = PollSchedule.next_delay
+
+        def first_draws(names: list[str]) -> list[float]:
+            """The first 10 delays drawn for meter-1, added among ``names``."""
+            schedules = {name: PollSchedule(0.001, jitter=0.5) for name in names}
+            draws = {id(s): [] for s in schedules.values()}
+
+            def recorded(schedule, rng):
+                delay = next_delay(schedule, rng)
+                draws[id(schedule)].append(delay)
+                return delay
+
+            monkeypatch.setattr(PollSchedule, "next_delay", recorded)
+            sched = Scheduler()
+            for name, schedule in schedules.items():
+                sched.add(name, schedule, lambda: None)
+            mine = draws[id(schedules["meter-1"])]
+            sched.start()
+            try:
+                deadline = time.monotonic() + 5
+                while len(mine) < 10 and time.monotonic() < deadline:
+                    time.sleep(0.005)
+            finally:
+                sched.stop()
+            assert len(mine) >= 10
+            return mine[:10]
+
+        assert first_draws(["meter-1"]) == first_draws(["meter-2", "meter-1"])
 
     def test_failures_log_once_per_state_change(self, caplog):
         calls = itertools.count()
@@ -1126,7 +1156,7 @@ class TestScheduler:
                 entered.set()
                 release.wait()
 
-            sched.add(f"blocked-{i}", PollSchedule(0.01), blocked, wake=lambda: None)
+            sched.add(f"blocked-{i}", PollSchedule(0.01), blocked)
         sched.start()
         try:
             assert all(entered.wait(2) for entered in started)
